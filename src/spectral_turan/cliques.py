@@ -17,30 +17,38 @@ class CliqueCountOverflowError(OverflowError):
 def degeneracy_order(g: Graph) -> list[int]:
     """Vertices in degeneracy order (repeatedly remove a min-degree vertex).
 
-    Ties break on the smallest label, so the order is deterministic.
+    Ties break on the smallest label, so the order is deterministic.  A
+    bucket queue (Matula & Beck, JACM 1983) keeps ``bucket[d]`` as the
+    bitmask of remaining vertices of degree d: each step pops the lowest
+    set bit of the lowest nonempty bucket, and since a removal lowers
+    degrees by at most one, the bucket pointer then drops by at most one.
     """
     n = g.n
-    alive = (1 << n) - 1
     degs = [g.degree(v) for v in range(n)]
+    bucket = [0] * max(n, 1)
+    for v, d in enumerate(degs):
+        bucket[d] |= 1 << v
+    alive = (1 << n) - 1
     order = []
+    d = 0
     for _ in range(n):
-        best = -1
-        best_deg = n + 1
-        m = alive
+        while not bucket[d]:
+            d += 1
+        b = bucket[d] & -bucket[d]
+        bucket[d] ^= b
+        alive ^= b
+        v = b.bit_length() - 1
+        order.append(v)
+        m = g.row(v) & alive
         while m:
             b = m & -m
             m ^= b
-            v = b.bit_length() - 1
-            if degs[v] < best_deg:
-                best_deg = degs[v]
-                best = v
-        order.append(best)
-        alive ^= 1 << best
-        m = g.row(best) & alive
-        while m:
-            b = m & -m
-            m ^= b
-            degs[b.bit_length() - 1] -= 1
+            u = b.bit_length() - 1
+            du = degs[u]
+            bucket[du] ^= b
+            bucket[du - 1] |= b
+            degs[u] = du - 1
+        d = max(d - 1, 0)
     return order
 
 
@@ -61,23 +69,12 @@ def count_cliques(g: Graph, r: int) -> int:
     if r == 2:
         return g.edge_count()
 
-    order = degeneracy_order(g)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    # forward[i] = neighbors of order[i] that come later in the order
+    # forward[v] = neighbors of v that come later in the degeneracy order
     forward = [0] * n
-    for v in range(n):
-        i = pos[v]
-        m = g.row(v)
-        fw = 0
-        while m:
-            b = m & -m
-            m ^= b
-            j = pos[b.bit_length() - 1]
-            if j > i:
-                fw |= 1 << j
-        forward[i] = fw
+    later = 0
+    for v in reversed(degeneracy_order(g)):
+        forward[v] = g.row(v) & later
+        later |= 1 << v
 
     def extend(cand: int, need: int) -> int:
         if need == 1:

@@ -3,16 +3,27 @@
 Vertices are the integers 0..n-1.  Each adjacency row is stored as a Python
 int used as a bitset, so neighborhood intersections are single ``&``
 operations regardless of n.  Graphs are immutable after construction.
+
+Bulk conversions go through one bit-matrix layer: ``Graph.from_bits`` packs
+an n x n boolean numpy matrix into the int rows and ``Graph.to_bits``
+unpacks them again.  The G(n, p) generator, the graph6 codec and the
+spectral matvec are vectorised on top of it, so none of them walks pairs
+one at a time in Python.  The graph6 reader accepts n <= MAX_VERTICES; the
+writer stays limited to n <= 62 (single-byte size field).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
+import numpy as np
+
 MAX_VERTICES = 10_000
 GRAPH6_MAX_N = 62  # single-byte size; v1 encoder limit
 
 _MASK64 = (1 << 64) - 1
+# pairs per gnp chunk: bounds each uint64 temporary to 512 KiB at any n
+_GNP_CHUNK = 1 << 16
 
 
 class Graph6Error(ValueError):
@@ -74,6 +85,45 @@ class Graph:
     @classmethod
     def empty(cls, n: int) -> "Graph":
         return cls(n, [0] * n)
+
+    @classmethod
+    def from_bits(cls, adj) -> "Graph":
+        """Graph of a symmetric boolean n x n matrix with a zero diagonal.
+
+        Rows are packed little-endian, so bit u of row v is ``adj[v, u]``.
+        """
+        a = np.asarray(adj, dtype=np.bool_)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
+        n = a.shape[0]
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        loops = np.flatnonzero(a.diagonal())
+        if loops.size:
+            raise ValueError(f"loop at vertex {loops[0]}")
+        if not np.array_equal(a, a.T):
+            v, u = np.argwhere(a & ~a.T)[0]
+            raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        nbytes = (n + 7) // 8
+        buf = np.packbits(a, axis=1, bitorder="little").tobytes()
+        rows = [
+            int.from_bytes(buf[i * nbytes:(i + 1) * nbytes], "little")
+            for i in range(n)
+        ]
+        return cls(n, rows, validate=False)
+
+    def to_bits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start..stop-1 (default all) as a boolean (rows, n) matrix.
+
+        ``Graph.from_bits(g.to_bits()) == g``.
+        """
+        rows = self._rows[start:stop]
+        nbytes = (self.n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
+        ).reshape(len(rows), nbytes)
+        bits = np.unpackbits(packed, axis=1, count=self.n, bitorder="little")
+        return bits.view(np.bool_)
 
     def row(self, v: int) -> int:
         """Neighbor bitmask of v."""
@@ -212,23 +262,44 @@ def pair_uniform(seed: int, index: int) -> float:
     return (_splitmix64(z ^ (index & _MASK64)) >> 11) * (1.0 / (1 << 53))
 
 
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` on a uint64 array; numpy uint64 arithmetic wraps mod 2^64."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each unordered pair kept independently with probability p.
 
-    Pair index counts pairs (u, v), u < v, in lexicographic order.  Identical
-    (n, p, seed) give an identical graph on every platform and thread count.
+    Pair index counts pairs (u, v), u < v, in lexicographic order, and pair
+    i is kept iff ``pair_uniform(seed, i) < p``.  Identical (n, p, seed)
+    give an identical graph on every platform and thread count.  Pairs are
+    drawn in uint64 chunks of at most ``_GNP_CHUNK``, so the generator's
+    temporaries stay bounded; the boolean adjacency matrix costs n^2 bytes.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    rows = [0] * n
-    index = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if pair_uniform(seed, index) < p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            index += 1
-    return Graph(n, rows, validate=False)
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+    key = np.uint64(_splitmix64(seed & _MASK64))
+    total = n * (n - 1) // 2
+    adj = np.zeros((n, n), dtype=np.bool_)
+    u, first = 0, 0  # current row, and the pair index of its first pair
+    for lo in range(0, total, _GNP_CHUNK):
+        hi = min(lo + _GNP_CHUNK, total)
+        z = _splitmix64_array(np.arange(lo, hi, dtype=np.uint64) ^ key)
+        keep = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)) < p
+        # scatter the chunk into the upper-triangle row slices it covers
+        while first < hi:
+            end = first + n - 1 - u
+            a, b = max(first, lo), min(end, hi)
+            adj[u, u + 1 + a - first:u + 1 + b - first] = keep[a - lo:b - lo]
+            if end > hi:
+                break
+            u, first = u + 1, end
+    return Graph.from_bits(adj | adj.T)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +339,11 @@ def parse_graph6(text: str) -> Graph:
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):]
         base = len(_G6_HEADER)
-    # non-ASCII characters map to byte 255 so the range checks flag them
-    data = bytes(min(ord(c), 255) for c in s)
+    try:
+        data = s.encode("latin-1")
+    except UnicodeEncodeError:
+        # characters above U+00FF map to byte 255 so the range checks flag them
+        data = bytes(min(ord(c), 255) for c in s)
     n, pos = _g6_decode_size(data, 0)
     if n > MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} exceeds {MAX_VERTICES}", base)
@@ -279,32 +353,22 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"body length {len(data) - pos} != expected {nbytes}", base + pos
         )
-    rows = [0] * n
-    bit = 0
-    for i in range(pos, pos + nbytes):
-        b = data[i]
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} outside [63, 126]", base + i)
-        group = b - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> k & 1:
-                    raise Graph6Error("nonzero padding bits", base + i)
-                continue
-            if group >> k & 1:
-                u, v = _g6_pair(bit)
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            bit += 1
-    return Graph(n, rows, validate=False)
-
-
-def _g6_pair(bit: int) -> tuple[int, int]:
-    # column-major upper triangle: x(0,1), x(0,2), x(1,2), x(0,3), ...
-    v = 1
-    while v * (v - 1) // 2 + v <= bit:
-        v += 1
-    return bit - v * (v - 1) // 2, v
+    body = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    bad = np.flatnonzero((body < 63) | (body > 126))
+    if bad.size:
+        i = int(bad[0])
+        raise Graph6Error(f"byte {body[i]} outside [63, 126]", base + pos + i)
+    # six data bits per byte, most significant first
+    bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].reshape(-1)
+    if bits[nbits:].any():  # padding occupies only the last byte
+        raise Graph6Error("nonzero padding bits", base + pos + nbytes - 1)
+    # column-major upper triangle x(0,1), x(0,2), x(1,2), x(0,3), ...:
+    # column v is the v bits from v(v-1)/2, written as row v and mirrored
+    adj = np.zeros((n, n), dtype=np.bool_)
+    for v in range(1, n):
+        start = v * (v - 1) // 2
+        adj[v, :v] = bits[start:start + v]
+    return Graph.from_bits(adj | adj.T)
 
 
 def to_graph6(g: Graph) -> str:
@@ -313,21 +377,14 @@ def to_graph6(g: Graph) -> str:
         raise UnsupportedSizeError(
             f"graph6 encoding limited to n <= {GRAPH6_MAX_N}, got {g.n}"
         )
-    out = [chr(63 + g.n)]
-    group = 0
-    nbits = 0
+    adj = g.to_bits()
+    nbits = g.n * (g.n - 1) // 2
+    bits = np.zeros((nbits + 5) // 6 * 6, dtype=np.uint8)
     for v in range(1, g.n):
-        col = g.row(v)
-        for u in range(v):
-            group = group << 1 | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + group))
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (group << (6 - nbits))))
-    return "".join(out)
+        start = v * (v - 1) // 2
+        bits[start:start + v] = adj[v, :v]
+    groups = np.packbits(bits.reshape(-1, 6), axis=1).reshape(-1) >> 2
+    return chr(63 + g.n) + (groups + 63).tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

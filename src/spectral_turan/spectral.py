@@ -20,6 +20,8 @@ DEFAULT_MAX_ITER = 10**6
 # dense adjacency above this order would not fit desk memory budgets;
 # fall back to edge-array accumulation
 _DENSE_LIMIT = 2048
+# matrix entries unpacked per block when building the sparse edge arrays
+_SPARSE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,27 +52,18 @@ def _adjacency_matvec(g: Graph):
     """Return a function computing A @ x for the graph's adjacency matrix."""
     n = g.n
     if n <= _DENSE_LIMIT:
-        nbytes = (n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(g.row(v).to_bytes(nbytes, "little") for v in range(n)),
-            dtype=np.uint8,
-        ).reshape(n, nbytes)
-        a = np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.float64)
+        a = g.to_bits().astype(np.float64)
         return lambda x: a @ x
-    us, vs = [], []
-    for u, v in g.edges():
-        us.append(u)
-        vs.append(v)
-    ua = np.asarray(us, dtype=np.intp)
-    va = np.asarray(vs, dtype=np.intp)
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y = np.zeros(n)
-        np.add.at(y, ua, x[va])
-        np.add.at(y, va, x[ua])
-        return y
-
-    return matvec
+    # (row, column) of every nonzero entry, unpacked a block of rows at a time
+    step = max(1, _SPARSE_BLOCK // n)
+    rows, cols = [], []
+    for lo in range(0, n, step):
+        r, c = np.nonzero(g.to_bits(lo, lo + step))
+        rows.append(r + lo)
+        cols.append(c)
+    ra = np.concatenate(rows)
+    ca = np.concatenate(cols)
+    return lambda x: np.bincount(ra, weights=x[ca], minlength=n)
 
 
 def spectral_radius(

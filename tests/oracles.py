@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the production code paths it checks:
 the characteristic polynomial is built in exact integer arithmetic, root
-enclosures are certified by exact sign tests, and the subgraph/multipartite
-enumerators are plain itertools sweeps with pairwise adjacency probes.
+enclosures are certified by exact sign tests, the subgraph/multipartite
+enumerators are plain itertools sweeps with pairwise adjacency probes, and
+the bit-matrix layer (G(n, p), graph6 decoding, degeneracy order) is checked
+against scalar pair-by-pair and vertex-by-vertex loops.
 """
 
 from __future__ import annotations
@@ -14,6 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from spectral_turan import Graph, gnp
+from spectral_turan.graphs import (
+    _G6_HEADER,
+    MAX_VERTICES,
+    Graph6Error,
+    _g6_decode_size,
+    pair_uniform,
+)
 
 
 def all_graphs(n):
@@ -32,8 +41,6 @@ def petersen() -> Graph:
 
 def k100_minus_50_edges(seed: int = 2024) -> Graph:
     """K_100 with 50 edges removed, chosen by seeded pair hashing."""
-    from spectral_turan.graphs import pair_uniform
-
     edges = list(itertools.combinations(range(100), 2))
     ranked = sorted(range(len(edges)), key=lambda i: pair_uniform(seed, i))
     removed = set(ranked[:50])
@@ -194,3 +201,97 @@ def seeded_graph_sample(count: int, n_lo: int, n_hi: int, base_seed: int = 5000)
     for i in range(count):
         n = n_lo + i % (n_hi - n_lo + 1)
         yield gnp(n, ps[i % 3], base_seed + i)
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the vectorised bit-matrix layer
+# ---------------------------------------------------------------------------
+
+def oracle_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) by its definition: pair i, in lexicographic (u, v) order with
+    u < v, is an edge iff ``pair_uniform(seed, i) < p``."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    rows = [0] * n
+    index = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if pair_uniform(seed, index) < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            index += 1
+    return Graph(n, rows, validate=False)
+
+
+def oracle_parse_graph6(text: str) -> Graph:
+    """Byte-by-byte graph6 decoder with the same errors and offsets as
+    ``parse_graph6``; each set bit walks the triangle to find its pair."""
+    s = text.strip()
+    base = 0
+    if s.startswith(_G6_HEADER):
+        s = s[len(_G6_HEADER):]
+        base = len(_G6_HEADER)
+    data = bytes(min(ord(c), 255) for c in s)
+    n, pos = _g6_decode_size(data, 0)
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"vertex count {n} exceeds {MAX_VERTICES}", base)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos != nbytes:
+        raise Graph6Error(
+            f"body length {len(data) - pos} != expected {nbytes}", base + pos
+        )
+    rows = [0] * n
+    bit = 0
+    for i in range(pos, pos + nbytes):
+        b = data[i]
+        if not 63 <= b <= 126:
+            raise Graph6Error(f"byte {b} outside [63, 126]", base + i)
+        group = b - 63
+        for k in range(5, -1, -1):
+            if bit >= nbits:
+                if group >> k & 1:
+                    raise Graph6Error("nonzero padding bits", base + i)
+                continue
+            if group >> k & 1:
+                u, v = _g6_pair(bit)
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            bit += 1
+    return Graph(n, rows, validate=False)
+
+
+def _g6_pair(bit: int) -> tuple[int, int]:
+    # column-major upper triangle: x(0,1), x(0,2), x(1,2), x(0,3), ...
+    v = 1
+    while v * (v - 1) // 2 + v <= bit:
+        v += 1
+    return bit - v * (v - 1) // 2, v
+
+
+def oracle_degeneracy_order(g: Graph) -> list[int]:
+    """Degeneracy order by rescanning every remaining vertex at each step;
+    ties break on the smallest label."""
+    n = g.n
+    alive = (1 << n) - 1
+    degs = [g.degree(v) for v in range(n)]
+    order = []
+    for _ in range(n):
+        best = -1
+        best_deg = n + 1
+        m = alive
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            if degs[v] < best_deg:
+                best_deg = degs[v]
+                best = v
+        order.append(best)
+        alive ^= 1 << best
+        m = g.row(best) & alive
+        while m:
+            b = m & -m
+            m ^= b
+            degs[b.bit_length() - 1] -= 1
+    return order

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -13,7 +14,9 @@ from spectral_turan import (
     turan_graph,
 )
 
-from oracles import all_graphs, petersen, seeded_graph_sample
+from spectral_turan.cliques import degeneracy_order
+
+from oracles import all_graphs, oracle_degeneracy_order, petersen, seeded_graph_sample
 
 
 def test_examples():
@@ -24,6 +27,18 @@ def test_examples():
     assert oracle_count_cliques(complete_multipartite((2, 2, 2)), 3) == 8
     assert count_cliques(petersen(), 3) == 0
     assert oracle_count_cliques(petersen(), 3) == 0
+
+
+def test_degeneracy_order_matches_scan_oracle():
+    rnd = random.Random(77)
+    star = Graph.from_edges(9, [(0, v) for v in range(1, 9)])
+    corpus = [Graph.empty(0), Graph.empty(6), complete_graph(12), petersen(),
+              turan_graph(30, 4), cycle_graph(11), star]
+    for i in range(40):
+        p = rnd.choice([0.01, 0.05, 0.3, 0.7, 0.95])
+        corpus.append(gnp(rnd.randint(1, 300), p, i))
+    for g in corpus:
+        assert degeneracy_order(g) == oracle_degeneracy_order(g), g
 
 
 def test_degenerate_orders():

@@ -1,5 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
+import spectral_turan.graphs as graphs
 from spectral_turan import (
     Graph,
     Graph6Error,
@@ -17,7 +21,7 @@ from spectral_turan import (
     turan_part_sizes,
 )
 
-from oracles import all_graphs
+from oracles import all_graphs, oracle_gnp, oracle_parse_graph6
 
 GNP_40_05_SEED7_EDGES = 390  # golden: recorded from the first run of the generator
 GNP_40_05_SEED7_G6 = (
@@ -87,6 +91,69 @@ def test_graph6_multibyte_size_decode():
     g = parse_graph6(text)
     assert g.n == 100
     assert g.edge_count() == big.number_of_edges()
+
+
+@pytest.mark.parametrize("n", [700, 701])
+def test_graph6_networkx_round_trip_large(n):
+    # 4-byte size field; C(701, 2) = 245350 bits leave a partial last group
+    nx = pytest.importorskip("networkx")
+    h = nx.gnp_random_graph(n, 0.05, seed=n)
+    text = nx.to_graph6_bytes(h, header=False).decode().strip()
+    g = parse_graph6(text)
+    assert g.n == n
+    assert list(g.edges()) == sorted(tuple(sorted(e)) for e in h.edges())
+    back = nx.Graph()
+    back.add_nodes_from(range(g.n))
+    back.add_edges_from(g.edges())
+    assert nx.to_graph6_bytes(back, header=False).decode().strip() == text
+
+
+def _graph6_outcome(decode, text):
+    try:
+        return "ok", decode(text)._rows
+    except Graph6Error as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def _mutated_graph6(rnd):
+    n = rnd.choice([0, 1, 2, 3, 4, 7, 12, 25, 40, 62, 63, 64, 90])
+    if n <= 62:
+        s = to_graph6(gnp(n, rnd.random(), rnd.randrange(10**6)))
+    else:  # 4-byte size field, random body of the right length
+        size = "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
+        nbytes = (n * (n - 1) // 2 + 5) // 6
+        s = size + "".join(chr(rnd.randint(63, 126)) for _ in range(nbytes))
+    chars = list(s)
+    for _ in range(rnd.choice([0, 0, 1, 1, 2, 3])):
+        op = rnd.randrange(5)
+        i = rnd.randrange(len(chars) + 1)
+        c = rnd.choice(
+            [chr(rnd.randint(0, 140)), chr(rnd.randint(63, 126)), "\u0100", "\u20ac", "\udc80"]
+        )
+        if op == 0 and chars and i < len(chars):
+            chars[i] = c
+        elif op == 1 and chars and i < len(chars):
+            del chars[i]
+        elif op == 2:
+            chars.insert(i, c)
+        elif op == 3:
+            chars = chars[:i]
+        elif chars:  # set low bits of the last byte: padding for most n
+            chars[-1] = chr(ord(chars[-1]) | rnd.randint(1, 31))
+    return "".join(chars)
+
+
+def test_graph6_decoder_matches_scalar_oracle_on_fuzzed_input():
+    rnd = random.Random(20240)
+    kinds = set()
+    for _ in range(2000):
+        s = _mutated_graph6(rnd)
+        for text in (s, ">>graph6<<" + s):
+            got = _graph6_outcome(parse_graph6, text)
+            assert got == _graph6_outcome(oracle_parse_graph6, text), repr(text)
+            kinds.add(got[0] if got[0] == "ok" else got[1].split(" ")[0])
+    # the corpus reaches valid graphs and every defect kind
+    assert kinds >= {"ok", "byte", "body", "nonzero", "missing", "truncated"}
 
 
 def test_graph6_malformed_length():
@@ -173,6 +240,27 @@ def test_gnp_deterministic_golden():
     assert to_graph6(g1) == GNP_40_05_SEED7_G6
 
 
+def test_gnp_matches_scalar_oracle():
+    for n in (0, 1, 2, 40, 63, 200):
+        for p in (0.0, 0.003, 0.5, 1.0):
+            for seed in (0, 7, -3, 2**70 + 5):
+                assert gnp(n, p, seed) == oracle_gnp(n, p, seed), (n, p, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 39, 780])
+def test_gnp_chunk_boundaries(monkeypatch, chunk):
+    # chunks ending mid-row and exactly at a row end, at n = 40 (780 pairs)
+    monkeypatch.setattr(graphs, "_GNP_CHUNK", chunk)
+    for n in (2, 3, 40):
+        assert gnp(n, 0.5, 11) == oracle_gnp(n, 0.5, 11)
+
+
+def test_gnp_rejects_vertex_count_before_generating():
+    for n in (graphs.MAX_VERTICES + 1, -1):
+        with pytest.raises(ValueError, match="vertex count"):
+            gnp(n, 0.5, 0)
+
+
 def test_gnp_seed_sensitivity():
     assert gnp(40, 0.5, 7) != gnp(40, 0.5, 8)
 
@@ -197,6 +285,39 @@ def test_complement_examples():
 def test_degree_sum_is_twice_edges():
     for g in [gnp(20, 0.3, 1), turan_graph(11, 4), complete_graph(6)]:
         assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count()
+
+
+def test_bits_round_trip():
+    for g in [Graph.empty(0), Graph.empty(3), complete_graph(9), gnp(70, 0.4, 2),
+              turan_graph(17, 4), cycle_graph(8)]:
+        a = g.to_bits()
+        assert a.dtype == np.bool_ and a.shape == (g.n, g.n)
+        assert all(a[u, v] == g.has_edge(u, v) for u in range(g.n) for v in range(g.n))
+        assert Graph.from_bits(a) == g
+        assert Graph.from_bits(a.astype(np.float64)) == g
+        assert np.array_equal(g.to_bits(2, 7), a[2:7])
+
+
+def test_from_bits_validation():
+    with pytest.raises(ValueError, match="square"):
+        Graph.from_bits(np.zeros((2, 3), dtype=bool))
+    loop = np.ones((3, 3), dtype=bool)
+    np.fill_diagonal(loop, [False, True, True])
+    with pytest.raises(ValueError, match="loop at vertex 1"):
+        Graph.from_bits(loop)
+    rnd = random.Random(3)
+    for _ in range(20):
+        n = rnd.randint(2, 70)
+        rows = [rnd.getrandbits(n) & ~(1 << v) for v in range(n)]
+        a = np.array([[r >> u & 1 for u in range(n)] for r in rows], dtype=bool)
+        if np.array_equal(a, a.T):
+            continue
+        # same message as the bit-by-bit symmetry scan in the constructor
+        with pytest.raises(ValueError) as scan:
+            Graph(n, rows)
+        with pytest.raises(ValueError) as bits:
+            Graph.from_bits(a)
+        assert str(bits.value) == str(scan.value)
 
 
 def test_graph_validation():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from spectral_turan import (
@@ -12,6 +13,8 @@ from spectral_turan import (
     spectral_radius,
     turan_graph,
 )
+
+from spectral_turan.spectral import _DENSE_LIMIT, _adjacency_matvec
 
 from oracles import all_graphs, certify_largest_root
 
@@ -74,6 +77,20 @@ def test_edge_monotonicity():
             after = spectral_radius(g.add_edge(u, v))
             slack = before.residual + after.residual + 1e-9
             assert after.value >= before.value - slack
+
+
+def test_sparse_matvec_path():
+    # above _DENSE_LIMIT the matvec accumulates edge arrays instead
+    g = gnp(2100, 0.002, 5)
+    assert g.n > _DENSE_LIMIT
+    a = g.to_bits().astype(float)
+    matvec = _adjacency_matvec(g)
+    for x in (np.ones(g.n), np.random.default_rng(0).random(g.n) + 0.5):
+        np.testing.assert_allclose(matvec(x), a @ x, rtol=1e-12)
+    est = spectral_radius(g)
+    assert est.converged
+    mu = np.linalg.eigvalsh(a)[-1]
+    assert est.lower - 1e-9 <= mu <= est.upper + 1e-9
 
 
 def test_unconverged_flag_on_tiny_iteration_cap():
