@@ -14,8 +14,10 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from . import __version__
+from .cliques import count_cliques
 from .graphs import (
     Graph,
     Graph6Error,
@@ -38,8 +40,8 @@ from .multipartite import (
 )
 from .spectral import DEFAULT_TOL, spectral_radius
 from .theorems import (
+    TheoremReport,
     Verdict,
-    chromatic_number,
     fact1_check,
     fact2_check,
     fact3_check,
@@ -87,7 +89,7 @@ def named_graph(spec: str) -> Graph:
 def _gather_instances(args) -> list[tuple[str, Graph]]:
     """Instance corpus in deterministic order: --in, --turan, --multipartite, --gnp."""
     instances: list[tuple[str, Graph]] = []
-    if getattr(args, "infile", None):
+    if args.infile:
         path = args.infile
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -97,30 +99,27 @@ def _gather_instances(args) -> list[tuple[str, Graph]]:
         else:
             for i, line in enumerate(ln for ln in text.splitlines() if ln.strip()):
                 instances.append((f"{name}#{i}", parse_graph6(line)))
-    if getattr(args, "turan", None):
+    if args.turan:
         n, r = _parse_int_list(args.turan)
         instances.append((f"turan-n{n}-r{r}", turan_graph(n, r)))
-    if getattr(args, "multipartite", None):
+    if args.multipartite:
         sizes = _parse_int_list(args.multipartite)
         label = "x".join(str(s) for s in sizes)
         instances.append((f"kpartite-{label}", complete_multipartite(sizes)))
-    if getattr(args, "gnp", None):
+    if args.gnp:
         parts = args.gnp.split(",")
         if len(parts) != 2:
             raise UsageError("--gnp expects 'n,p'")
         n, p = int(parts[0]), float(parts[1])
-        count = getattr(args, "count", 1)
-        seed = getattr(args, "seed", 0)
-        for i in range(count):
-            instances.append(
-                (f"gnp-n{n}-p{p}-seed{seed}-i{i:04d}", gnp(n, p, seed + i))
-            )
+        seed = args.seed
+        for i in range(args.count):
+            instances.append((f"gnp-n{n}-p{p}-seed{seed}-i{i:04d}", gnp(n, p, seed + i)))
     if not instances:
         raise UsageError("no input graphs: use --in, --turan, --multipartite or --gnp")
     return instances
 
 
-def _config_echo(args, subcommand: str) -> dict:
+def _config_echo(args) -> dict:
     # thread count is deliberately absent: identical configs must produce
     # identical bytes at any parallelism
     keys = (
@@ -128,54 +127,32 @@ def _config_echo(args, subcommand: str) -> dict:
         "r", "c", "sizes", "n", "p", "seeds", "f", "n_max", "r_max",
         "tol", "budget", "strict", "format",
     )
-    cfg = {"subcommand": subcommand}
+    check = getattr(args, "check", None)
+    cfg = {"subcommand": f"{args.command}-{check}" if check else args.command}
     for k in keys:
         if hasattr(args, k):
             cfg[k] = getattr(args, k)
     return cfg
 
 
-def _base_report(instance_id: str, subcommand: str, config: dict, g: Graph | None) -> dict:
-    rep: dict = {
-        "id": instance_id,
-        "subcommand": subcommand,
-        "params": {"n": None, "r": None, "c": None},
-        "mu": None,
-        "kr": None,
-        "verdict": Verdict.CONFIRMED.value,
-        "notes": "",
-        "version": __version__,
-        "config": config,
-        "graph6": None,
-    }
-    if g is not None:
-        rep["params"]["n"] = g.n
-        rep["graph6"] = to_graph6(g) if g.n <= GRAPH6_MAX_N else None
-        if g.n > GRAPH6_MAX_N:
-            rep["notes"] = f"graph omitted: n = {g.n} > {GRAPH6_MAX_N}"
+def _report_dict(tr: TheoremReport, g: Graph | None, config: dict) -> dict:
+    """The JSONL report: the checker's fields plus version, config and graph6.
+
+    Graphs above the graph6 writer limit are omitted, and a note saying so
+    precedes the checker's own note.
+    """
+    rep = tr.to_dict()
+    rep["subcommand"] = config["subcommand"]
+    rep["params"] = {key: tr.params.get(key) for key in ("n", "r", "c")}
+    rep["version"] = __version__
+    rep["config"] = config
+    rep["graph6"] = None
+    if g is not None and g.n <= GRAPH6_MAX_N:
+        rep["graph6"] = to_graph6(g)
+    elif g is not None:
+        omitted = f"graph omitted: n = {g.n} > {GRAPH6_MAX_N}"
+        rep["notes"] = f"{omitted}; {tr.notes}" if tr.notes else omitted
     return rep
-
-
-def _merge_theorem_report(base: dict, tr) -> dict:
-    d = tr.to_dict()
-    out = dict(base)
-    out["params"] = {
-        "n": d["params"].get("n"),
-        "r": d["params"].get("r"),
-        "c": d["params"].get("c"),
-    }
-    out["mu"] = d["mu"]
-    out["kr"] = d["kr"]
-    out["verdict"] = d["verdict"]
-    if base.get("notes") and d["notes"]:
-        out["notes"] = base["notes"] + "; " + d["notes"]
-    else:
-        out["notes"] = d["notes"] or base.get("notes", "")
-    if "witness" in d:
-        out["witness"] = d["witness"]
-    if "quantities" in d:
-        out["quantities"] = d["quantities"]
-    return out
 
 
 def _run_parallel(tasks, threads: int) -> list[dict]:
@@ -187,33 +164,38 @@ def _run_parallel(tasks, threads: int) -> list[dict]:
         return [f.result() for f in futures]
 
 
+# the first of these quantities a report has fills the csv "rhs" column
+_CSV_RHS_KEYS = ("rhs_low", "bound_strict", "count_threshold", "threshold", "rhs_4r1nn_rr")
+
+
 def _write_reports(reports: list[dict], args) -> None:
     if args.format == "csv":
         lines = ["id,verdict,mu_low,mu_high,kr,rhs,s_target,t_target"]
         for rep in reports:
-            mu = rep.get("mu")
-            mu_low = repr(mu["value"] - mu["residual"]) if mu else ""
-            mu_high = repr(mu["value"] + mu["residual"]) if mu else ""
-            q = rep.get("quantities", {})
-            rhs = ""
-            for key in ("rhs_low", "bound_strict", "count_threshold", "threshold", "rhs_4r1nn_rr"):
-                if key in q:
-                    rhs = repr(q[key])
-                    break
-            s_target = repr(q["s_target"]) if "s_target" in q else ""
-            t_target = repr(q["t_target"]) if "t_target" in q else ""
-            kr = "" if rep.get("kr") is None else str(rep["kr"])
-            lines.append(
-                f"{rep['id']},{rep['verdict']},{mu_low},{mu_high},{kr},{rhs},{s_target},{t_target}"
-            )
+            mu, q = rep["mu"], rep.get("quantities", {})
+            cells = [
+                None if mu is None else mu["value"] - mu["residual"],
+                None if mu is None else mu["value"] + mu["residual"],
+                rep["kr"],
+                next((q[key] for key in _CSV_RHS_KEYS if key in q), None),
+                q.get("s_target"),
+                q.get("t_target"),
+            ]
+            row = [rep["id"], rep["verdict"]] + ["" if x is None else repr(x) for x in cells]
+            lines.append(",".join(row))
         text = "\n".join(lines) + "\n"
     else:
         text = "".join(
             json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n"
             for rep in reports
         )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    _emit(text, args.out)
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the --out path, or to stdout without one."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -234,8 +216,7 @@ def _exit_code(reports: list[dict], strict: bool) -> int:
 
 def _cmd_gen(args) -> int:
     if args.kind == "turan":
-        n, r = args.n, args.r
-        graphs = [turan_graph(n, r)]
+        graphs = [turan_graph(args.n, args.r)]
     elif args.kind == "multipartite":
         graphs = [complete_multipartite(_parse_int_list(args.sizes))]
     else:  # gnp
@@ -243,100 +224,79 @@ def _cmd_gen(args) -> int:
     if args.format == "edgelist":
         if len(graphs) > 1:
             raise UsageError("edgelist output supports a single graph")
-        text = to_edge_list(graphs[0])
+        _emit(to_edge_list(graphs[0]), args.out)
     else:
-        text = "".join(to_graph6(g) + "\n" for g in graphs)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        _emit("".join(to_graph6(g) + "\n" for g in graphs), args.out)
     return EXIT_OK
 
 
-def _cmd_mu(args) -> int:
-    config = _config_echo(args, "mu")
-    instances = _gather_instances(args)
+def run_campaign(items, task, args) -> int:
+    """Run task(item) -> (TheoremReport, graph or None) over items, in order.
 
-    def task(item):
-        iid, g = item
-        rep = _base_report(iid, "mu", config, g)
-        est = spectral_radius(g, args.tol)
-        rep["mu"] = {"value": est.value, "residual": est.residual}
-        rep["quantities"] = {"iterations": est.iterations, "converged": est.converged}
-        if not est.converged:
-            rep["verdict"] = Verdict.INDETERMINATE.value
-            rep["notes"] = "eigenvalue iteration did not converge"
-        return rep
-
-    reports = _run_parallel([lambda it=i: task(it) for i in instances], args.threads)
+    Writes one report per item and returns the campaign's exit code.
+    """
+    config = _config_echo(args)
+    reports = _run_parallel(
+        [lambda it=it: _report_dict(*task(it), config) for it in items], args.threads
+    )
     _write_reports(reports, args)
     return _exit_code(reports, args.strict)
+
+
+def _cmd_mu(args) -> int:
+    def task(item):
+        iid, g = item
+        est = spectral_radius(g, args.tol)
+        tr = TheoremReport(
+            iid, "mu", {"n": g.n}, True,
+            Verdict.CONFIRMED if est.converged else Verdict.INDETERMINATE, mu=est,
+            quantities={"iterations": est.iterations, "converged": est.converged},
+            notes="" if est.converged else "eigenvalue iteration did not converge",
+        )
+        return tr, g
+
+    return run_campaign(_gather_instances(args), task, args)
 
 
 def _cmd_cliques(args) -> int:
-    from .cliques import count_cliques
-
-    config = _config_echo(args, "cliques")
-    instances = _gather_instances(args)
-
     def task(item):
         iid, g = item
-        rep = _base_report(iid, "cliques", config, g)
-        rep["params"]["r"] = args.r
-        rep["kr"] = count_cliques(g, args.r)
-        return rep
+        kr = count_cliques(g, args.r)
+        tr = TheoremReport(iid, "cliques", {"n": g.n, "r": args.r}, True, Verdict.CONFIRMED, kr=kr)
+        return tr, g
 
-    reports = _run_parallel([lambda it=i: task(it) for i in instances], args.threads)
-    _write_reports(reports, args)
-    return _exit_code(reports, args.strict)
+    return run_campaign(_gather_instances(args), task, args)
 
 
 def _cmd_find_kpartite(args) -> int:
-    config = _config_echo(args, "find-kpartite")
-    instances = _gather_instances(args)
     sizes = _parse_int_list(args.sizes)
 
     def task(item):
         iid, g = item
-        rep = _base_report(iid, "find-kpartite", config, g)
+        tr = TheoremReport(iid, "find-kpartite", {"n": g.n}, True, Verdict.CONFIRMED)
         try:
-            w = find_complete_multipartite(g, sizes, budget=args.budget)
+            tr.witness = find_complete_multipartite(g, sizes, budget=args.budget)
         except SearchBudgetExceeded:
-            rep["verdict"] = Verdict.INDETERMINATE.value
-            rep["notes"] = "search budget exhausted"
-            return rep
-        if w is None:
-            rep["verdict"] = Verdict.VACUOUS.value
-            rep["notes"] = "exhaustive search: no witness exists"
-        else:
-            rep["witness"] = w.to_lists()
-        return rep
+            tr.verdict, tr.notes = Verdict.INDETERMINATE, "search budget exhausted"
+            return tr, g
+        if tr.witness is None:
+            tr.verdict, tr.notes = Verdict.VACUOUS, "exhaustive search: no witness exists"
+        return tr, g
 
-    reports = _run_parallel([lambda it=i: task(it) for i in instances], args.threads)
-    _write_reports(reports, args)
-    return _exit_code(reports, args.strict)
+    return run_campaign(_gather_instances(args), task, args)
 
 
 def _cmd_verify(args) -> int:
-    config = _config_echo(args, f"verify-{args.check}")
     if args.check == "fact3":
         if args.n_max is None or args.r_max is None:
             raise UsageError("verify fact3 needs --n-max and --r-max")
-        tasks = []
-        for r in range(1, args.r_max + 1):
-            for n in range(0, args.n_max + 1):
-                tasks.append((f"fact3-n{n}-r{r}", n, r))
+        sweep = [(n, r) for r in range(1, args.r_max + 1) for n in range(args.n_max + 1)]
 
-        def t3(item):
-            iid, n, r = item
-            rep = _base_report(iid, "verify-fact3", config, None)
-            tr = fact3_check(n, r, instance_id=iid)
-            return _merge_theorem_report(rep, tr)
+        def fact3_task(item):
+            n, r = item
+            return fact3_check(n, r, instance_id=f"fact3-n{n}-r{r}"), None
 
-        reports = _run_parallel([lambda it=t: t3(it) for t in tasks], args.threads)
-        _write_reports(reports, args)
-        return _exit_code(reports, args.strict)
+        return run_campaign(sweep, fact3_task, args)
 
     instances = _gather_instances(args)
     r_values = _parse_int_list(args.r) if args.r else []
@@ -351,80 +311,61 @@ def _cmd_verify(args) -> int:
 
     def task(item):
         (iid, g), r, c = item
-        suffix = f"-r{r}" + (f"-c{c}" if c is not None else "")
-        rep = _base_report(iid + suffix, f"verify-{args.check}", config, g)
+        iid += f"-r{r}" + (f"-c{c}" if c is not None else "")
         if args.check == "fact1":
-            tr = fact1_check(g, r, tol=args.tol, instance_id=iid + suffix)
-        elif args.check == "fact2":
-            tr = fact2_check(g, r, c, budget=args.budget, instance_id=iid + suffix)
-        elif args.check == "theorem1":
-            tr = theorem1_check(
-                g, r, c, tol=args.tol, budget=args.budget, instance_id=iid + suffix
-            )
-        else:  # chain
-            tr = proof_chain_check(g, r, c, tol=args.tol, instance_id=iid + suffix)
-        return _merge_theorem_report(rep, tr)
+            return fact1_check(g, r, tol=args.tol, instance_id=iid), g
+        if args.check == "fact2":
+            return fact2_check(g, r, c, budget=args.budget, instance_id=iid), g
+        if args.check == "theorem1":
+            tr = theorem1_check(g, r, c, tol=args.tol, budget=args.budget, instance_id=iid)
+            return tr, g
+        return proof_chain_check(g, r, c, tol=args.tol, instance_id=iid), g
 
     items = [(inst, r, c) for inst in instances for r in r_values for c in c_values]
-    reports = _run_parallel([lambda it=i: task(it) for i in items], args.threads)
-    _write_reports(reports, args)
-    return _exit_code(reports, args.strict)
+    return run_campaign(items, task, args)
 
 
 def _cmd_spex(args) -> int:
-    config = _config_echo(args, "spex")
-    f = named_graph(args.f)
-    rep = _base_report(f"spex-n{args.n}-f{args.f}", "spex", config, None)
-    res = spex_scan(args.n, f, max_n=args.max_n, tol=args.tol)
-    est = spectral_radius(res.witness, args.tol)
-    rep["params"]["n"] = args.n
-    rep["mu"] = {"value": res.max_mu, "residual": est.residual}
-    rep["graph6"] = to_graph6(res.witness)
-    rep["quantities"] = {
-        "max_mu": res.max_mu,
-        "maximal_graphs": res.maximal_graphs,
-    }
-    _write_reports([rep], args)
-    return _exit_code([rep], args.strict)
+    def task(f):
+        res = spex_scan(args.n, f, max_n=args.max_n, tol=args.tol)
+        # the scan's own maximum, with the residual certified on its witness
+        mu = replace(spectral_radius(res.witness, args.tol), value=res.max_mu)
+        quantities = {"max_mu": res.max_mu, "maximal_graphs": res.maximal_graphs}
+        tr = TheoremReport(
+            f"spex-n{args.n}-f{args.f}", "spex", {"n": args.n}, True, Verdict.CONFIRMED,
+            mu=mu, quantities=quantities,
+        )
+        return tr, res.witness
+
+    return run_campaign([named_graph(args.f)], task, args)
 
 
 def _cmd_gap(args) -> int:
-    config = _config_echo(args, "gap")
-    f = named_graph(args.f)
-    rep = _base_report(f"gap-n{args.n}-f{args.f}", "gap", config, None)
-    tr = theorem2_gap(args.n, f, max_n=args.max_n, tol=args.tol)
-    out = _merge_theorem_report(rep, tr)
-    out["params"]["n"] = args.n
-    _write_reports([out], args)
-    return _exit_code([out], args.strict)
+    def task(f):
+        iid = f"gap-n{args.n}-f{args.f}"
+        return theorem2_gap(args.n, f, max_n=args.max_n, tol=args.tol, instance_id=iid), None
+
+    return run_campaign([named_graph(args.f)], task, args)
 
 
 def _cmd_biclique_scan(args) -> int:
-    config = _config_echo(args, "biclique-scan")
-    seeds = _parse_seeds(args.seeds)
     alarm = 4.0 * math.log(args.n)
 
     def task(seed):
         g = gnp(args.n, args.p, seed)
-        rep = _base_report(f"biclique-n{args.n}-p{args.p}-seed{seed}", "biclique-scan", config, g)
         res = max_balanced_biclique(g, budget=args.budget)
-        rep["quantities"] = {
-            "side": res.side,
-            "exact": res.exact,
-            "alarm_threshold": alarm,
-        }
-        if res.witness is not None:
-            rep["witness"] = res.witness.to_lists()
+        tr = TheoremReport(
+            f"biclique-n{args.n}-p{args.p}-seed{seed}", "biclique-scan", {"n": g.n}, True,
+            Verdict.CONFIRMED, witness=res.witness,
+            quantities={"side": res.side, "exact": res.exact, "alarm_threshold": alarm},
+        )
         if not res.exact:
-            rep["verdict"] = Verdict.INDETERMINATE.value
-            rep["notes"] = "budget exhausted: side is a lower bound"
+            tr.verdict, tr.notes = Verdict.INDETERMINATE, "budget exhausted: side is a lower bound"
         elif res.side > alarm:
-            rep["notes"] = f"alarm: side {res.side} exceeds 4 ln n = {alarm:.3f}"
-        return rep
+            tr.notes = f"alarm: side {res.side} exceeds 4 ln n = {alarm:.3f}"
+        return tr, g
 
-    reports = _run_parallel([lambda s=s: task(s) for s in seeds], args.threads)
-    _write_reports(reports, args)
-    return _exit_code(reports, args.strict)
+    return run_campaign(_parse_seeds(args.seeds), task, args)
 
 
 # ---------------------------------------------------------------------------

@@ -68,13 +68,24 @@ class TheoremReport:
         return d
 
 
-def _c_range_note(r: int, c: float) -> str:
+def _c_range_notes(r: int, c: float) -> list[str]:
+    """The opening notes of a spectral check: one if c is out of range, else none."""
     if r >= 2 and not 0.0 < c < 1.0 / (r - 1):
-        return (
+        return [
             f"c={c} outside (0, 1/(r-1)) = (0, {1.0 / (r - 1):.6g}); "
             "spectral hypothesis unsatisfiable"
-        )
-    return ""
+        ]
+    return []
+
+
+def _require_domain(check: str, g: Graph, r: int, r_min: int, c: float | None = None) -> None:
+    """Raise ValueError for an instance outside a checker's domain."""
+    if r < r_min:
+        raise ValueError(f"{check} requires r >= {r_min}")
+    if c is not None and c <= 0:
+        raise ValueError(f"{check} requires c > 0")
+    if g.n < 1:
+        raise ValueError(f"{check} requires n >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +114,7 @@ def fact1_check(
     interval end: confirmed means the inequality holds somewhere in the
     interval, VIOLATION that it fails everywhere (it never does).
     """
-    if r < 2:
-        raise ValueError("fact1 requires r >= 2")
-    if g.n < 1:
-        raise ValueError("fact1 requires n >= 1")
+    _require_domain("fact1", g, r, 2)
     mu = spectral_radius(g, tol)
     kr = count_cliques(g, r)
     params = {"n": g.n, "r": r}
@@ -128,6 +136,22 @@ def fact1_check(
 # main theorem: spectral hypothesis forces a large complete r-partite subgraph
 # ---------------------------------------------------------------------------
 
+def _part_targets(base: float, r: int, c: float, n: int) -> tuple[int, float, bool]:
+    """Part sizes of K_r(s,..,s,t): (s_target, t_target, precondition_met).
+
+    s_target = floor(base^r * ln n); t_target = n^(1 - c^(r-1));
+    precondition_met iff base^r * ln n >= 1.  The base is c/r^r for the main
+    theorem and c for fact2.
+    """
+    log_n = math.log(n)
+    product = base**r * log_n
+    try:
+        t_target = math.exp((1.0 - c ** (r - 1)) * log_n)
+    except OverflowError:
+        t_target = math.inf
+    return math.floor(product), t_target, product >= 1.0
+
+
 def theorem1_params(r: int, c: float, n: int) -> tuple[int, float, bool]:
     """Parameter arithmetic: (s_target, t_target, precondition_met).
 
@@ -136,19 +160,32 @@ def theorem1_params(r: int, c: float, n: int) -> tuple[int, float, bool]:
     """
     if r < 3 or c <= 0 or n < 1:
         raise ValueError("need r >= 3, c > 0, n >= 1")
-    log_n = math.log(n)
-    product = (c / r**r) ** r * log_n
-    s_target = math.floor(product)
+    return _part_targets(c / r**r, r, c, n)
+
+
+def _witness_verdict(
+    g: Graph, r: int, s_target: int, t_target: float, quantities: dict, budget: int
+) -> tuple[Verdict, MultipartiteWitness | None, str]:
+    """Search g for r-1 parts of size s_target plus one of size floor(t_target) + 1.
+
+    Shared conclusion of theorem1 and fact2 once their hypotheses hold:
+    returns (verdict, witness, note) and records the searched part size as
+    quantities["t_part"].  A witness that fails the edge-by-edge check raises.
+    """
+    t_part = math.floor(t_target) + 1
+    quantities["t_part"] = t_part
+    sizes = part_sizes((s_target,) * (r - 1) + (t_part,))
+    if sum(sizes) > g.n:
+        return Verdict.VIOLATION, None, "required subgraph larger than host"
     try:
-        t_target = math.exp((1.0 - c ** (r - 1)) * log_n)
-    except OverflowError:
-        t_target = math.inf
-    return s_target, t_target, product >= 1.0
-
-
-def _strict_part_size(t_target: float) -> int:
-    """Smallest integer strictly greater than t_target."""
-    return math.floor(t_target) + 1
+        witness = find_complete_multipartite(g, sizes, budget=budget)
+    except SearchBudgetExceeded:
+        return Verdict.INDETERMINATE, None, "witness search budget exhausted"
+    if witness is None:
+        return Verdict.VIOLATION, None, "exhaustive search found no witness"
+    if not verify_witness(g, witness):
+        raise RuntimeError(f"search returned an invalid witness {witness.to_lists()}")
+    return Verdict.CONFIRMED, witness, ""
 
 
 def theorem1_check(
@@ -167,12 +204,7 @@ def theorem1_check(
     searches for r-1 parts of size s_target plus one part of size
     floor(t_target) + 1.
     """
-    if r < 3:
-        raise ValueError("theorem1 requires r >= 3")
-    if c <= 0:
-        raise ValueError("theorem1 requires c > 0")
-    if g.n < 1:
-        raise ValueError("theorem1 requires n >= 1")
+    _require_domain("theorem1", g, r, 3, c)
     n = g.n
     s_target, t_target, precondition = theorem1_params(r, c, n)
     threshold = (1.0 - 1.0 / (r - 1) + c) * n
@@ -184,10 +216,7 @@ def theorem1_check(
         "t_target": t_target,
         "precondition_met": precondition,
     }
-    notes = []
-    range_note = _c_range_note(r, c)
-    if range_note:
-        notes.append(range_note)
+    notes = _c_range_notes(r, c)
     if not mu.converged:
         return TheoremReport(
             instance_id, "theorem1", params, False, Verdict.INDETERMINATE,
@@ -204,33 +233,10 @@ def theorem1_check(
             instance_id, "theorem1", params, hyp, Verdict.VACUOUS,
             mu=mu, quantities=quantities, notes="; ".join(notes),
         )
-    t_part = _strict_part_size(t_target)
-    sizes = part_sizes((s_target,) * (r - 1) + (t_part,))
-    quantities["t_part"] = t_part
-    if sum(sizes) > n:
-        return TheoremReport(
-            instance_id, "theorem1", params, True, Verdict.VIOLATION,
-            mu=mu, quantities=quantities,
-            notes="; ".join(notes + ["required subgraph larger than host"]),
-        )
-    try:
-        witness = find_complete_multipartite(g, sizes, budget=budget)
-    except SearchBudgetExceeded:
-        return TheoremReport(
-            instance_id, "theorem1", params, True, Verdict.INDETERMINATE,
-            mu=mu, quantities=quantities,
-            notes="; ".join(notes + ["witness search budget exhausted"]),
-        )
-    if witness is None:
-        return TheoremReport(
-            instance_id, "theorem1", params, True, Verdict.VIOLATION,
-            mu=mu, quantities=quantities,
-            notes="; ".join(notes + ["exhaustive search found no witness"]),
-        )
-    assert verify_witness(g, witness)
+    verdict, witness, note = _witness_verdict(g, r, s_target, t_target, quantities, budget)
     return TheoremReport(
-        instance_id, "theorem1", params, True, Verdict.CONFIRMED,
-        mu=mu, quantities=quantities, witness=witness, notes="; ".join(notes),
+        instance_id, "theorem1", params, True, verdict, mu=mu, quantities=quantities,
+        witness=witness, notes="; ".join(notes + [note] if note else notes),
     )
 
 
@@ -248,20 +254,12 @@ def proof_chain_check(
     k_r >= (c/r^r) * n^r.  Desk-checkable at every n, unlike the full
     conclusion.
     """
-    if r < 3:
-        raise ValueError("proof chain requires r >= 3")
-    if c <= 0:
-        raise ValueError("proof chain requires c > 0")
-    if g.n < 1:
-        raise ValueError("proof chain requires n >= 1")
+    _require_domain("proof chain", g, r, 3, c)
     n = g.n
     threshold = (1.0 - 1.0 / (r - 1) + c) * n
     mu = spectral_radius(g, tol)
     params = {"n": n, "r": r, "c": c}
-    notes = []
-    range_note = _c_range_note(r, c)
-    if range_note:
-        notes.append(range_note)
+    notes = _c_range_notes(r, c)
     if not mu.converged:
         return TheoremReport(
             instance_id, "chain", params, False, Verdict.INDETERMINATE,
@@ -309,25 +307,13 @@ def fact2_check(
     No eigenvalue is involved: the hypothesis is exact integer arithmetic
     against a float threshold.
     """
-    if r < 2:
-        raise ValueError("fact2 requires r >= 2")
-    if c <= 0:
-        raise ValueError("fact2 requires c > 0")
-    if g.n < 1:
-        raise ValueError("fact2 requires n >= 1")
+    _require_domain("fact2", g, r, 2, c)
     n = g.n
     kr = count_cliques(g, r)
-    log_n = math.log(n)
-    product = c**r * log_n
+    s_target, t_target, precondition = _part_targets(c, r, c, n)
     count_threshold = c * float(n) ** r
-    precondition = product >= 1.0
     hyp_count = kr >= count_threshold - EPS
     params = {"n": n, "r": r, "c": c}
-    s_target = math.floor(product)
-    try:
-        t_target = math.exp((1.0 - c ** (r - 1)) * log_n)
-    except OverflowError:
-        t_target = math.inf
     quantities = {
         "count_threshold": count_threshold,
         "s_target": s_target,
@@ -344,32 +330,10 @@ def fact2_check(
             instance_id, "fact2", params, False, Verdict.VACUOUS,
             kr=kr, quantities=quantities, notes="; ".join(notes),
         )
-    t_part = _strict_part_size(t_target)
-    sizes = part_sizes((s_target,) * (r - 1) + (t_part,))
-    quantities["t_part"] = t_part
-    if sum(sizes) > n:
-        return TheoremReport(
-            instance_id, "fact2", params, True, Verdict.VIOLATION,
-            kr=kr, quantities=quantities,
-            notes="required subgraph larger than host",
-        )
-    try:
-        witness = find_complete_multipartite(g, sizes, budget=budget)
-    except SearchBudgetExceeded:
-        return TheoremReport(
-            instance_id, "fact2", params, True, Verdict.INDETERMINATE,
-            kr=kr, quantities=quantities, notes="witness search budget exhausted",
-        )
-    if witness is None:
-        return TheoremReport(
-            instance_id, "fact2", params, True, Verdict.VIOLATION,
-            kr=kr, quantities=quantities,
-            notes="exhaustive search found no witness",
-        )
-    assert verify_witness(g, witness)
+    verdict, witness, note = _witness_verdict(g, r, s_target, t_target, quantities, budget)
     return TheoremReport(
-        instance_id, "fact2", params, True, Verdict.CONFIRMED,
-        kr=kr, quantities=quantities, witness=witness,
+        instance_id, "fact2", params, True, verdict,
+        kr=kr, quantities=quantities, witness=witness, notes=note,
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -218,3 +219,123 @@ def test_in_file_graph6_lines(tmp_path, capsys):
     reports = load_jsonl(out)
     assert [r["kr"] for r in reports] == [9, 16]
     assert reports[0]["id"].endswith("#0")
+
+
+def _graph6_large(g):
+    """graph6 text with the 4-byte size field (63 <= n < 2^18)."""
+    bits = [g.has_edge(i, j) for j in range(g.n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    size = "~" + "".join(chr(63 + (g.n >> k & 63)) for k in (12, 6, 0))
+    body = "".join(
+        chr(63 + sum(b << (5 - k) for k, b in enumerate(bits[i:i + 6])))
+        for i in range(0, len(bits), 6)
+    )
+    return size + body
+
+
+# Each case's exit code and the sha256 of its stdout, one or more cases per
+# subcommand, verdict path and csv report shape.  Output bytes change only on
+# purpose, and never with the thread count.
+GOLDEN = {
+    "mu": ("mu --turan 6,2 --gnp 12,0.4 --count 2", 0,
+        "48e0acb5a74950aa6d469f44bec354754aa8ae48110f5ce10f3ecba69cc1ccc9"),
+    "mu-g70": ("mu --in g70.g6", 0,
+        "330dc6849788c0030ba9c7f0fa58277e254e55c4031e73628cd816cf02a049e7"),
+    "cliques": ("cliques --r 3 --in g9.txt --in-format edgelist --multipartite 2,2,3", 0,
+        "1ea6b6da7f7824aa26235a01284ebc0116ff0ebdf64025f39fd2aa44d7a4cbd5"),
+    "find-kpartite": ("find-kpartite --sizes 2,3 --multipartite 2,3 --gnp 9,0.3 --count 3", 0,
+        "2dda686dd21d1ab921f2354de294db8c3ed06661d2c0f91f6c6553e4305b4ad0"),
+    "find-kpartite-budget": ("find-kpartite --sizes 6,6 --gnp 16,0.5 --budget 2", 0,
+        "2452b419332eb034ea2ed70fc7642deae4520eef0621cec69ee19bd502aff8c7"),
+    "find-kpartite-g70": ("find-kpartite --sizes 2,2 --in g70.g6", 0,
+        "3936ed47bc9029b4631f8cfc577a4f552b4b9ca7a2a6006b57ceb570df9b9faf"),
+    "spex": ("spex --n 5 --f K3", 0,
+        "b4c3e88e0323a5543c7a7deb1d7f2a440490dc92571a26a4155327eef0763bc3"),
+    "gap": ("gap --n 5 --f C5", 0,
+        "11d421e37cba09aba5a71cf99a7ca5ccc5957633d31400b8ee084f7eeecf729d"),
+    "biclique-scan": ("biclique-scan --n 18 --p 0.5 --seeds 1..3", 0,
+        "c3587f4d4ef9a4d640392b1031be042570a26c114e00c24e787a8478f131733a"),
+    "biclique-scan-budget": ("biclique-scan --n 18 --p 0.5 --seeds 4,5 --budget 5", 0,
+        "204841fd4dec71dde0f993db5d5d68317cc5da44ef93d4fdd5794b5d1c61fb45"),
+    "biclique-scan-alarm": ("biclique-scan --n 30 --p 1 --seeds 1", 0,
+        "6b8359a7979cbc24fc01f84a16dff5107060b626cd5a955836e9eaf9ac3a3edc"),
+    "fact1": ("verify fact1 --gnp 20,0.5 --count 4 --seed 3 --r 2,3", 0,
+        "735dd8fb8deebbd230a8b2dec2fb56697d47ae7f89cec553fd3de569ba44e385"),
+    "fact1-g70": ("verify fact1 --in g70.g6 --r 3", 0,
+        "1c127f6307898690420b6fb597edee1c58c0ba89e94f696d8f3a6ff0be25d2f2"),
+    "fact2-confirmed": ("verify fact2 --turan 100,100 --r 2 --c 0.49", 0,
+        "5578bdd757c111c4d53376d2bf57c4762276b7b1c5888f833c4767fb42452caa"),
+    "fact2-budget": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --budget 1", 0,
+        "282e29614d305e150a86b8bbe0a99159d70336bc15c19615504bfa7882a1537b"),
+    "fact2-strict": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --budget 1 --strict", 3,
+        "ff00e1c152daa378cd5e391135ef4d4dd2b43cd4919ea945f38f0682010a354f"),
+    "fact2-vacuous": ("verify fact2 --gnp 12,0.5 --r 2,3 --c 0.3", 0,
+        "26eaa3d2fe3813c036b49e6983f4b6f194d67b9c720aead0ef5bb274b6626f4d"),
+    "fact3": ("verify fact3 --n-max 12 --r-max 4", 0,
+        "275b4858401d38347a5fe42914e22162cba6befb4923cd58cd29224bd4b34e6b"),
+    "theorem1": ("verify theorem1 --gnp 20,0.6 --count 2 --r 3 --c 0.3,2", 0,
+        "5e66bfd82c658a7728c35a798e22b01a4deeb30c6f2d4bd65693ec5a18c64339"),
+    "chain": ("verify chain --multipartite 1,1,1,1,1,1,1,1,1 --gnp 10,0.3 --r 3,4 --c 0.05,0.1", 0,
+        "fe70100e798a61ed473b6d7052f4559ff110ee0a3f39f54ff8ef3080f4983dda"),
+    "csv-mu": ("mu --turan 6,2 --format csv", 0,
+        "5c622749e723d787bc836b24c188774091c9bfbfb96f22ec6502888ccb86925f"),
+    "csv-cliques": ("cliques --r 3 --multipartite 2,2,3 --format csv", 0,
+        "19ebdf6f313136cfbd6f97abc94021d74ef2a5f8cf06b33024a7df237b16cbd7"),
+    "csv-find-kpartite": ("find-kpartite --sizes 2,3 --multipartite 2,3 --format csv", 0,
+        "5683600e7e578935531678f7bc516a5a56e25cab4b60c2cdfb27866aa04e113a"),
+    "csv-spex": ("spex --n 5 --f K3 --format csv", 0,
+        "ab54e2555f6df3de4876d2a58140eddc819c1eb04f14b1aeee9dc15c8ab9ecaa"),
+    "csv-gap": ("gap --n 5 --f C5 --format csv", 0,
+        "fe5df82a2632a70c1bb9d02afa5a1b450fbd712d108da960980bdb827b2ca10f"),
+    "csv-biclique-scan": ("biclique-scan --n 18 --p 0.5 --seeds 1 --format csv", 0,
+        "f5f2e9b32dceafeec157e22dcad09afabe56fa332c5288c80c4813a219cd574b"),
+    "csv-fact1": ("verify fact1 --turan 10,3 --r 2,3 --format csv", 0,
+        "7877da82cd8952b6216c6516200ee28f60eba86f694488fe936aefa37bf5fe28"),
+    "csv-fact2": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --format csv", 0,
+        "c47faf7c4bd109207824e80ddeed9ca6ee6cea7ae4cd22a1f1b3918b2d784493"),
+    "csv-fact3": ("verify fact3 --n-max 3 --r-max 2 --format csv", 0,
+        "ba7b671c3d8324bbe6a8cbfaee459be63c4c4937c70ba45c5b85f7d5a790eec6"),
+    "csv-theorem1": ("verify theorem1 --turan 9,3 --r 3 --c 0.3 --format csv", 0,
+        "d29de533263d9498af099a8a625d01920882ee5d71234ba162deb7b2aecf3fd3"),
+    "csv-chain": ("verify chain --turan 9,3 --r 3 --c 0.05 --format csv", 0,
+        "6035aca02dfdb20beaf3b3e72e999eda5b3c9e440992ea1e7df7a4784ac575b5"),
+}
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    from spectral_turan import complete_multipartite, gnp, to_edge_list
+
+    g70 = gnp(70, 0.3, 5)
+    text = _graph6_large(g70)
+    assert parse_graph6(text) == g70
+    (tmp_path / "g70.g6").write_text(text + "\n")
+    (tmp_path / "g9.txt").write_text(to_edge_list(complete_multipartite((3, 3, 3))))
+    monkeypatch.chdir(tmp_path)  # relative --in paths keep config.infile checkout-free
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_bytes(case, threads, golden_dir, capsys):
+    argv, code, digest = GOLDEN[case]
+    got_code, out = run_cli(argv.split() + ["--threads", threads], capsys)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize(
+    "argv, note",
+    [
+        ("find-kpartite --sizes 3,3 --gnp 70,0.02", "exhaustive search: no witness exists"),
+        ("biclique-scan --n 70 --p 0.5 --seeds 1 --budget 5",
+         "budget exhausted: side is a lower bound"),
+        ("verify fact2 --turan 100,100 --r 2 --c 0.49 --budget 1",
+         "witness search budget exhausted"),
+    ],
+    ids=["find-kpartite", "biclique-scan", "verify"],
+)
+def test_graph_omitted_note_joins_the_check_note(argv, note, capsys):
+    code, out = run_cli(argv.split(), capsys)
+    assert code == 0
+    (rep,) = load_jsonl(out)
+    assert rep["graph6"] is None
+    assert rep["notes"] == f"graph omitted: n = {rep['params']['n']} > 62; {note}"

@@ -4,6 +4,7 @@ import pytest
 
 from spectral_turan import (
     Graph,
+    MultipartiteWitness,
     Verdict,
     chromatic_number,
     complete_graph,
@@ -23,6 +24,8 @@ from spectral_turan import (
     theorem2_gap,
     turan_graph,
 )
+
+from spectral_turan import theorems
 
 from oracles import brute_contains_injection, brute_spex, k100_minus_50_edges, petersen
 
@@ -196,6 +199,24 @@ def test_fact2_vacuous_paths():
     rep = fact2_check(complete_graph(30), 3, 1 / 6)
     assert rep.verdict is Verdict.VACUOUS
     assert "precondition" in rep.notes
+
+
+def test_fact2_witness_budget_exhausted_is_indeterminate():
+    # the witness search that fact2 shares with theorem1, cut off by its budget
+    rep = fact2_check(k100_minus_50_edges(), 2, 0.49, budget=1)
+    assert rep.verdict is Verdict.INDETERMINATE
+    assert rep.notes == "witness search budget exhausted"
+    assert rep.quantities["t_part"] == 11
+    assert rep.witness is None
+
+
+def test_invalid_witness_raises_without_asserts(monkeypatch):
+    g = k100_minus_50_edges()
+    u, v = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v))
+    broken = MultipartiteWitness(((u,), (v,)))  # the cross edge uv is missing
+    monkeypatch.setattr(theorems, "find_complete_multipartite", lambda *a, **k: broken)
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        fact2_check(g, 2, 0.49)
 
 
 def test_fact2_search_parameters_monotone_in_smaller_sizes():
