@@ -24,14 +24,21 @@ GRAPH6_MAX_N = 62  # single-byte size; v1 encoder limit
 _MASK64 = (1 << 64) - 1
 # pairs per gnp chunk: bounds each uint64 temporary to 512 KiB at any n
 _GNP_CHUNK = 1 << 16
+# matrix entries per block of from_bits' symmetry check (1 MiB of bools)
+_SYMMETRY_BLOCK = 1 << 20
 
 
 class Graph6Error(ValueError):
     """Malformed graph6 input; ``offset`` is the byte position of the defect."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+        # the constructor's arguments as args, so the error survives pickling
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        message, offset = self.args
+        return f"{message} (byte offset {offset})"
 
 
 class UnsupportedSizeError(ValueError):
@@ -101,9 +108,13 @@ class Graph:
         loops = np.flatnonzero(a.diagonal())
         if loops.size:
             raise ValueError(f"loop at vertex {loops[0]}")
-        if not np.array_equal(a, a.T):
-            v, u = np.argwhere(a & ~a.T)[0]
-            raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        # one block of rows at a time, so the check's temporaries stay small
+        step = max(1, _SYMMETRY_BLOCK // max(n, 1))
+        for lo in range(0, n, step):
+            bad = a[lo:lo + step] & ~a[:, lo:lo + step].T
+            if bad.any():
+                v, u = np.argwhere(bad)[0]
+                raise ValueError(f"adjacency not symmetric at ({u}, {lo + v})")
         nbytes = (n + 7) // 8
         buf = np.packbits(a, axis=1, bitorder="little").tobytes()
         rows = [
@@ -277,7 +288,8 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     i is kept iff ``pair_uniform(seed, i) < p``.  Identical (n, p, seed)
     give an identical graph on every platform and thread count.  Pairs are
     drawn in uint64 chunks of at most ``_GNP_CHUNK``, so the generator's
-    temporaries stay bounded; the boolean adjacency matrix costs n^2 bytes.
+    temporaries stay bounded; the boolean adjacency matrix, filled in both
+    triangles, costs n^2 bytes.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -291,15 +303,16 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         hi = min(lo + _GNP_CHUNK, total)
         z = _splitmix64_array(np.arange(lo, hi, dtype=np.uint64) ^ key)
         keep = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)) < p
-        # scatter the chunk into the upper-triangle row slices it covers
+        # scatter the chunk into the row slices it covers and their mirrors
         while first < hi:
             end = first + n - 1 - u
             a, b = max(first, lo), min(end, hi)
             adj[u, u + 1 + a - first:u + 1 + b - first] = keep[a - lo:b - lo]
+            adj[u + 1 + a - first:u + 1 + b - first, u] = keep[a - lo:b - lo]
             if end > hi:
                 break
             u, first = u + 1, end
-    return Graph.from_bits(adj | adj.T)
+    return Graph.from_bits(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +376,12 @@ def parse_graph6(text: str) -> Graph:
     if bits[nbits:].any():  # padding occupies only the last byte
         raise Graph6Error("nonzero padding bits", base + pos + nbytes - 1)
     # column-major upper triangle x(0,1), x(0,2), x(1,2), x(0,3), ...:
-    # column v is the v bits from v(v-1)/2, written as row v and mirrored
+    # column v is the v bits from v(v-1)/2, written as row v and column v
     adj = np.zeros((n, n), dtype=np.bool_)
     for v in range(1, n):
         start = v * (v - 1) // 2
-        adj[v, :v] = bits[start:start + v]
-    return Graph.from_bits(adj | adj.T)
+        adj[v, :v] = adj[:v, v] = bits[start:start + v]
+    return Graph.from_bits(adj)
 
 
 def to_graph6(g: Graph) -> str:

@@ -19,8 +19,12 @@ class SearchBudgetExceeded(Exception):
     """Exhaustive search ran out of node expansions; result is indeterminate."""
 
     def __init__(self, budget: int):
-        super().__init__(f"search budget of {budget} node expansions exhausted")
+        # the constructor's argument as args, so the error survives pickling
+        super().__init__(budget)
         self.budget = budget
+
+    def __str__(self) -> str:
+        return f"search budget of {self.budget} node expansions exhausted"
 
 
 @dataclass(frozen=True)
@@ -85,21 +89,26 @@ def find_complete_multipartite(
     parts: list[list[int]] = [[] for _ in range(r)]
     expansions = 0
 
-    # cross[j] = bit-intersection of neighborhoods of all placed vertices
-    # outside part j; cand = remaining candidates for the current part,
-    # always a subset of cross[pi] & ~used above the part's last vertex.
-    def search(pi: int, slot: int, cand: int, cross: list[int], used: int) -> bool:
+    # later[k] = bit-intersection of the neighborhoods of all placed vertices,
+    # for part pi + 1 + k.  Every placed vertex lies in a part before it, so
+    # later masks never hold a used vertex.  Parts before pi are complete, and
+    # the current part's own candidates are ``cand``: placing a vertex only
+    # narrows the masks of the parts after it.
+    tails = [szs[i + 1:] for i in range(r)]
+
+    def search(pi: int, slot: int, cand: int, later: list[int]) -> bool:
         nonlocal expansions
         if slot == szs[pi]:
             ni = pi + 1
             if ni == r:
                 return True
-            ncand = cross[ni] & ~used
+            ncand = later[0]
             if szs[ni] == szs[pi]:
                 # equal-size parts ascend by first element (pure symmetry cut)
                 ncand &= -(1 << (parts[pi][0] + 1))
-            return search(ni, 0, ncand, cross, used)
+            return search(ni, 0, ncand, later[1:])
         need = szs[pi] - slot
+        sizes_after = tails[pi]
         m = cand
         while m:
             if m.bit_count() < need:
@@ -111,19 +120,20 @@ def find_complete_multipartite(
             if expansions > budget:
                 raise SearchBudgetExceeded(budget)
             row_v = rows[v]
-            ncross = [c if j == pi else c & row_v for j, c in enumerate(cross)]
-            nused = used | b
-            if any(
-                (ncross[j] & ~nused).bit_count() < szs[j] for j in range(pi + 1, r)
-            ):
-                continue
-            parts[pi].append(v)
-            if search(pi, slot + 1, m, ncross, nused):
-                return True
-            parts[pi].pop()
+            nlater = []
+            for c, s in zip(later, sizes_after):
+                c &= row_v
+                if c.bit_count() < s:
+                    break
+                nlater.append(c)
+            else:
+                parts[pi].append(v)
+                if search(pi, slot + 1, m, nlater):
+                    return True
+                parts[pi].pop()
         return False
 
-    if search(0, 0, full, [full] * r, 0):
+    if search(0, 0, full, [full] * (r - 1)):
         return MultipartiteWitness(tuple(tuple(p) for p in parts))
     return None
 

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the production code paths it checks:
 the characteristic polynomial is built in exact integer arithmetic, root
 enclosures are certified by exact sign tests, the subgraph/multipartite
-enumerators are plain itertools sweeps with pairwise adjacency probes, and
-the bit-matrix layer (G(n, p), graph6 decoding, degeneracy order) is checked
-against scalar pair-by-pair and vertex-by-vertex loops.
+enumerators are plain itertools sweeps with pairwise adjacency probes, the
+bit-matrix layer (G(n, p), graph6 decoding, degeneracy order) is checked
+against scalar pair-by-pair and vertex-by-vertex loops, and the multipartite
+search against a version that rebuilds every part's cross mask per step.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from spectral_turan.graphs import (
     Graph6Error,
     _g6_decode_size,
     pair_uniform,
+    part_sizes,
+)
+from spectral_turan.multipartite import (
+    DEFAULT_BUDGET,
+    MultipartiteWitness,
+    SearchBudgetExceeded,
 )
 
 
@@ -295,3 +302,62 @@ def oracle_degeneracy_order(g: Graph) -> list[int]:
             m ^= b
             degs[b.bit_length() - 1] -= 1
     return order
+
+
+# ---------------------------------------------------------------------------
+# reference for the multipartite search's incremental masks
+# ---------------------------------------------------------------------------
+
+def oracle_find_complete_multipartite(g: Graph, sizes, budget: int = DEFAULT_BUDGET):
+    """``find_complete_multipartite`` with one cross mask per part, rebuilt
+    for every part at every expansion, a used-vertex mask, and a feasibility
+    scan over all later parts.  It visits vertices in the production order
+    and counts expansions at the same point, so witnesses and budget
+    exhaustion must match exactly."""
+    szs = part_sizes(sizes)
+    if sum(szs) > g.n:
+        raise ValueError("total part size exceeds host order")
+    r = len(szs)
+    n = g.n
+    full = (1 << n) - 1
+    rows = [g.row(v) for v in range(n)]
+    parts: list[list[int]] = [[] for _ in range(r)]
+    expansions = 0
+
+    def search(pi: int, slot: int, cand: int, cross: list[int], used: int) -> bool:
+        nonlocal expansions
+        if slot == szs[pi]:
+            ni = pi + 1
+            if ni == r:
+                return True
+            ncand = cross[ni] & ~used
+            if szs[ni] == szs[pi]:
+                ncand &= -(1 << (parts[pi][0] + 1))
+            return search(ni, 0, ncand, cross, used)
+        need = szs[pi] - slot
+        m = cand
+        while m:
+            if m.bit_count() < need:
+                return False
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            expansions += 1
+            if expansions > budget:
+                raise SearchBudgetExceeded(budget)
+            row_v = rows[v]
+            ncross = [c if j == pi else c & row_v for j, c in enumerate(cross)]
+            nused = used | b
+            if any(
+                (ncross[j] & ~nused).bit_count() < szs[j] for j in range(pi + 1, r)
+            ):
+                continue
+            parts[pi].append(v)
+            if search(pi, slot + 1, m, ncross, nused):
+                return True
+            parts[pi].pop()
+        return False
+
+    if search(0, 0, full, [full] * r, 0):
+        return MultipartiteWitness(tuple(tuple(p) for p in parts))
+    return None

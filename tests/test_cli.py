@@ -1,10 +1,18 @@
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
+import os
+import pickle
 
 import pytest
 
+import spectral_turan.cli as cli
 from spectral_turan import parse_graph6, to_graph6, turan_graph
 from spectral_turan.cli import build_parser, cli_main
+from spectral_turan.cliques import CliqueCountOverflowError
+from spectral_turan.graphs import Graph6Error
+from spectral_turan.multipartite import SearchBudgetExceeded
 
 REPORT_FIELDS = {"id", "subcommand", "params", "mu", "kr", "verdict", "notes", "version", "config", "graph6"}
 
@@ -198,6 +206,86 @@ def test_threads_env_default(monkeypatch):
     monkeypatch.setenv("SPECTRAL_TURAN_THREADS", "5")
     args = build_parser().parse_args(["mu", "--turan", "5,2"])
     assert args.threads == 5
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and runs the tasks in this process."""
+
+    requested: list[int] = []
+
+    def __init__(self, workers, mp_context, initializer, initargs):
+        self.requested.append(workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        assert chunksize >= 1
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, methods, requested",
+    [
+        (4096, 64, ["fork", "spawn"], [3]),  # bounded by the task count
+        (4096, 2, ["fork", "spawn"], [2]),  # bounded by the core count
+        (2, 64, ["fork", "spawn"], [2]),
+        (1, 64, ["fork", "spawn"], []),  # one worker runs in process
+        (4096, None, ["fork", "spawn"], []),  # core count unknown: one
+        (4096, 64, ["spawn"], []),  # no fork: serial
+    ],
+)
+def test_worker_count_is_bounded(threads, cpus, methods, requested, monkeypatch, capsys):
+    monkeypatch.setattr(_InlinePool, "requested", [])
+    # _run_parallel imports the pool class and multiprocessing when it needs them
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    monkeypatch.setattr(cli, "_worker_tasks", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ["biclique-scan", "--n", "18", "--p", "0.5", "--seeds", "1..3"]
+    code, out = run_cli(argv + ["--threads", str(threads)], capsys)
+    assert _InlinePool.requested == requested
+    assert multiprocessing.active_children() == []
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, GOLDEN["biclique-scan"][2])
+
+
+def test_parallel_tasks_run_in_worker_processes(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    results = cli._run_parallel([lambda i=i: (i, os.getpid()) for i in range(9)], 2)
+    assert [i for i, _ in results] == list(range(9))
+    assert os.getpid() not in {pid for _, pid in results}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_worker_error_becomes_usage_exit(threads, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "fact1", "--gnp", "10,0.5", "--count", "3", "--r", "1"]
+    code = cli_main(argv + ["--threads", threads])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: fact1 requires r >= 2\n")
+
+
+@pytest.mark.parametrize(
+    "exc, attrs",
+    [
+        (Graph6Error("bad byte", 3), {"offset": 3}),
+        (SearchBudgetExceeded(7), {"budget": 7}),
+        (CliqueCountOverflowError("count exceeds 128 bits"), {}),
+    ],
+    ids=["Graph6Error", "SearchBudgetExceeded", "CliqueCountOverflowError"],
+)
+def test_errors_survive_pickling(exc, attrs):
+    # worker exceptions reach the campaign through pickle
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert {k: getattr(back, k) for k in attrs} == attrs
 
 
 def test_exit_code_mapping():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,19 @@ def test_gnp_chunk_boundaries(monkeypatch, chunk):
         assert gnp(n, 0.5, 11) == oracle_gnp(n, 0.5, 11)
 
 
+def test_gnp_memory_peak_is_one_matrix():
+    # one n x n byte matrix, filled in both triangles, plus bounded temporaries
+    n = 3000
+    tracemalloc.start()
+    try:
+        g = gnp(n, 0.01, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n
+    assert g == oracle_gnp(n, 0.01, 1)
+
+
 def test_gnp_rejects_vertex_count_before_generating():
     for n in (graphs.MAX_VERTICES + 1, -1):
         with pytest.raises(ValueError, match="vertex count"):
@@ -298,7 +312,7 @@ def test_bits_round_trip():
         assert np.array_equal(g.to_bits(2, 7), a[2:7])
 
 
-def test_from_bits_validation():
+def test_from_bits_validation(monkeypatch):
     with pytest.raises(ValueError, match="square"):
         Graph.from_bits(np.zeros((2, 3), dtype=bool))
     loop = np.ones((3, 3), dtype=bool)
@@ -312,12 +326,15 @@ def test_from_bits_validation():
         a = np.array([[r >> u & 1 for u in range(n)] for r in rows], dtype=bool)
         if np.array_equal(a, a.T):
             continue
-        # same message as the bit-by-bit symmetry scan in the constructor
+        # same message as the bit-by-bit symmetry scan in the constructor,
+        # whether the row-blocked check sees one block or many
         with pytest.raises(ValueError) as scan:
             Graph(n, rows)
-        with pytest.raises(ValueError) as bits:
-            Graph.from_bits(a)
-        assert str(bits.value) == str(scan.value)
+        for block in (1 << 20, 1, 97):
+            monkeypatch.setattr(graphs, "_SYMMETRY_BLOCK", block)
+            with pytest.raises(ValueError) as bits:
+                Graph.from_bits(a)
+            assert str(bits.value) == str(scan.value), block
 
 
 def test_graph_validation():

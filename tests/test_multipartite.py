@@ -13,7 +13,12 @@ from spectral_turan import (
     verify_witness,
 )
 
-from oracles import all_graphs, brute_multipartite_exists, partitions_upto
+from oracles import (
+    all_graphs,
+    brute_multipartite_exists,
+    oracle_find_complete_multipartite,
+    partitions_upto,
+)
 
 
 def test_verify_witness_examples():
@@ -113,6 +118,46 @@ def test_completeness_seeded_up_to_n10():
             assert (w is not None) == brute_multipartite_exists(g, sizes), (i, sizes)
             if w is not None:
                 assert verify_witness(g, w)
+
+
+def _minimal_budget(search, g, sizes):
+    """Smallest budget under which ``search`` finishes, by bisection."""
+    lo, hi = -1, 1  # search(lo) raises (or lo < 0), search(hi) is untested
+    while True:
+        try:
+            search(g, sizes, budget=hi)
+            break
+        except SearchBudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            search(g, sizes, budget=mid)
+            hi = mid
+        except SearchBudgetExceeded:
+            lo = mid
+    return hi
+
+
+def test_search_matches_mask_rebuilding_oracle():
+    # same witness and same minimal budget: same visit order, same counter
+    cases = found = 0
+    for i in range(150):
+        n = 8 + i % 17
+        r = 2 + i % 3
+        g = gnp(n, (0.3, 0.5, 0.7, 0.9)[i % 4], 900 + i)
+        base = 1 + i // 3 % 3
+        sizes = (base,) * r if i % 2 else tuple(base + k % 2 for k in range(r))
+        if sum(sizes) > n:
+            continue
+        w = find_complete_multipartite(g, sizes)
+        assert w == oracle_find_complete_multipartite(g, sizes), (i, sizes)
+        assert _minimal_budget(find_complete_multipartite, g, sizes) == _minimal_budget(
+            oracle_find_complete_multipartite, g, sizes
+        ), (i, sizes)
+        cases += 1
+        found += w is not None
+    assert cases >= 140 and 0 < found < cases
 
 
 def test_max_balanced_biclique_examples():
