@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .cliques import count_cliques
@@ -121,18 +120,12 @@ def _gather_instances(args) -> list[tuple[str, Graph]]:
 
 
 def _config_echo(args) -> dict:
-    # thread count is deliberately absent: identical configs must produce
-    # identical bytes at any parallelism
-    keys = (
-        "infile", "in_format", "turan", "multipartite", "gnp", "count", "seed",
-        "r", "c", "sizes", "n", "p", "seeds", "f", "n_max", "r_max",
-        "tol", "budget", "strict", "format",
-    )
+    # every flag but the thread count and the output path: identical configs
+    # must produce identical bytes at any parallelism and destination
+    skip = ("command", "check", "func", "threads", "out")
+    cfg = {k: v for k, v in vars(args).items() if k not in skip}
     check = getattr(args, "check", None)
-    cfg = {"subcommand": f"{args.command}-{check}" if check else args.command}
-    for k in keys:
-        if hasattr(args, k):
-            cfg[k] = getattr(args, k)
+    cfg["subcommand"] = f"{args.command}-{check}" if check else args.command
     return cfg
 
 
@@ -142,12 +135,22 @@ def _report_dict(tr: TheoremReport, g: Graph | None, config: dict) -> dict:
     Graphs above the graph6 writer limit are omitted, and a note saying so
     precedes the checker's own note.
     """
-    rep = tr.to_dict()
-    rep["subcommand"] = config["subcommand"]
-    rep["params"] = {key: tr.params.get(key) for key in ("n", "r", "c")}
-    rep["version"] = __version__
-    rep["config"] = config
-    rep["graph6"] = None
+    rep = {
+        "id": tr.instance_id,
+        "subcommand": config["subcommand"],
+        "params": {key: tr.params.get(key) for key in ("n", "r", "c")},
+        "mu": None if tr.mu is None else {"value": tr.mu.value, "residual": tr.mu.residual},
+        "kr": tr.kr,
+        "verdict": tr.verdict.value,
+        "notes": tr.notes,
+        "version": __version__,
+        "config": config,
+        "graph6": None,
+    }
+    if tr.witness is not None:
+        rep["witness"] = tr.witness.to_lists()
+    if tr.quantities:
+        rep["quantities"] = tr.quantities
     if g is not None and g.n <= GRAPH6_MAX_N:
         rep["graph6"] = to_graph6(g)
     elif g is not None:
@@ -281,7 +284,7 @@ def _cmd_mu(args) -> int:
         iid, g = item
         est = spectral_radius(g, args.tol)
         tr = TheoremReport(
-            iid, "mu", {"n": g.n}, True,
+            iid, {"n": g.n}, True,
             Verdict.CONFIRMED if est.converged else Verdict.INDETERMINATE, mu=est,
             quantities={"iterations": est.iterations, "converged": est.converged},
             notes="" if est.converged else "eigenvalue iteration did not converge",
@@ -295,7 +298,7 @@ def _cmd_cliques(args) -> int:
     def task(item):
         iid, g = item
         kr = count_cliques(g, args.r)
-        tr = TheoremReport(iid, "cliques", {"n": g.n, "r": args.r}, True, Verdict.CONFIRMED, kr=kr)
+        tr = TheoremReport(iid, {"n": g.n, "r": args.r}, True, Verdict.CONFIRMED, kr=kr)
         return tr, g
 
     return run_campaign(_gather_instances(args), task, args)
@@ -306,7 +309,7 @@ def _cmd_find_kpartite(args) -> int:
 
     def task(item):
         iid, g = item
-        tr = TheoremReport(iid, "find-kpartite", {"n": g.n}, True, Verdict.CONFIRMED)
+        tr = TheoremReport(iid, {"n": g.n}, True, Verdict.CONFIRMED)
         try:
             tr.witness = find_complete_multipartite(g, sizes, budget=args.budget)
         except SearchBudgetExceeded:
@@ -360,13 +363,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spex(args) -> int:
     def task(f):
-        res = spex_scan(args.n, f, max_n=args.max_n, tol=args.tol)
-        # the scan's own maximum, with the residual certified on its witness
-        mu = replace(spectral_radius(res.witness, args.tol), value=res.max_mu)
+        res = spex_scan(args.n, f, tol=args.tol)
         quantities = {"max_mu": res.max_mu, "maximal_graphs": res.maximal_graphs}
         tr = TheoremReport(
-            f"spex-n{args.n}-f{args.f}", "spex", {"n": args.n}, True, Verdict.CONFIRMED,
-            mu=mu, quantities=quantities,
+            f"spex-n{args.n}-f{args.f}", {"n": args.n}, True, Verdict.CONFIRMED,
+            mu=res.mu, quantities=quantities,
         )
         return tr, res.witness
 
@@ -376,7 +377,7 @@ def _cmd_spex(args) -> int:
 def _cmd_gap(args) -> int:
     def task(f):
         iid = f"gap-n{args.n}-f{args.f}"
-        return theorem2_gap(args.n, f, max_n=args.max_n, tol=args.tol, instance_id=iid), None
+        return theorem2_gap(args.n, f, tol=args.tol, instance_id=iid), None
 
     return run_campaign([named_graph(args.f)], task, args)
 
@@ -388,7 +389,7 @@ def _cmd_biclique_scan(args) -> int:
         g = gnp(args.n, args.p, seed)
         res = max_balanced_biclique(g, budget=args.budget)
         tr = TheoremReport(
-            f"biclique-n{args.n}-p{args.p}-seed{seed}", "biclique-scan", {"n": g.n}, True,
+            f"biclique-n{args.n}-p{args.p}-seed{seed}", {"n": g.n}, True,
             Verdict.CONFIRMED, witness=res.witness,
             quantities={"side": res.side, "exact": res.exact, "alarm_threshold": alarm},
         )
@@ -485,14 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_spex = sub.add_parser("spex", help="exhaustive max spectral radius over F-free graphs")
     p_spex.add_argument("--n", type=int, required=True)
     p_spex.add_argument("--f", required=True, help="pattern: K<n>, C<n>, or graph6")
-    p_spex.add_argument("--max-n", dest="max_n", type=int, default=8)
     _add_common(p_spex)
     p_spex.set_defaults(func=_cmd_spex)
 
     p_gap = sub.add_parser("gap", help="finite-n sandwich around the extremal limit")
     p_gap.add_argument("--n", type=int, required=True)
     p_gap.add_argument("--f", required=True, help="pattern: K<n>, C<n>, or graph6")
-    p_gap.add_argument("--max-n", dest="max_n", type=int, default=8)
     _add_common(p_gap)
     p_gap.set_defaults(func=_cmd_gap)
 

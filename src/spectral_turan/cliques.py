@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .graphs import Graph
 
 COUNT_BITS = 128
@@ -95,16 +93,3 @@ def count_cliques(g: Graph, r: int) -> int:
             f"clique count exceeds {COUNT_BITS}-bit limit"
         )
     return total
-
-
-def oracle_count_cliques(g: Graph, r: int) -> int:
-    """Brute force over all C(n, r) vertex subsets; test oracle, n <= 16."""
-    if g.n > 16:
-        raise ValueError("oracle limited to n <= 16")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    count = 0
-    for subset in combinations(range(g.n), r):
-        if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
-            count += 1
-    return count

@@ -237,9 +237,7 @@ def turan_part_sizes(n: int, r: int) -> tuple[int, ...]:
 def turan_graph(n: int, r: int) -> Graph:
     """r-partite Turan graph: parts as equal as possible, ceil parts first."""
     sizes = tuple(s for s in turan_part_sizes(n, r) if s > 0)
-    if not sizes:
-        return Graph.empty(n)
-    if len(sizes) == 1:
+    if len(sizes) <= 1:
         return Graph.empty(n)
     return complete_multipartite(sizes)
 
@@ -381,6 +379,7 @@ def parse_graph6(text: str) -> Graph:
     for v in range(1, n):
         start = v * (v - 1) // 2
         adj[v, :v] = adj[:v, v] = bits[start:start + v]
+    del bits  # not kept alive next to the matrix through from_bits
     return Graph.from_bits(adj)
 
 

@@ -97,9 +97,7 @@ def spectral_radius(
         if residual <= threshold:
             return SpectralEstimate(rho, residual, iterations, True)
         w = av + v  # shift by +1
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            break  # unreachable: the shift keeps the iterate positive
+        norm = float(np.linalg.norm(w))  # nonzero: the shift keeps the iterate positive
         v = w / norm
     return SpectralEstimate(rho, residual, iterations, False)
 

@@ -25,6 +25,7 @@ from .multipartite import (
 from .spectral import DEFAULT_TOL, SpectralEstimate, quotient_mu_multipartite, spectral_radius
 
 EPS = 1e-9
+SPEX_MAX_N = 8
 
 
 class Verdict(str, Enum):
@@ -39,7 +40,6 @@ class TheoremReport:
     """Outcome of one checker applied to one instance."""
 
     instance_id: str
-    check: str
     params: dict
     hypothesis_satisfied: bool
     verdict: Verdict
@@ -49,33 +49,32 @@ class TheoremReport:
     witness: MultipartiteWitness | None = None
     notes: str = ""
 
-    def to_dict(self) -> dict:
-        d: dict = {
-            "id": self.instance_id,
-            "subcommand": self.check,
-            "params": self.params,
-            "mu": None
-            if self.mu is None
-            else {"value": self.mu.value, "residual": self.mu.residual},
-            "kr": self.kr,
-            "verdict": self.verdict.value,
-            "notes": self.notes,
-        }
-        if self.witness is not None:
-            d["witness"] = self.witness.to_lists()
-        if self.quantities:
-            d["quantities"] = self.quantities
-        return d
 
+def _spectral_hypothesis(
+    g: Graph, r: int, c: float, tol: float
+) -> tuple[SpectralEstimate, float, bool, list[str]]:
+    """The hypothesis mu(G) >= (1 - 1/(r-1) + c) n of theorem1 and the chain.
 
-def _c_range_notes(r: int, c: float) -> list[str]:
-    """The opening notes of a spectral check: one if c is out of range, else none."""
-    if r >= 2 and not 0.0 < c < 1.0 / (r - 1):
-        return [
+    Returns (mu, threshold, hyp, notes) for r >= 3.  hyp holds at the
+    certified lower interval end; notes open with one on c outside
+    (0, 1/(r-1)), then say why hyp is false: an iteration that did not
+    converge, or a threshold not reached.
+    """
+    threshold = (1.0 - 1.0 / (r - 1) + c) * g.n
+    mu = spectral_radius(g, tol)
+    notes = []
+    if not 0.0 < c < 1.0 / (r - 1):
+        notes.append(
             f"c={c} outside (0, 1/(r-1)) = (0, {1.0 / (r - 1):.6g}); "
             "spectral hypothesis unsatisfiable"
-        ]
-    return []
+        )
+    if not mu.converged:
+        notes.append("eigenvalue iteration did not converge")
+        return mu, threshold, False, notes
+    hyp = mu.lower >= threshold - EPS
+    if not hyp:
+        notes.append(f"hypothesis mu >= {threshold:.6g} not established")
+    return mu, threshold, hyp, notes
 
 
 def _require_domain(check: str, g: Graph, r: int, r_min: int, c: float | None = None) -> None:
@@ -120,14 +119,14 @@ def fact1_check(
     params = {"n": g.n, "r": r}
     if not mu.converged:
         return TheoremReport(
-            instance_id, "fact1", params, True, Verdict.INDETERMINATE,
+            instance_id, params, True, Verdict.INDETERMINATE,
             mu=mu, kr=kr, notes="eigenvalue iteration did not converge",
         )
     rhs_lo = fact1_rhs(g.n, r, mu.lower)
     rhs_hi = fact1_rhs(g.n, r, mu.upper)
     verdict = Verdict.CONFIRMED if kr >= rhs_lo - EPS else Verdict.VIOLATION
     return TheoremReport(
-        instance_id, "fact1", params, True, verdict,
+        instance_id, params, True, verdict,
         mu=mu, kr=kr, quantities={"rhs_low": rhs_lo, "rhs_high": rhs_hi},
     )
 
@@ -205,37 +204,30 @@ def theorem1_check(
     floor(t_target) + 1.
     """
     _require_domain("theorem1", g, r, 3, c)
-    n = g.n
-    s_target, t_target, precondition = theorem1_params(r, c, n)
-    threshold = (1.0 - 1.0 / (r - 1) + c) * n
-    mu = spectral_radius(g, tol)
-    params = {"n": n, "r": r, "c": c}
+    s_target, t_target, precondition = theorem1_params(r, c, g.n)
+    mu, threshold, hyp, notes = _spectral_hypothesis(g, r, c, tol)
+    params = {"n": g.n, "r": r, "c": c}
     quantities = {
         "threshold": threshold,
         "s_target": s_target,
         "t_target": t_target,
         "precondition_met": precondition,
     }
-    notes = _c_range_notes(r, c)
     if not mu.converged:
         return TheoremReport(
-            instance_id, "theorem1", params, False, Verdict.INDETERMINATE,
-            mu=mu, quantities=quantities,
-            notes="; ".join(notes + ["eigenvalue iteration did not converge"]),
+            instance_id, params, False, Verdict.INDETERMINATE,
+            mu=mu, quantities=quantities, notes="; ".join(notes),
         )
-    hyp = mu.lower >= threshold - EPS
     if not hyp or not precondition:
-        if not hyp:
-            notes.append(f"hypothesis mu >= {threshold:.6g} not established")
         if not precondition:
             notes.append("precondition (c/r^r)^r ln n >= 1 fails")
         return TheoremReport(
-            instance_id, "theorem1", params, hyp, Verdict.VACUOUS,
+            instance_id, params, hyp, Verdict.VACUOUS,
             mu=mu, quantities=quantities, notes="; ".join(notes),
         )
     verdict, witness, note = _witness_verdict(g, r, s_target, t_target, quantities, budget)
     return TheoremReport(
-        instance_id, "theorem1", params, True, verdict, mu=mu, quantities=quantities,
+        instance_id, params, True, verdict, mu=mu, quantities=quantities,
         witness=witness, notes="; ".join(notes + [note] if note else notes),
     )
 
@@ -256,20 +248,16 @@ def proof_chain_check(
     """
     _require_domain("proof chain", g, r, 3, c)
     n = g.n
-    threshold = (1.0 - 1.0 / (r - 1) + c) * n
-    mu = spectral_radius(g, tol)
+    mu, threshold, hyp, notes = _spectral_hypothesis(g, r, c, tol)
     params = {"n": n, "r": r, "c": c}
-    notes = _c_range_notes(r, c)
     if not mu.converged:
         return TheoremReport(
-            instance_id, "chain", params, False, Verdict.INDETERMINATE,
-            mu=mu, notes="; ".join(notes + ["eigenvalue iteration did not converge"]),
+            instance_id, params, False, Verdict.INDETERMINATE,
+            mu=mu, notes="; ".join(notes),
         )
-    hyp = mu.lower >= threshold - EPS
     if not hyp:
-        notes.append(f"hypothesis mu >= {threshold:.6g} not established")
         return TheoremReport(
-            instance_id, "chain", params, False, Verdict.VACUOUS,
+            instance_id, params, False, Verdict.VACUOUS,
             mu=mu, quantities={"threshold": threshold}, notes="; ".join(notes),
         )
     kr = count_cliques(g, r)
@@ -277,7 +265,7 @@ def proof_chain_check(
     bound_weak = c / r**r * float(n) ** r
     ok = kr > bound_strict - EPS and kr >= bound_weak - EPS
     return TheoremReport(
-        instance_id, "chain", params, True,
+        instance_id, params, True,
         Verdict.CONFIRMED if ok else Verdict.VIOLATION,
         mu=mu, kr=kr,
         quantities={
@@ -327,12 +315,12 @@ def fact2_check(
         if not precondition:
             notes.append("precondition c^r ln n >= 1 fails")
         return TheoremReport(
-            instance_id, "fact2", params, False, Verdict.VACUOUS,
+            instance_id, params, False, Verdict.VACUOUS,
             kr=kr, quantities=quantities, notes="; ".join(notes),
         )
     verdict, witness, note = _witness_verdict(g, r, s_target, t_target, quantities, budget)
     return TheoremReport(
-        instance_id, "fact2", params, True, verdict,
+        instance_id, params, True, verdict,
         kr=kr, quantities=quantities, witness=witness, notes=note,
     )
 
@@ -356,7 +344,7 @@ def fact3_check(n: int, r: int, instance_id: str = "") -> TheoremReport:
     rhs = 4 * (r - 1) * n * n - r * r
     verdict = Verdict.CONFIRMED if lhs >= rhs else Verdict.VIOLATION
     return TheoremReport(
-        instance_id, "fact3", {"n": n, "r": r}, True, verdict,
+        instance_id, {"n": n, "r": r}, True, verdict,
         quantities={"edges": e, "lhs_8re": lhs, "rhs_4r1nn_rr": rhs},
     )
 
@@ -366,34 +354,15 @@ def fact3_check(n: int, r: int, instance_id: str = "") -> TheoremReport:
 # ---------------------------------------------------------------------------
 
 def chromatic_number(f: Graph) -> int:
-    """Exact chromatic number by branch and bound; limited to n <= 16.
+    """Exact chromatic number: the least k with a k-coloring; limited to n <= 16.
 
-    Lower bound from the clique number, upper bound from greedy coloring
-    in descending degree order, then k-colorability backtracking between.
+    Each k = 0, 1, ... is decided by k-colorability backtracking over the
+    vertices in descending degree order.
     """
-    n = f.n
-    if n > 16:
+    if f.n > 16:
         raise ValueError("chromatic_number limited to n <= 16")
-    if n == 0:
-        return 0
-    if f.edge_count() == 0:
-        return 1
-    clique = 1
-    while clique < n and count_cliques(f, clique + 1) > 0:
-        clique += 1
-    order = sorted(range(n), key=lambda v: (-f.degree(v), v))
-    greedy = [-1] * n
-    for v in order:
-        taken = {greedy[u] for u in _bits(f.row(v)) if greedy[u] >= 0}
-        color = 0
-        while color in taken:
-            color += 1
-        greedy[v] = color
-    upper = max(greedy) + 1
-    for k in range(clique, upper):
-        if _colorable(f, order, k):
-            return k
-    return upper
+    order = sorted(range(f.n), key=lambda v: (-f.degree(v), v))
+    return next(k for k in range(f.n + 1) if _colorable(f, order, k))
 
 
 def _bits(mask: int):
@@ -476,15 +445,18 @@ def contains_subgraph(g: Graph, f: Graph) -> bool:
 class SpexResult:
     """Maximum spectral radius over F-free graphs of a given order."""
 
-    max_mu: float
+    mu: SpectralEstimate
     witness: Graph
     maximal_graphs: int
+
+    @property
+    def max_mu(self) -> float:
+        return self.mu.value
 
 
 def spex_scan(
     n: int,
     f: Graph,
-    max_n: int = 8,
     tol: float = DEFAULT_TOL,
 ) -> SpexResult:
     """Maximize mu(G) over all F-free graphs on n labeled vertices.
@@ -497,30 +469,28 @@ def spex_scan(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_n:
-        raise ValueError(f"n = {n} exceeds exhaustive scan bound {max_n}")
+    if n > SPEX_MAX_N:
+        raise ValueError(f"n = {n} exceeds exhaustive scan bound {SPEX_MAX_N}")
     if contains_subgraph(Graph.empty(n), f):
         raise ValueError("pattern is contained in every graph of this order")
     pairs = list(combinations(range(n), 2))
     rows = [0] * n
-    best_mu = -1.0
-    best_graph: Graph | None = None
+    best: tuple[SpectralEstimate, Graph] | None = None
     maximal = 0
 
     def current() -> Graph:
         return Graph(n, list(rows), validate=False)
 
     def leaf(excluded: list[tuple[int, int]]) -> None:
-        nonlocal best_mu, best_graph, maximal
+        nonlocal best, maximal
         g = current()
         for u, v in excluded:
             if not contains_subgraph(g.add_edge(u, v), f):
                 return  # an edge is still addable: dominated by a supergraph
         maximal += 1
         est = spectral_radius(g, tol)
-        if est.value > best_mu:
-            best_mu = est.value
-            best_graph = g
+        if best is None or est.value > best[0].value:
+            best = (est, g)
 
     def decide(i: int, excluded: list[tuple[int, int]]) -> None:
         if i == len(pairs):
@@ -544,14 +514,12 @@ def spex_scan(
             excluded.pop()
 
     decide(0, [])
-    assert best_graph is not None
-    return SpexResult(best_mu, best_graph, maximal)
+    return SpexResult(*best, maximal)
 
 
 def theorem2_gap(
     n: int,
     f: Graph,
-    max_n: int = 8,
     tol: float = DEFAULT_TOL,
     instance_id: str = "",
 ) -> TheoremReport:
@@ -569,7 +537,7 @@ def theorem2_gap(
         raise ValueError("need n >= r - 1 so the Turan graph has r - 1 parts")
     sizes = [s for s in turan_part_sizes(n, r - 1) if s > 0]
     lower = quotient_mu_multipartite(sizes) / n
-    spex = spex_scan(n, f, max_n=max_n, tol=tol)
+    spex = spex_scan(n, f, tol=tol)
     upper = spex.max_mu / n
     limit = 1.0 - 1.0 / (r - 1)
     turan_floor = limit - (r - 1) / (4.0 * n * n)
@@ -582,7 +550,7 @@ def theorem2_gap(
     if not floor_ok:
         notes.append("Turan quotient fell below its guaranteed floor")
     return TheoremReport(
-        instance_id, "gap", {"n": n, "r": r}, True, verdict,
+        instance_id, {"n": n, "r": r}, True, verdict,
         quantities={
             "lower": lower,
             "upper": upper,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -159,6 +160,28 @@ def brute_multipartite_exists(g: Graph, sizes: tuple[int, ...]) -> bool:
     return rec([], 0)
 
 
+def oracle_count_cliques(g: Graph, r: int) -> int:
+    """Brute force over all C(n, r) vertex subsets; test oracle, n <= 16."""
+    if g.n > 16:
+        raise ValueError("oracle limited to n <= 16")
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    count = 0
+    for subset in combinations(range(g.n), r):
+        if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            count += 1
+    return count
+
+
+def oracle_chromatic_number(g: Graph) -> int:
+    """Least k for which one of the k^n vertex colourings is proper."""
+    edges = list(g.edges())
+    for k in itertools.count():
+        for colors in itertools.product(range(k), repeat=g.n):
+            if all(colors[u] != colors[v] for u, v in edges):
+                return k
+
+
 def brute_contains_injection(g: Graph, f: Graph) -> bool:
     """Subgraph containment by brute force over all injections."""
     if f.n > g.n:
@@ -228,6 +251,18 @@ def oracle_gnp(n: int, p: float, seed: int) -> Graph:
                 rows[v] |= 1 << u
             index += 1
     return Graph(n, rows, validate=False)
+
+
+def graph6_large(g):
+    """graph6 text with the 4-byte size field (63 <= n < 2^18)."""
+    bits = [g.has_edge(i, j) for j in range(g.n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    size = "~" + "".join(chr(63 + (g.n >> k & 63)) for k in (12, 6, 0))
+    body = "".join(
+        chr(63 + sum(b << (5 - k) for k, b in enumerate(bits[i:i + 6])))
+        for i in range(0, len(bits), 6)
+    )
+    return size + body
 
 
 def oracle_parse_graph6(text: str) -> Graph:

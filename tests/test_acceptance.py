@@ -20,7 +20,6 @@ from spectral_turan import (
     find_complete_multipartite,
     gnp,
     max_balanced_biclique,
-    oracle_count_cliques,
     parse_graph6,
     proof_chain_check,
     quotient_mu_multipartite,
@@ -39,6 +38,7 @@ from oracles import (
     brute_spex,
     certify_largest_root,
     k100_minus_50_edges,
+    oracle_count_cliques,
     partitions_upto,
 )
 

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import hashlib
 import json
@@ -13,6 +14,8 @@ from spectral_turan.cli import build_parser, cli_main
 from spectral_turan.cliques import CliqueCountOverflowError
 from spectral_turan.graphs import Graph6Error
 from spectral_turan.multipartite import SearchBudgetExceeded
+
+from oracles import graph6_large
 
 REPORT_FIELDS = {"id", "subcommand", "params", "mu", "kr", "verdict", "notes", "version", "config", "graph6"}
 
@@ -156,6 +159,39 @@ def test_spex_and_gap(capsys):
     assert rep["verdict"] == "confirmed"
     assert abs(rep["quantities"]["lower"] - 0.5) <= 1e-6
     assert abs(rep["quantities"]["upper"] - 0.5) <= 1e-6
+
+
+@pytest.mark.parametrize("command", ["spex", "gap"])
+def test_scan_bound_is_fixed(command, capsys):
+    code = cli_main([command, "--n", "9", "--f", "K3"])
+    assert code == 2
+    assert "exceeds exhaustive scan bound 8" in capsys.readouterr().err
+    code = cli_main([command, "--n", "5", "--f", "K3", "--max-n", "9"])
+    assert code == 2
+    assert "unrecognized arguments: --max-n 9" in capsys.readouterr().err
+
+
+# one argv per subcommand that writes reports
+ECHO_ARGV = {
+    "mu": "mu --turan 6,2",
+    "cliques": "cliques --r 3 --turan 6,2",
+    "find-kpartite": "find-kpartite --sizes 2,2 --turan 6,2",
+    "verify": "verify chain --turan 6,2 --r 3 --c 0.1",
+    "spex": "spex --n 4 --f K3",
+    "gap": "gap --n 4 --f K3",
+    "biclique-scan": "biclique-scan --n 8 --p 0.5 --seeds 1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ECHO_ARGV))
+def test_config_echo_is_every_flag(command, capsys):
+    argv = ECHO_ARGV[command].split()
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    (rep,) = load_jsonl(out)
+    assert set(rep["config"]) == dests - {"command", "check", "func", "threads", "out"} | {"subcommand"}
 
 
 def test_biclique_scan(capsys):
@@ -309,18 +345,6 @@ def test_in_file_graph6_lines(tmp_path, capsys):
     assert reports[0]["id"].endswith("#0")
 
 
-def _graph6_large(g):
-    """graph6 text with the 4-byte size field (63 <= n < 2^18)."""
-    bits = [g.has_edge(i, j) for j in range(g.n) for i in range(j)]
-    bits += [False] * (-len(bits) % 6)
-    size = "~" + "".join(chr(63 + (g.n >> k & 63)) for k in (12, 6, 0))
-    body = "".join(
-        chr(63 + sum(b << (5 - k) for k, b in enumerate(bits[i:i + 6])))
-        for i in range(0, len(bits), 6)
-    )
-    return size + body
-
-
 # Each case's exit code and the sha256 of its stdout, one or more cases per
 # subcommand, verdict path and csv report shape.  Output bytes change only on
 # purpose, and never with the thread count.
@@ -395,7 +419,7 @@ def golden_dir(tmp_path, monkeypatch):
     from spectral_turan import complete_multipartite, gnp, to_edge_list
 
     g70 = gnp(70, 0.3, 5)
-    text = _graph6_large(g70)
+    text = graph6_large(g70)
     assert parse_graph6(text) == g70
     (tmp_path / "g70.g6").write_text(text + "\n")
     (tmp_path / "g9.txt").write_text(to_edge_list(complete_multipartite((3, 3, 3))))

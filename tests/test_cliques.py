@@ -10,13 +10,18 @@ from spectral_turan import (
     count_cliques,
     cycle_graph,
     gnp,
-    oracle_count_cliques,
     turan_graph,
 )
 
 from spectral_turan.cliques import degeneracy_order
 
-from oracles import all_graphs, oracle_degeneracy_order, petersen, seeded_graph_sample
+from oracles import (
+    all_graphs,
+    oracle_count_cliques,
+    oracle_degeneracy_order,
+    petersen,
+    seeded_graph_sample,
+)
 
 
 def test_examples():

@@ -22,7 +22,7 @@ from spectral_turan import (
     turan_part_sizes,
 )
 
-from oracles import all_graphs, oracle_gnp, oracle_parse_graph6
+from oracles import all_graphs, graph6_large, oracle_gnp, oracle_parse_graph6
 
 GNP_40_05_SEED7_EDGES = 390  # golden: recorded from the first run of the generator
 GNP_40_05_SEED7_G6 = (
@@ -267,6 +267,21 @@ def test_gnp_memory_peak_is_one_matrix():
         tracemalloc.stop()
     assert peak <= 1.5 * n * n
     assert g == oracle_gnp(n, 0.01, 1)
+
+
+def test_parse_graph6_memory_peak():
+    # the unpacked body bits are released before the matrix is packed
+    n = 3000
+    g = gnp(n, 0.01, 1)
+    text = graph6_large(g)
+    tracemalloc.start()
+    try:
+        h = parse_graph6(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.65 * n * n
+    assert h == g
 
 
 def test_gnp_rejects_vertex_count_before_generating():

@@ -17,6 +17,7 @@ from spectral_turan import (
     fact2_check,
     fact3_check,
     gnp,
+    parse_graph6,
     proof_chain_check,
     spex_scan,
     theorem1_check,
@@ -27,7 +28,13 @@ from spectral_turan import (
 
 from spectral_turan import theorems
 
-from oracles import brute_contains_injection, brute_spex, k100_minus_50_edges, petersen
+from oracles import (
+    brute_contains_injection,
+    brute_spex,
+    k100_minus_50_edges,
+    oracle_chromatic_number,
+    petersen,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +276,19 @@ def test_chromatic_at_least_clique_number():
     for g in [petersen(), gnp(10, 0.5, 2), turan_graph(9, 3), cycle_graph(7)]:
         clique = max(r for r in range(1, g.n + 1) if count_cliques(g, r) > 0)
         assert chromatic_number(g) >= clique
+
+
+def test_chromatic_number_matches_brute_force():
+    named = [
+        cycle_graph(5), complete_graph(4), petersen(), complete_multipartite((3, 3)),
+        Graph.empty(5), Graph.empty(0), gnp(10, 0.5, 2), turan_graph(9, 3), cycle_graph(7),
+        complete_graph(3), complete_graph(6), cycle_graph(4), complete_multipartite((2, 2)),
+        complete_multipartite((2, 3)), complete_multipartite((3, 1)),
+        complete_multipartite((2, 2, 5)), parse_graph6("D|s"), parse_graph6("Cz"),  # W4, diamond
+    ]
+    seeded = [gnp(n, p, seed) for n in range(8) for p in (0.3, 0.6, 0.9) for seed in range(3)]
+    for g in named + seeded:
+        assert chromatic_number(g) == oracle_chromatic_number(g), g
 
 
 def test_chromatic_domain():
