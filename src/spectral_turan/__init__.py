@@ -27,7 +27,7 @@ from .multipartite import (
     max_balanced_biclique,
     verify_witness,
 )
-from .spectral import SpectralEstimate, quotient_mu_multipartite, spectral_radius
+from .spectral import SpectralEstimate, spectral_radius
 from .theorems import (
     SpexResult,
     TheoremReport,
@@ -76,7 +76,6 @@ __all__ = [
     "parse_graph6",
     "part_sizes",
     "proof_chain_check",
-    "quotient_mu_multipartite",
     "spectral_radius",
     "spex_scan",
     "theorem1_check",

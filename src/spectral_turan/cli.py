@@ -38,7 +38,7 @@ from .multipartite import (
     find_complete_multipartite,
     max_balanced_biclique,
 )
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import spectral_radius
 from .theorems import (
     TheoremReport,
     Verdict,
@@ -70,11 +70,19 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """Seed spec: '7', '1,2,5', or a range '1..20'."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+    """Seed spec: '7', '1,2,5', or a range '1..20'; never empty."""
+    lo, dots, hi = text.partition("..")
+    seeds = list(range(int(lo), int(hi) + 1)) if dots else _parse_int_list(text)
+    if not seeds:
+        raise UsageError(f"--seeds {text!r} names no seed")
+    return seeds
+
+
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def named_graph(spec: str) -> Graph:
@@ -282,7 +290,7 @@ def run_campaign(items, task, args) -> int:
 def _cmd_mu(args) -> int:
     def task(item):
         iid, g = item
-        est = spectral_radius(g, args.tol)
+        est = spectral_radius(g)
         tr = TheoremReport(
             iid, {"n": g.n}, True,
             Verdict.CONFIRMED if est.converged else Verdict.INDETERMINATE, mu=est,
@@ -349,13 +357,13 @@ def _cmd_verify(args) -> int:
         (iid, g), r, c = item
         iid += f"-r{r}" + (f"-c{c}" if c is not None else "")
         if args.check == "fact1":
-            return fact1_check(g, r, tol=args.tol, instance_id=iid), g
+            return fact1_check(g, r, instance_id=iid), g
         if args.check == "fact2":
             return fact2_check(g, r, c, budget=args.budget, instance_id=iid), g
         if args.check == "theorem1":
-            tr = theorem1_check(g, r, c, tol=args.tol, budget=args.budget, instance_id=iid)
+            tr = theorem1_check(g, r, c, budget=args.budget, instance_id=iid)
             return tr, g
-        return proof_chain_check(g, r, c, tol=args.tol, instance_id=iid), g
+        return proof_chain_check(g, r, c, instance_id=iid), g
 
     items = [(inst, r, c) for inst in instances for r in r_values for c in c_values]
     return run_campaign(items, task, args)
@@ -363,7 +371,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spex(args) -> int:
     def task(f):
-        res = spex_scan(args.n, f, tol=args.tol)
+        res = spex_scan(args.n, f)
         quantities = {"max_mu": res.max_mu, "maximal_graphs": res.maximal_graphs}
         tr = TheoremReport(
             f"spex-n{args.n}-f{args.f}", {"n": args.n}, True, Verdict.CONFIRMED,
@@ -377,7 +385,7 @@ def _cmd_spex(args) -> int:
 def _cmd_gap(args) -> int:
     def task(f):
         iid = f"gap-n{args.n}-f{args.f}"
-        return theorem2_gap(args.n, f, tol=args.tol, instance_id=iid), None
+        return theorem2_gap(args.n, f, instance_id=iid), None
 
     return run_campaign([named_graph(args.f)], task, args)
 
@@ -407,7 +415,6 @@ def _cmd_biclique_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="eigenvalue residual tolerance")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node-expansion budget")
     p.add_argument(
         "--threads",
@@ -427,7 +434,7 @@ def _add_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--turan", default=None, metavar="N,R", help="Turan graph instance")
     p.add_argument("--multipartite", default=None, metavar="S1,S2,...", help="complete multipartite instance")
     p.add_argument("--gnp", default=None, metavar="N,P", help="random graph instances")
-    p.add_argument("--count", type=int, default=1, help="number of gnp instances")
+    p.add_argument("--count", type=_count, default=1, help="number of gnp instances")
     p.add_argument("--seed", type=int, default=0, help="base seed (instance i uses seed + i)")
 
 
@@ -450,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_gnp.add_argument("--n", type=int, required=True)
     g_gnp.add_argument("--p", type=float, required=True)
     g_gnp.add_argument("--seed", type=int, default=0)
-    g_gnp.add_argument("--count", type=int, default=1)
+    g_gnp.add_argument("--count", type=_count, default=1)
     for gp in (g_turan, g_multi, g_gnp):
         gp.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
         gp.add_argument("--out", default=None)

@@ -28,6 +28,14 @@ _GNP_CHUNK = 1 << 16
 _SYMMETRY_BLOCK = 1 << 20
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 class Graph6Error(ValueError):
     """Malformed graph6 input; ``offset`` is the byte position of the defect."""
 
@@ -67,11 +75,7 @@ class Graph:
                 raise ValueError(f"loop at vertex {v}")
         if validate:
             for v, row in enumerate(rows):
-                m = row
-                while m:
-                    b = m & -m
-                    m ^= b
-                    u = b.bit_length() - 1
+                for u in iter_bits(row):
                     if not rows[u] >> v & 1:
                         raise ValueError(f"adjacency not symmetric at ({u}, {v})")
         self.n = n
@@ -156,11 +160,8 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (u, v) with u < v, lexicographic order."""
         for u in range(self.n):
-            m = self._rows[u] >> (u + 1) << (u + 1)
-            while m:
-                b = m & -m
-                m ^= b
-                yield u, b.bit_length() - 1
+            for v in iter_bits(self._rows[u] >> (u + 1) << (u + 1)):
+                yield u, v
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1

@@ -1,21 +1,17 @@
-"""Largest adjacency eigenvalue with a certified residual enclosure.
-
-Two routes: shifted power iteration for arbitrary graphs, and an exact
-secular-equation bisection for complete multipartite graphs via their
-equitable-partition quotient matrix.
-"""
+"""One certified Perron routine, ``_perron``: ``spectral_radius`` runs it per
+connected component, ``theorems.theorem2_gap`` on the Turan quotient matrix."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .graphs import Graph, part_sizes
+from .graphs import Graph, iter_bits
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10**6
+_MAX_ITER = 10**6
 
 # dense adjacency above this order would not fit desk memory budgets;
 # fall back to edge-array accumulation
@@ -26,12 +22,12 @@ _SPARSE_BLOCK = 1 << 20
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Estimated largest eigenvalue with a certified residual bound.
+    """Certified enclosure [value - residual, value + residual] of the Perron root.
 
-    For a symmetric adjacency matrix some eigenvalue lies within
-    ``residual`` of ``value`` (residual 2-norm perturbation bound); when
-    ``converged`` is true the positive iterate pins that eigenvalue to the
-    Perron root, so [value - residual, value + residual] encloses mu(G).
+    The float ends enclose it, rounding included, whether or not the
+    iteration converged; ``converged`` means every component's half-width
+    reached 1e-10 per vertex within the iteration cap, and ``iterations``
+    counts matrix-vector products.
     """
 
     value: float
@@ -48,91 +44,119 @@ class SpectralEstimate:
         return self.value + self.residual
 
 
-def _adjacency_matvec(g: Graph):
-    """Return a function computing A @ x for the graph's adjacency matrix."""
-    n = g.n
-    if n <= _DENSE_LIMIT:
-        a = g.to_bits().astype(np.float64)
-        return lambda x: a @ x
-    # (row, column) of every nonzero entry, unpacked a block of rows at a time
-    step = max(1, _SPARSE_BLOCK // n)
+def _estimate(lower: float, upper: float, iterations: int, converged: bool) -> SpectralEstimate:
+    value = 0.5 * (lower + upper)
+    residual = max(value - lower, upper - value)
+    while value - residual > lower or value + residual < upper:  # round the half-width up
+        residual = math.nextafter(residual, math.inf)
+    return SpectralEstimate(value, residual, iterations, converged)
+
+
+def _perron(scaled, m: int) -> tuple[float, float, int, bool]:
+    """(lower, upper, iterations, converged): a certified bracket on the Perron
+    root of a nonnegative symmetric m x m matrix A, whose scaled
+    diag(2^-e) A diag(2^e) has the matvec ``scaled(e)`` (A itself at None).
+
+    Power iteration on A + I from the all-ones vector keeps the iterate x
+    positive, and for any positive x, min (Ax)_i/x_i <= rho <= max (Ax)_i/x_i
+    (Collatz–Wielandt; Horn & Johnson, Matrix Analysis, 8.1.26).  Both ends
+    are widened by gamma_{m+5} = (m+5)u / (1 - (m+5)u): m + 1 roundings in
+    each (Ax)_i (the sum, the products, a rounded matrix entry), one in the
+    ratio, three in forming and applying the widening (Higham, Accuracy
+    and Stability, 3.1).  A Perron vector can span more than the float
+    range, so once an entry of x falls below 2^-700 the exponents of x move
+    into e, an exact similarity.  Stops at half-width <= 1e-10 m, or after
+    _MAX_ITER iterations with the wider bracket and converged=False.
+    """
+    ku = (m + 5) * math.ulp(1.0) / 2  # (m + 5) u, u = 2^-53
+    slack = ku / (1.0 - ku)
+    e, matvec = 0, scaled(None)
+    x = np.ones(m)
+    floor = 1.0  # a lower bound on min(x); max(x) <= 1
+    for iterations in range(1, _MAX_ITER + 1):
+        y = matvec(x)
+        ratios = y / x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        lower, upper = lo * (1.0 - slack), hi * (1.0 + slack)
+        if upper - lower <= 2e-10 * m:
+            return lower, upper, iterations, True
+        x = (y + x) / (hi + 1.0)  # shift by +1; entry i scales by (r_i + 1) / (hi + 1)
+        floor *= (lo + 1.0) / (hi + 1.0)
+        if floor < 2.0**-700 and (floor := float(x.min())) < 2.0**-700:
+            x, shift = np.frexp(x)  # x = mantissas in [0.5, 1) times 2^shift
+            e = e + shift
+            matvec, floor = scaled(e), 0.5
+    return lower, upper, _MAX_ITER, False
+
+
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every nonzero adjacency entry, unpacked a block of rows at a time."""
+    step = max(1, _SPARSE_BLOCK // g.n)
     rows, cols = [], []
-    for lo in range(0, n, step):
+    for lo in range(0, g.n, step):
         r, c = np.nonzero(g.to_bits(lo, lo + step))
         rows.append(r + lo)
         cols.append(c)
-    ra = np.concatenate(rows)
-    ca = np.concatenate(cols)
-    return lambda x: np.bincount(ra, weights=x[ca], minlength=n)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
-def spectral_radius(
-    g: Graph,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpectralEstimate:
-    """Power iteration from the all-ones vector with Rayleigh-quotient readout.
+def _dense_matvec(a: np.ndarray, e: np.ndarray | None = None):
+    """x -> B @ x for B = a, or for diag(2^-e) a diag(2^e) when e is given."""
+    return (a if e is None else np.ldexp(a, e[None, :] - e[:, None])).__matmul__
 
-    The iteration runs on A + I: the shift breaks the +/-mu modulus tie on
-    bipartite graphs without moving eigenvectors, so the entrywise-positive
-    iterate converges to the Perron eigenvector of A.  Convergence means
-    residual = ||A v - rho v||_2 / ||v||_2 <= tol * max(1, n); hitting
-    max_iter first returns converged=False rather than raising.
+
+def _sparse_matvec(ra: np.ndarray, ca: np.ndarray, m: int, e: np.ndarray | None = None):
+    """The same for the m x m matrix with ones at (ra, ca), summed by np.bincount."""
+    w = 1.0 if e is None else np.ldexp(1.0, e[ca] - e[ra])
+    return lambda x: np.bincount(ra, weights=w * x[ca], minlength=m)
+
+
+def _adjacency_matvec(g: Graph, e: np.ndarray | None = None):
+    """The same for the graph's adjacency matrix."""
+    if g.n <= _DENSE_LIMIT:
+        return _dense_matvec(g.to_bits().astype(np.float64), e)
+    return _sparse_matvec(*_edge_arrays(g), g.n, e)
+
+
+def _bits_matvec(bits: np.ndarray, e: np.ndarray | None = None):
+    """The same for a boolean adjacency matrix; dense when small and 1/8 full."""
+    m = len(bits)
+    if m <= _DENSE_LIMIT and 8 * np.count_nonzero(bits) >= m * m:
+        return _dense_matvec(bits.astype(np.float64), e)
+    return _sparse_matvec(*np.nonzero(bits), m, e)
+
+
+def _components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the components with an edge, by bitset BFS; [] if g is connected."""
+    unseen = full = (1 << g.n) - 1
+    comps = []
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier and comp != full:
+            grown = 0
+            for v in iter_bits(frontier):
+                grown |= g.row(v)
+            frontier = grown & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        if comp != full and comp & (comp - 1):  # more than one vertex
+            comps.append(list(iter_bits(comp)))
+    return comps
+
+
+def spectral_radius(g: Graph) -> SpectralEstimate:
+    """Certified enclosure of mu(G): [max lower end, max upper end] over components.
+
+    A connected or edgeless graph takes one whole-graph matvec; otherwise
+    each component with an edge runs on its own block of the boolean
+    matrix, so no float matrix of the whole graph is built.
     """
     if g.n < 1:
         raise ValueError("spectral_radius requires n >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    matvec = _adjacency_matvec(g)
-    n = g.n
-    threshold = tol * max(1, n)
-    v = np.full(n, 1.0 / np.sqrt(n))
-    rho = 0.0
-    residual = float(n)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        av = matvec(v)
-        rho = float(v @ av)
-        residual = float(np.linalg.norm(av - rho * v))
-        if residual <= threshold:
-            return SpectralEstimate(rho, residual, iterations, True)
-        w = av + v  # shift by +1
-        norm = float(np.linalg.norm(w))  # nonzero: the shift keeps the iterate positive
-        v = w / norm
-    return SpectralEstimate(rho, residual, iterations, False)
-
-
-def quotient_mu_multipartite(sizes: Iterable[int]) -> float:
-    """Exact Perron root of a complete multipartite graph via its quotient.
-
-    The parts form an equitable partition with r x r quotient matrix
-    B[i][j] = s_j for i != j, zero diagonal, whose Perron root equals mu of
-    the full graph.  The matrix determinant lemma factors the
-    characteristic polynomial as
-
-        det(xI - B) = prod_i (x + s_i) * (1 - sum_i s_i / (x + s_i)),
-
-    and on x > 0 the second factor is strictly increasing with a single
-    sign change at the Perron root, so bisection over [0, sum(sizes)] is
-    sound.  Absolute error <= 1e-12 * sum(sizes).
-    """
-    szs = part_sizes(sizes)
-    if len(szs) < 2:
-        raise ValueError("quotient needs r >= 2 parts (single part => mu = 0)")
-    total = sum(szs)
-
-    def above(x: float) -> bool:
-        # sign of det(xI - B) for x > 0: positive iff x exceeds the Perron root
-        return sum(s / (x + s) for s in szs) < 1.0
-
-    lo, hi = 0.0, float(total)
-    target = 1e-12 * total
-    while hi - lo > target:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # float resolution reached
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    comps = _components(g)
+    if not comps:
+        return _estimate(*_perron(partial(_adjacency_matvec, g), g.n))
+    bits = g.to_bits()
+    brackets = [_perron(partial(_bits_matvec, bits[np.ix_(c, c)]), len(c)) for c in comps]
+    lowers, uppers, iterations, converged = zip(*brackets)
+    return _estimate(max(lowers), max(uppers), sum(iterations), all(converged))

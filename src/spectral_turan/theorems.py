@@ -3,7 +3,7 @@
 Every checker consumes certified eigenvalue intervals and exact integer
 clique counts, and emits a structured report.  A VIOLATION verdict is
 reserved for inequalities that fail at every point of every certified
-interval; budget or precision shortfalls surface as ``indeterminate``.
+interval; search budget shortfalls surface as ``indeterminate``.
 """
 
 from __future__ import annotations
@@ -11,10 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import combinations
 
+import numpy as np
+
 from .cliques import count_cliques
-from .graphs import Graph, part_sizes, turan_part_sizes
+from .graphs import Graph, iter_bits, part_sizes, turan_part_sizes
 from .multipartite import (
     DEFAULT_BUDGET,
     MultipartiteWitness,
@@ -22,7 +25,7 @@ from .multipartite import (
     find_complete_multipartite,
     verify_witness,
 )
-from .spectral import DEFAULT_TOL, SpectralEstimate, quotient_mu_multipartite, spectral_radius
+from .spectral import SpectralEstimate, _dense_matvec, _estimate, _perron, spectral_radius
 
 EPS = 1e-9
 SPEX_MAX_N = 8
@@ -51,26 +54,22 @@ class TheoremReport:
 
 
 def _spectral_hypothesis(
-    g: Graph, r: int, c: float, tol: float
+    g: Graph, r: int, c: float
 ) -> tuple[SpectralEstimate, float, bool, list[str]]:
     """The hypothesis mu(G) >= (1 - 1/(r-1) + c) n of theorem1 and the chain.
 
     Returns (mu, threshold, hyp, notes) for r >= 3.  hyp holds at the
-    certified lower interval end; notes open with one on c outside
-    (0, 1/(r-1)), then say why hyp is false: an iteration that did not
-    converge, or a threshold not reached.
+    certified lower interval end, converged or not; notes open with one on
+    c outside (0, 1/(r-1)), then say when the threshold is not reached.
     """
     threshold = (1.0 - 1.0 / (r - 1) + c) * g.n
-    mu = spectral_radius(g, tol)
+    mu = spectral_radius(g)
     notes = []
     if not 0.0 < c < 1.0 / (r - 1):
         notes.append(
             f"c={c} outside (0, 1/(r-1)) = (0, {1.0 / (r - 1):.6g}); "
             "spectral hypothesis unsatisfiable"
         )
-    if not mu.converged:
-        notes.append("eigenvalue iteration did not converge")
-        return mu, threshold, False, notes
     hyp = mu.lower >= threshold - EPS
     if not hyp:
         notes.append(f"hypothesis mu >= {threshold:.6g} not established")
@@ -98,13 +97,24 @@ def fact1_rhs(n: int, r: int, mu: float) -> float:
     """
     if n < 1 or r < 2:
         raise ValueError("need n >= 1 and r >= 2")
-    return (mu / n - 1.0 + 1.0 / r) * (r * (r - 1) / (r + 1)) * (n / r) ** r
+    return _scaled_power((mu / n - 1.0 + 1.0 / r) * (r * (r - 1) / (r + 1)), n / r, r)
+
+
+def _scaled_power(coef: float, base: float, r: int) -> float:
+    """coef * base**r for base >= 0; where base**r overflows, through logarithms,
+    saturating to +-inf from e^709 on."""
+    try:
+        return coef * base**r
+    except OverflowError:
+        if coef == 0.0:
+            return 0.0
+        log_value = math.log(abs(coef)) + r * math.log(base)
+        return math.copysign(math.exp(log_value) if log_value < 709.0 else math.inf, coef)
 
 
 def fact1_check(
     g: Graph,
     r: int,
-    tol: float = DEFAULT_TOL,
     instance_id: str = "",
 ) -> TheoremReport:
     """Check k_r >= clique lower bound at the spectral radius.
@@ -114,19 +124,13 @@ def fact1_check(
     interval, VIOLATION that it fails everywhere (it never does).
     """
     _require_domain("fact1", g, r, 2)
-    mu = spectral_radius(g, tol)
+    mu = spectral_radius(g)
     kr = count_cliques(g, r)
-    params = {"n": g.n, "r": r}
-    if not mu.converged:
-        return TheoremReport(
-            instance_id, params, True, Verdict.INDETERMINATE,
-            mu=mu, kr=kr, notes="eigenvalue iteration did not converge",
-        )
     rhs_lo = fact1_rhs(g.n, r, mu.lower)
     rhs_hi = fact1_rhs(g.n, r, mu.upper)
     verdict = Verdict.CONFIRMED if kr >= rhs_lo - EPS else Verdict.VIOLATION
     return TheoremReport(
-        instance_id, params, True, verdict,
+        instance_id, {"n": g.n, "r": r}, True, verdict,
         mu=mu, kr=kr, quantities={"rhs_low": rhs_lo, "rhs_high": rhs_hi},
     )
 
@@ -135,23 +139,23 @@ def fact1_check(
 # main theorem: spectral hypothesis forces a large complete r-partite subgraph
 # ---------------------------------------------------------------------------
 
-def _part_targets(base: float, r: int, c: float, n: int) -> tuple[int, float, bool]:
+def _part_targets(c: float, root: int, r: int, n: int) -> tuple[int | float, float, bool]:
     """Part sizes of K_r(s,..,s,t): (s_target, t_target, precondition_met).
 
-    s_target = floor(base^r * ln n); t_target = n^(1 - c^(r-1));
-    precondition_met iff base^r * ln n >= 1.  The base is c/r^r for the main
-    theorem and c for fact2.
+    With base = c/root^r (root = r for the main theorem, 1 for fact2):
+    s_target = floor(base^r * ln n), inf past the float range;
+    t_target = n^(1 - c^(r-1)); precondition_met iff base^r * ln n >= 1.
     """
     log_n = math.log(n)
-    product = base**r * log_n
-    try:
-        t_target = math.exp((1.0 - c ** (r - 1)) * log_n)
-    except OverflowError:
-        t_target = math.inf
-    return math.floor(product), t_target, product >= 1.0
+    # root^r past the float range needs r >= 144, and then base^r < 1e-360
+    base = c / root**r if r * math.log(root) < 709.78 else 0.0
+    product = _scaled_power(log_n, base, r)
+    t_target = math.exp((1.0 - _scaled_power(1.0, c, r - 1)) * log_n) if n > 1 else 1.0
+    s_target = math.floor(product) if product < math.inf else math.inf
+    return s_target, t_target, product >= 1.0
 
 
-def theorem1_params(r: int, c: float, n: int) -> tuple[int, float, bool]:
+def theorem1_params(r: int, c: float, n: int) -> tuple[int | float, float, bool]:
     """Parameter arithmetic: (s_target, t_target, precondition_met).
 
     s_target = floor((c/r^r)^r * ln n); t_target = n^(1 - c^(r-1));
@@ -159,7 +163,7 @@ def theorem1_params(r: int, c: float, n: int) -> tuple[int, float, bool]:
     """
     if r < 3 or c <= 0 or n < 1:
         raise ValueError("need r >= 3, c > 0, n >= 1")
-    return _part_targets(c / r**r, r, c, n)
+    return _part_targets(c, r, r, n)
 
 
 def _witness_verdict(
@@ -191,7 +195,6 @@ def theorem1_check(
     g: Graph,
     r: int,
     c: float,
-    tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_BUDGET,
     instance_id: str = "",
 ) -> TheoremReport:
@@ -205,7 +208,7 @@ def theorem1_check(
     """
     _require_domain("theorem1", g, r, 3, c)
     s_target, t_target, precondition = theorem1_params(r, c, g.n)
-    mu, threshold, hyp, notes = _spectral_hypothesis(g, r, c, tol)
+    mu, threshold, hyp, notes = _spectral_hypothesis(g, r, c)
     params = {"n": g.n, "r": r, "c": c}
     quantities = {
         "threshold": threshold,
@@ -213,11 +216,6 @@ def theorem1_check(
         "t_target": t_target,
         "precondition_met": precondition,
     }
-    if not mu.converged:
-        return TheoremReport(
-            instance_id, params, False, Verdict.INDETERMINATE,
-            mu=mu, quantities=quantities, notes="; ".join(notes),
-        )
     if not hyp or not precondition:
         if not precondition:
             notes.append("precondition (c/r^r)^r ln n >= 1 fails")
@@ -236,7 +234,6 @@ def proof_chain_check(
     g: Graph,
     r: int,
     c: float,
-    tol: float = DEFAULT_TOL,
     instance_id: str = "",
 ) -> TheoremReport:
     """Clique-count inequalities linking the spectral hypothesis to the
@@ -248,21 +245,16 @@ def proof_chain_check(
     """
     _require_domain("proof chain", g, r, 3, c)
     n = g.n
-    mu, threshold, hyp, notes = _spectral_hypothesis(g, r, c, tol)
+    mu, threshold, hyp, notes = _spectral_hypothesis(g, r, c)
     params = {"n": n, "r": r, "c": c}
-    if not mu.converged:
-        return TheoremReport(
-            instance_id, params, False, Verdict.INDETERMINATE,
-            mu=mu, notes="; ".join(notes),
-        )
     if not hyp:
         return TheoremReport(
             instance_id, params, False, Verdict.VACUOUS,
             mu=mu, quantities={"threshold": threshold}, notes="; ".join(notes),
         )
     kr = count_cliques(g, r)
-    bound_strict = c * (r - 2) / r**r * float(n) ** r
-    bound_weak = c / r**r * float(n) ** r
+    bound_weak = _scaled_power(c, n / r, r)
+    bound_strict = (r - 2) * bound_weak
     ok = kr > bound_strict - EPS and kr >= bound_weak - EPS
     return TheoremReport(
         instance_id, params, True,
@@ -298,8 +290,8 @@ def fact2_check(
     _require_domain("fact2", g, r, 2, c)
     n = g.n
     kr = count_cliques(g, r)
-    s_target, t_target, precondition = _part_targets(c, r, c, n)
-    count_threshold = c * float(n) ** r
+    s_target, t_target, precondition = _part_targets(c, 1, r, n)
+    count_threshold = _scaled_power(c, float(n), r)
     hyp_count = kr >= count_threshold - EPS
     params = {"n": n, "r": r, "c": c}
     quantities = {
@@ -365,13 +357,6 @@ def chromatic_number(f: Graph) -> int:
     return next(k for k in range(f.n + 1) if _colorable(f, order, k))
 
 
-def _bits(mask: int):
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        yield b.bit_length() - 1
-
-
 def _colorable(f: Graph, order: list[int], k: int) -> bool:
     colors = [-1] * f.n
 
@@ -379,7 +364,7 @@ def _colorable(f: Graph, order: list[int], k: int) -> bool:
         if idx == len(order):
             return True
         v = order[idx]
-        forbidden = {colors[u] for u in _bits(f.row(v)) if colors[u] >= 0}
+        forbidden = {colors[u] for u in iter_bits(f.row(v)) if colors[u] >= 0}
         # new colors are introduced in order, killing color-permutation symmetry
         for color in range(min(used + 1, k)):
             if color in forbidden:
@@ -408,7 +393,7 @@ def contains_subgraph(g: Graph, f: Graph) -> bool:
     pos = {v: i for i, v in enumerate(order)}
     placed_nbrs: list[list[int]] = []
     for i, v in enumerate(order):
-        placed_nbrs.append([u for u in _bits(f.row(v)) if pos[u] < i])
+        placed_nbrs.append([u for u in iter_bits(f.row(v)) if pos[u] < i])
     f_degs = [f.degree(v) for v in order]
     g_rows = [g.row(v) for v in range(g.n)]
     g_degs = [g.degree(v) for v in range(g.n)]
@@ -457,7 +442,6 @@ class SpexResult:
 def spex_scan(
     n: int,
     f: Graph,
-    tol: float = DEFAULT_TOL,
 ) -> SpexResult:
     """Maximize mu(G) over all F-free graphs on n labeled vertices.
 
@@ -488,7 +472,7 @@ def spex_scan(
             if not contains_subgraph(g.add_edge(u, v), f):
                 return  # an edge is still addable: dominated by a supergraph
         maximal += 1
-        est = spectral_radius(g, tol)
+        est = spectral_radius(g)
         if best is None or est.value > best[0].value:
             best = (est, g)
 
@@ -520,29 +504,33 @@ def spex_scan(
 def theorem2_gap(
     n: int,
     f: Graph,
-    tol: float = DEFAULT_TOL,
     instance_id: str = "",
 ) -> TheoremReport:
     """Finite-n sandwich around the spectral extremal limit 1 - 1/(r-1).
 
-    lower = mu(T_{r-1}(n))/n from the exact quotient; upper = spex(n, F)/n
+    lower = mu(T_{r-1}(n))/n from the Turan quotient; upper = spex(n, F)/n
     from the exhaustive scan.  Certifies lower <= upper and the Turan-graph
-    floor lower >= 1 - 1/(r-1) - (r-1)/(4 n^2); reports upper minus the
-    limit as the finite-n gap (its sign is unconstrained at small n).
+    floor lower >= 1 - 1/(r-1) - (r-1)/(4 n^2), each at the ends of the two
+    certified intervals; reports upper minus the limit as the finite-n gap
+    (its sign is unconstrained at small n).
     """
     r = chromatic_number(f)
     if r < 3:
         raise ValueError("limit statement needs chromatic number >= 3")
     if n < r - 1:
         raise ValueError("need n >= r - 1 so the Turan graph has r - 1 parts")
-    sizes = [s for s in turan_part_sizes(n, r - 1) if s > 0]
-    lower = quotient_mu_multipartite(sizes) / n
-    spex = spex_scan(n, f, tol=tol)
+    sizes = np.array(turan_part_sizes(n, r - 1), dtype=np.float64)  # all >= 1 as n >= r - 1
+    # the parts' quotient B_ij = s_j (i != j) has the Perron root of the whole
+    # graph; diag(s)^(1/2) B diag(s)^(-1/2) makes it symmetric, S_ij = sqrt(s_i s_j)
+    quotient = np.sqrt(np.outer(sizes, sizes)) * (1.0 - np.eye(len(sizes)))
+    turan = _estimate(*_perron(partial(_dense_matvec, quotient), len(sizes)))
+    spex = spex_scan(n, f)
+    lower = turan.value / n
     upper = spex.max_mu / n
     limit = 1.0 - 1.0 / (r - 1)
     turan_floor = limit - (r - 1) / (4.0 * n * n)
-    sandwich_ok = lower <= upper + EPS
-    floor_ok = lower >= turan_floor - EPS
+    sandwich_ok = turan.lower / n <= spex.mu.upper / n + EPS
+    floor_ok = turan.upper / n >= turan_floor - EPS
     verdict = Verdict.CONFIRMED if sandwich_ok and floor_ok else Verdict.VIOLATION
     notes = []
     if not sandwich_ok:

@@ -12,6 +12,7 @@ search against a version that rebuilds every part's cross mask per step.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
 
@@ -118,6 +119,42 @@ def certify_largest_root(g: Graph, value: float, width: float) -> bool:
     lo = Fraction(value) - Fraction(width)
     return exceeds_all_roots(polys, hi) and not exceeds_all_roots(polys, lo)
 
+
+
+def quotient_mu_multipartite(sizes: Iterable[int]) -> float:
+    """Exact Perron root of a complete multipartite graph via its quotient.
+
+    The parts form an equitable partition with r x r quotient matrix
+    B[i][j] = s_j for i != j, zero diagonal, whose Perron root equals mu of
+    the full graph.  The matrix determinant lemma factors the
+    characteristic polynomial as
+
+        det(xI - B) = prod_i (x + s_i) * (1 - sum_i s_i / (x + s_i)),
+
+    and on x > 0 the second factor is strictly increasing with a single
+    sign change at the Perron root, so bisection over [0, sum(sizes)] is
+    sound.  Absolute error <= 1e-12 * sum(sizes).
+    """
+    szs = part_sizes(sizes)
+    if len(szs) < 2:
+        raise ValueError("quotient needs r >= 2 parts (single part => mu = 0)")
+    total = sum(szs)
+
+    def above(x: float) -> bool:
+        # sign of det(xI - B) for x > 0: positive iff x exceeds the Perron root
+        return sum(s / (x + s) for s in szs) < 1.0
+
+    lo, hi = 0.0, float(total)
+    target = 1e-12 * total
+    while hi - lo > target:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # float resolution reached
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 # ---------------------------------------------------------------------------
 # brute-force enumerators

@@ -22,7 +22,6 @@ from spectral_turan import (
     max_balanced_biclique,
     parse_graph6,
     proof_chain_check,
-    quotient_mu_multipartite,
     spectral_radius,
     spex_scan,
     theorem2_gap,
@@ -40,6 +39,7 @@ from oracles import (
     k100_minus_50_edges,
     oracle_count_cliques,
     partitions_upto,
+    quotient_mu_multipartite,
 )
 
 GNP_GRID = [(n, p, r) for n in (10, 20, 40, 60) for p in (0.2, 0.5, 0.8) for r in (2, 3, 4)]

@@ -171,6 +171,44 @@ def test_scan_bound_is_fixed(command, capsys):
     assert "unrecognized arguments: --max-n 9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mu", "verify fact1 --r 3", "gap --n 5 --f K3"])
+def test_tol_flag_is_gone(command, capsys):
+    code = cli_main(command.split() + ["--turan", "6,2"] * (command != "gap --n 5 --f K3")
+                    + ["--tol", "1e-9"])
+    assert code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "gen gnp --n 5 --p 0.5 --count 0 --format edgelist",
+    "gen gnp --n 5 --p 0.5 --count -1",
+    "mu --gnp 5,0.5 --count 0",
+    "verify fact1 --turan 6,2 --gnp 5,0.5 --count 0 --r 3",
+])
+def test_count_below_one_is_a_usage_error(argv, capsys):
+    code = cli_main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "argument --count: must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("seeds", ["5..1", ","])
+def test_empty_seed_spec_is_a_usage_error(seeds, capsys):
+    code = cli_main(["biclique-scan", "--n", "10", "--p", "0.5", "--seeds", seeds])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "names no seed" in captured.err
+
+
+@pytest.mark.parametrize("check", ["fact2", "theorem1"])
+def test_huge_r_is_vacuous_not_a_crash(check, capsys):
+    code, out = run_cli(["verify", check, "--turan", "10,2", "--r", "2000", "--c", "2"], capsys)
+    assert code == 0
+    (rep,) = load_jsonl(out)
+    assert rep["verdict"] == "vacuous"
+    assert rep["quantities"]["t_target"] == 0.0
+
+
 # one argv per subcommand that writes reports
 ECHO_ARGV = {
     "mu": "mu --turan 6,2",
@@ -350,67 +388,67 @@ def test_in_file_graph6_lines(tmp_path, capsys):
 # purpose, and never with the thread count.
 GOLDEN = {
     "mu": ("mu --turan 6,2 --gnp 12,0.4 --count 2", 0,
-        "48e0acb5a74950aa6d469f44bec354754aa8ae48110f5ce10f3ecba69cc1ccc9"),
+        "d0589ae2fcf33dacdecd77bfdf1dd56195ca87c52ade464fc3d1ae96e5fd11af"),
     "mu-g70": ("mu --in g70.g6", 0,
-        "330dc6849788c0030ba9c7f0fa58277e254e55c4031e73628cd816cf02a049e7"),
+        "dc8565727396683caa7ed6fb2d68395100cf46f57513eeab7fdf5a502335757c"),
     "cliques": ("cliques --r 3 --in g9.txt --in-format edgelist --multipartite 2,2,3", 0,
-        "1ea6b6da7f7824aa26235a01284ebc0116ff0ebdf64025f39fd2aa44d7a4cbd5"),
+        "16bbcbeb9b5686a9bacfbd9674c5f2207a94a8ceb1571fa521df63b28e758d3e"),
     "find-kpartite": ("find-kpartite --sizes 2,3 --multipartite 2,3 --gnp 9,0.3 --count 3", 0,
-        "2dda686dd21d1ab921f2354de294db8c3ed06661d2c0f91f6c6553e4305b4ad0"),
+        "d226c2575e0a7ffa408f31c7edb8e1e1f6d5ef7c3c332860c81506428f9efd68"),
     "find-kpartite-budget": ("find-kpartite --sizes 6,6 --gnp 16,0.5 --budget 2", 0,
-        "2452b419332eb034ea2ed70fc7642deae4520eef0621cec69ee19bd502aff8c7"),
+        "cf42d848a32d1af5cf87dd681bb99e4c6dfd6cd3eef40d600321397bf68a18ee"),
     "find-kpartite-g70": ("find-kpartite --sizes 2,2 --in g70.g6", 0,
-        "3936ed47bc9029b4631f8cfc577a4f552b4b9ca7a2a6006b57ceb570df9b9faf"),
+        "9a44ae96af50c66fff13a54eef95137e56a182832985136bd8e423397fee8065"),
     "spex": ("spex --n 5 --f K3", 0,
-        "b4c3e88e0323a5543c7a7deb1d7f2a440490dc92571a26a4155327eef0763bc3"),
+        "674a352ef0686addfff5776313ecb97366252885b5f8e21ba6ad7bfe187fca86"),
     "gap": ("gap --n 5 --f C5", 0,
-        "11d421e37cba09aba5a71cf99a7ca5ccc5957633d31400b8ee084f7eeecf729d"),
+        "3bfbfa3031038bcfc653aaa09df283ed6f8b2227935e4b0bae440b5aa88dfa8c"),
     "biclique-scan": ("biclique-scan --n 18 --p 0.5 --seeds 1..3", 0,
-        "c3587f4d4ef9a4d640392b1031be042570a26c114e00c24e787a8478f131733a"),
+        "79a5d191b7d564d164df04d4d3bbdad11326e9112582c8cade4d4ee7ec3993ee"),
     "biclique-scan-budget": ("biclique-scan --n 18 --p 0.5 --seeds 4,5 --budget 5", 0,
-        "204841fd4dec71dde0f993db5d5d68317cc5da44ef93d4fdd5794b5d1c61fb45"),
+        "245b2a7aa6fc325e1ed0a39b44d216ca3b7cd01102e27db7f7599fb9d6528fae"),
     "biclique-scan-alarm": ("biclique-scan --n 30 --p 1 --seeds 1", 0,
-        "6b8359a7979cbc24fc01f84a16dff5107060b626cd5a955836e9eaf9ac3a3edc"),
+        "89d4bb862bd8ab402b11f4d86e265fd86265476dbda7e01b7512b257658212bd"),
     "fact1": ("verify fact1 --gnp 20,0.5 --count 4 --seed 3 --r 2,3", 0,
-        "735dd8fb8deebbd230a8b2dec2fb56697d47ae7f89cec553fd3de569ba44e385"),
+        "732ce344b2e7806889dcb77def8e81bef72c66677fa916fd4d74150254c4e843"),
     "fact1-g70": ("verify fact1 --in g70.g6 --r 3", 0,
-        "1c127f6307898690420b6fb597edee1c58c0ba89e94f696d8f3a6ff0be25d2f2"),
+        "ffb1d7f5586cfe02cbc3bfea774ec3e71d1a1e5de2ff86e168fa0c2086832e75"),
     "fact2-confirmed": ("verify fact2 --turan 100,100 --r 2 --c 0.49", 0,
-        "5578bdd757c111c4d53376d2bf57c4762276b7b1c5888f833c4767fb42452caa"),
+        "c4a85049c2f05280c34391fb4e8d145b1fd4bb4bf509305b0f81259dd85560f0"),
     "fact2-budget": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --budget 1", 0,
-        "282e29614d305e150a86b8bbe0a99159d70336bc15c19615504bfa7882a1537b"),
+        "869c65223475f47d4e7f6fd299c31870ba8aea14ecc0df0374fd3bebf164ae47"),
     "fact2-strict": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --budget 1 --strict", 3,
-        "ff00e1c152daa378cd5e391135ef4d4dd2b43cd4919ea945f38f0682010a354f"),
+        "9c4e41fcf4154c977a5f7586e0b3c96d0f9c26a437d17fd05b45587a516ffe12"),
     "fact2-vacuous": ("verify fact2 --gnp 12,0.5 --r 2,3 --c 0.3", 0,
-        "26eaa3d2fe3813c036b49e6983f4b6f194d67b9c720aead0ef5bb274b6626f4d"),
+        "2abf44a348f05a525e59e9d170bd7d9f9d91410e976d3d877c1de872279af2c7"),
     "fact3": ("verify fact3 --n-max 12 --r-max 4", 0,
-        "275b4858401d38347a5fe42914e22162cba6befb4923cd58cd29224bd4b34e6b"),
+        "9924e4de849aa5763b06ed0de6655d09d493532d3974ec62a8f5708d4b3d8e81"),
     "theorem1": ("verify theorem1 --gnp 20,0.6 --count 2 --r 3 --c 0.3,2", 0,
-        "5e66bfd82c658a7728c35a798e22b01a4deeb30c6f2d4bd65693ec5a18c64339"),
+        "65d54fe0e2773ba44a9a652d3fe64a573035ff867b9bf9fc275f0caf1a49d703"),
     "chain": ("verify chain --multipartite 1,1,1,1,1,1,1,1,1 --gnp 10,0.3 --r 3,4 --c 0.05,0.1", 0,
-        "fe70100e798a61ed473b6d7052f4559ff110ee0a3f39f54ff8ef3080f4983dda"),
+        "0ab500d0d889b505b66ce76f635ccea41ff0cdc4208f2040381d72c537dc3f36"),
     "csv-mu": ("mu --turan 6,2 --format csv", 0,
-        "5c622749e723d787bc836b24c188774091c9bfbfb96f22ec6502888ccb86925f"),
+        "653f3e5016057a4508a1979917ea48e85b11d52628cab7064038f94f47afa86d"),
     "csv-cliques": ("cliques --r 3 --multipartite 2,2,3 --format csv", 0,
         "19ebdf6f313136cfbd6f97abc94021d74ef2a5f8cf06b33024a7df237b16cbd7"),
     "csv-find-kpartite": ("find-kpartite --sizes 2,3 --multipartite 2,3 --format csv", 0,
         "5683600e7e578935531678f7bc516a5a56e25cab4b60c2cdfb27866aa04e113a"),
     "csv-spex": ("spex --n 5 --f K3 --format csv", 0,
-        "ab54e2555f6df3de4876d2a58140eddc819c1eb04f14b1aeee9dc15c8ab9ecaa"),
+        "9b814a5d90a2b5ab952fed6b3815a3458ec0f9e57c01bdc0dcad5130f1e33231"),
     "csv-gap": ("gap --n 5 --f C5 --format csv", 0,
         "fe5df82a2632a70c1bb9d02afa5a1b450fbd712d108da960980bdb827b2ca10f"),
     "csv-biclique-scan": ("biclique-scan --n 18 --p 0.5 --seeds 1 --format csv", 0,
         "f5f2e9b32dceafeec157e22dcad09afabe56fa332c5288c80c4813a219cd574b"),
     "csv-fact1": ("verify fact1 --turan 10,3 --r 2,3 --format csv", 0,
-        "7877da82cd8952b6216c6516200ee28f60eba86f694488fe936aefa37bf5fe28"),
+        "72f8c4cbe5b16ca49dd09d771ada917dc4c1097e1d2f03e62dbaf3fd8e03bc98"),
     "csv-fact2": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --format csv", 0,
         "c47faf7c4bd109207824e80ddeed9ca6ee6cea7ae4cd22a1f1b3918b2d784493"),
     "csv-fact3": ("verify fact3 --n-max 3 --r-max 2 --format csv", 0,
         "ba7b671c3d8324bbe6a8cbfaee459be63c4c4937c70ba45c5b85f7d5a790eec6"),
     "csv-theorem1": ("verify theorem1 --turan 9,3 --r 3 --c 0.3 --format csv", 0,
-        "d29de533263d9498af099a8a625d01920882ee5d71234ba162deb7b2aecf3fd3"),
+        "f4e21550a1806f7945c031691e91a9137b5ae73d82d9a43d658ffd7165fcb445"),
     "csv-chain": ("verify chain --turan 9,3 --r 3 --c 0.05 --format csv", 0,
-        "6035aca02dfdb20beaf3b3e72e999eda5b3c9e440992ea1e7df7a4784ac575b5"),
+        "e1549c9bfac2d219a8df85dfb0a1a9faf7ec9b63268547d4e1d0b27e6ff635e5"),
 }
 
 

@@ -1,4 +1,7 @@
 import math
+import time
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,14 +12,21 @@ from spectral_turan import (
     complete_multipartite,
     cycle_graph,
     gnp,
-    quotient_mu_multipartite,
     spectral_radius,
     turan_graph,
 )
 
+from spectral_turan import spectral
 from spectral_turan.spectral import _DENSE_LIMIT, _adjacency_matvec
 
-from oracles import all_graphs, certify_largest_root
+from oracles import (
+    all_graphs,
+    certify_largest_root,
+    charpoly,
+    exceeds_all_roots,
+    poly_derivatives,
+    quotient_mu_multipartite,
+)
 
 SAMPLE = [
     complete_graph(5),
@@ -93,16 +103,107 @@ def test_sparse_matvec_path():
     assert est.lower - 1e-9 <= mu <= est.upper + 1e-9
 
 
-def test_unconverged_flag_on_tiny_iteration_cap():
-    est = spectral_radius(gnp(25, 0.4, 3), max_iter=1)
+def test_unconverged_flag_on_tiny_iteration_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITER", 1)
+    g = gnp(25, 0.4, 3)
+    est = spectral_radius(g)
     assert not est.converged
+    assert est.iterations == 1
+    # the capped bracket is wider but still encloses the Perron root
+    assert est.lower <= np.linalg.eigvalsh(g.to_bits().astype(float))[-1] <= est.upper
 
 
 def test_domain_errors():
     with pytest.raises(ValueError):
         spectral_radius(Graph.empty(0))
-    with pytest.raises(ValueError):
-        spectral_radius(complete_graph(3), tol=0.0)
+    with pytest.raises(TypeError):
+        spectral_radius(complete_graph(3), tol=1e-10)  # the stopping rule is fixed
+
+
+def _union(*graphs: Graph) -> Graph:
+    edges, offset = [], 0
+    for h in graphs:
+        edges += [(u + offset, v + offset) for u, v in h.edges()]
+        offset += h.n
+    return Graph.from_edges(offset, edges)
+
+
+def _assert_encloses_perron_root(g: Graph, est) -> None:
+    """Exact check that the float interval ends bracket the largest root."""
+    polys = poly_derivatives(charpoly(g))
+    assert not exceeds_all_roots(polys, Fraction(est.lower))
+    assert exceeds_all_roots(polys, Fraction(est.upper))
+
+
+# networkx's graph_atlas(759) and graph_atlas(979): 7 vertices each, with
+# spectral radii 8.6e-6 apart
+ATLAS_759 = Graph.from_edges(7, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5),
+                                 (1, 6), (2, 3), (2, 5), (3, 4)])
+ATLAS_979 = Graph.from_edges(7, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (1, 6), (2, 3),
+                                 (2, 4), (2, 6), (3, 4), (3, 5), (4, 5)])
+
+
+def test_near_tie_union_converges_quickly():
+    g = _union(ATLAS_759, ATLAS_979)
+    t0 = time.perf_counter()
+    est = spectral_radius(g)
+    elapsed = time.perf_counter() - t0
+    assert est.converged
+    assert elapsed < 1.0
+    mu = np.linalg.eigvalsh(g.to_bits().astype(float))[-1]
+    assert est.lower <= mu <= est.upper
+    _assert_encloses_perron_root(g, est)
+
+
+@pytest.mark.parametrize("g", [
+    _union(complete_graph(4), Graph.empty(3), complete_graph(4)),
+    # the star K_{1,4} and the 4-cycle both have mu = 2
+    _union(Graph.empty(2), complete_multipartite((1, 4)), cycle_graph(4), Graph.empty(1)),
+    _union(ATLAS_979, Graph.empty(4)),
+])
+def test_components_and_isolated_vertices_enclose(g):
+    est = spectral_radius(g)
+    assert est.converged
+    mu = np.linalg.eigvalsh(g.to_bits().astype(float))[-1]
+    assert est.lower <= mu <= est.upper
+    _assert_encloses_perron_root(g, est)
+
+
+def _lollipop(clique: int, tail: int) -> Graph:
+    """K_clique with a path of ``tail`` more vertices hanging off its last vertex."""
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(v, v + 1) for v in range(clique - 1, clique + tail - 1)]
+    return Graph.from_edges(clique + tail, edges)
+
+
+# the Perron vector decays by a factor ~19 per step along the tail, so past
+# ~240 steps its entries are below the smallest double; a tail of 300 or of
+# 2100 moves the Perron root by less than 19^-600
+@pytest.mark.parametrize("g", [
+    _lollipop(20, 300),  # dense matvec
+    _union(_lollipop(20, 300), Graph.empty(1)),  # a component's edge arrays
+    _lollipop(20, 2100),  # whole-graph edge arrays, above _DENSE_LIMIT
+])
+def test_perron_vector_past_the_float_range_is_rescaled(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no underflow to 0/0
+        est = spectral_radius(g)
+    assert est.converged
+    mu = np.linalg.eigvalsh(_lollipop(20, 300).to_bits().astype(float))[-1]
+    assert est.lower <= mu <= est.upper
+
+
+def test_edgeless_graph_runs_once_on_its_zero_matrix():
+    est = spectral_radius(Graph.empty(5))
+    assert (est.value, est.residual, est.iterations, est.converged) == (0.0, 0.0, 1, True)
+
+
+def test_complete_bipartite_encloses_exact_root():
+    est = spectral_radius(complete_multipartite((20, 21)))
+    assert est.converged
+    assert type(est.value) is float and type(est.residual) is float  # repr in csv output
+    # mu(K_{20,21}) = sqrt(420), compared exactly through squares
+    assert Fraction(est.lower) ** 2 <= 420 <= Fraction(est.upper) ** 2
 
 
 def test_quotient_examples():

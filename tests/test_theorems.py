@@ -26,7 +26,7 @@ from spectral_turan import (
     turan_graph,
 )
 
-from spectral_turan import theorems
+from spectral_turan import spectral, theorems
 
 from oracles import (
     brute_contains_injection,
@@ -65,20 +65,29 @@ def test_fact1_check_examples():
     assert rep.quantities["rhs_low"] < 0
 
 
-def test_fact1_interval_honesty():
-    for g in [gnp(20, 0.5, 3), turan_graph(15, 4), complete_graph(9)]:
-        for r in (2, 3):
-            coarse = fact1_check(g, r, tol=1e-10)
-            fine = fact1_check(g, r, tol=1e-11)
-            assert coarse.verdict is fine.verdict
+def test_fact1_bound_saturates_past_the_float_range():
+    # (n/r)^r = 9.375^320 > 1e308, with a negative factor in front
+    rep = fact1_check(Graph.empty(3000), 320)
+    assert rep.verdict is Verdict.CONFIRMED
+    assert rep.quantities["rhs_low"] == rep.quantities["rhs_high"] == -math.inf
+    assert fact1_rhs(3000, 320, 2999.0) == math.inf
 
 
-def test_chain_interval_honesty():
-    for g in [complete_graph(12), turan_graph(12, 4), gnp(15, 0.7, 1)]:
-        for c in (0.05, 0.2):
-            coarse = proof_chain_check(g, 3, c, tol=1e-10)
-            fine = proof_chain_check(g, 3, c, tol=1e-11)
-            assert coarse.verdict is fine.verdict
+def test_capped_iteration_still_decides_at_the_interval_ends(monkeypatch):
+    # one iteration brackets mu by the min and max degree; that interval is
+    # wide but certified, so the checkers decide at its ends
+    monkeypatch.setattr(spectral, "_MAX_ITER", 1)
+    g = Graph.from_edges(9, [e for e in complete_graph(9).edges() if e != (0, 1)])
+    rep = fact1_check(g, 3)
+    assert not rep.mu.converged and rep.mu.lower < 7.0 < 8.0 < rep.mu.upper
+    assert rep.verdict is Verdict.CONFIRMED
+    # threshold 6.3 is below the min degree 7: the hypothesis holds at the lower end
+    rep = theorem1_check(g, 3, 0.2)
+    assert rep.hypothesis_satisfied and rep.verdict is Verdict.VACUOUS
+    assert "precondition" in rep.notes
+    # threshold 7.2 lies inside the capped interval, so it is not established
+    rep = proof_chain_check(g, 3, 0.3)
+    assert rep.verdict is Verdict.VACUOUS and "not established" in rep.notes
 
 
 def test_fact1_domain():
@@ -137,6 +146,20 @@ def test_theorem1_params_floor_positive_when_precondition_holds():
             assert s >= 1
 
 
+def test_theorem1_params_decide_huge_powers_by_their_logarithm():
+    # c^(r-1) = 1e390 is past the float range, so n^(1 - c^(r-1)) is 0
+    assert theorem1_params(40, 1e10, 10) == (0, 0.0, False)
+    assert theorem1_params(40, 1e10, 1) == (0, 1.0, False)
+    # r^r at r = 2000 is past it too; (c/r^r)^r ln n is then 0
+    assert theorem1_params(2000, 2.0, 10) == (0, 0.0, False)
+
+
+def test_theorem1_huge_r_is_vacuous():
+    rep = theorem1_check(turan_graph(10, 2), 2000, 2.0)
+    assert rep.verdict is Verdict.VACUOUS
+    assert (rep.quantities["s_target"], rep.quantities["t_target"]) == (0, 0.0)
+
+
 def test_theorem1_check_vacuous_paths():
     # K9 satisfies the spectral hypothesis at c = 0.3 but fails the precondition
     rep = theorem1_check(complete_graph(9), 3, 0.3)
@@ -174,6 +197,16 @@ def test_proof_chain_examples():
     assert abs(rep.quantities["bound_strict"] - 32.4) <= 1e-9
 
 
+def test_proof_chain_bounds_past_the_float_range():
+    # K_150 meets the hypothesis at r = 149, c = 5e-5, where r^r > 1e308
+    c = 5e-5
+    rep = proof_chain_check(complete_graph(150), 149, c)
+    assert rep.verdict is Verdict.CONFIRMED and rep.kr == 150
+    weak = c * (150 / 149) ** 149
+    assert abs(rep.quantities["bound_weak"] - weak) <= 1e-12 * weak
+    assert abs(rep.quantities["bound_strict"] - 147 * weak) <= 1e-12 * 147 * weak
+
+
 def test_proof_chain_never_violates_on_complete_graphs():
     for n in range(6, 26):
         for r in (3, 4):
@@ -206,6 +239,15 @@ def test_fact2_vacuous_paths():
     rep = fact2_check(complete_graph(30), 3, 1 / 6)
     assert rep.verdict is Verdict.VACUOUS
     assert "precondition" in rep.notes
+
+
+def test_fact2_huge_r_saturates_and_is_vacuous():
+    # c n^r = 2 * 10^2000 and c^r ln n = 2^2000 ln 10 are past the float range
+    rep = fact2_check(turan_graph(10, 2), 2000, 2.0)
+    assert rep.verdict is Verdict.VACUOUS
+    q = rep.quantities
+    assert q["count_threshold"] == math.inf
+    assert (q["s_target"], q["t_target"], q["precondition_met"]) == (math.inf, 0.0, True)
 
 
 def test_fact2_witness_budget_exhausted_is_indeterminate():
