@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .cliques import count_cliques
+from .cliques import CliqueCountOverflowError, count_cliques
 from .graphs import (
     Graph,
     Graph6Error,
@@ -521,7 +521,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, Graph6Error, ValueError, OSError) as exc:
+    except (UsageError, Graph6Error, ValueError, OSError, CliqueCountOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

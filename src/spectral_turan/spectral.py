@@ -127,7 +127,14 @@ def _bits_matvec(bits: np.ndarray, e: np.ndarray | None = None):
 
 
 def _components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the components with an edge, by bitset BFS; [] if g is connected."""
+    """Vertex lists of the components with an edge, by bitset BFS; [] if g is connected.
+
+    Minimum degree >= (n - 1)/2 proves connectivity without the BFS: two
+    non-adjacent vertices then have n - 1 > n - 2 neighbours in all, so they
+    share one.
+    """
+    if all(2 * g.degree(v) >= g.n - 1 for v in range(g.n)):
+        return []
     unseen = full = (1 << g.n) - 1
     comps = []
     while unseen:

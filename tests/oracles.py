@@ -5,7 +5,8 @@ the characteristic polynomial is built in exact integer arithmetic, root
 enclosures are certified by exact sign tests, the subgraph/multipartite
 enumerators are plain itertools sweeps with pairwise adjacency probes, the
 bit-matrix layer (G(n, p), graph6 decoding, degeneracy order) is checked
-against scalar pair-by-pair and vertex-by-vertex loops, and the multipartite
+against scalar pair-by-pair and vertex-by-vertex loops, clique counting
+against pure bitset extension without numpy base cases, and the multipartite
 search against a version that rebuilds every part's cross mask per step.
 """
 
@@ -208,6 +209,44 @@ def oracle_count_cliques(g: Graph, r: int) -> int:
         if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
             count += 1
     return count
+
+
+def oracle_count_cliques_bitset(g: Graph, r: int) -> int:
+    """Exact r-clique count by ordered bitset extension alone, at any n:
+    partial cliques grow in increasing position of a degeneracy order, the
+    candidate set being the bit-intersection of forward neighbourhoods, so
+    each clique is generated exactly once.  No numpy base case."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    n = g.n
+    if r > n:
+        return 0
+    if r == 1:
+        return n
+    if r == 2:
+        return g.edge_count()
+
+    # forward[v] = neighbors of v that come later in the degeneracy order
+    forward = [0] * n
+    later = 0
+    for v in reversed(oracle_degeneracy_order(g)):
+        forward[v] = g.row(v) & later
+        later |= 1 << v
+
+    def extend(cand: int, need: int) -> int:
+        if need == 1:
+            return cand.bit_count()
+        if cand.bit_count() < need:
+            return 0
+        total = 0
+        m = cand
+        while m:
+            b = m & -m
+            m ^= b
+            total += extend(forward[b.bit_length() - 1] & cand, need - 1)
+        return total
+
+    return extend((1 << n) - 1, r)
 
 
 def oracle_chromatic_number(g: Graph) -> int:

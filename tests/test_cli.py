@@ -345,6 +345,19 @@ def test_worker_error_becomes_usage_exit(threads, monkeypatch, capsys):
     assert (code, captured.out, captured.err) == (2, "", "error: fact1 requires r >= 2\n")
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_clique_count_overflow_is_an_input_error(threads, monkeypatch, capsys):
+    # exit 1 means a VIOLATION report; an over-limit count is an input error
+    import spectral_turan.cliques as cl
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cl, "_COUNT_LIMIT", 5)
+    code = cli_main(["cliques", "--r", "3", "--gnp", "10,0.9", "--count", "3", "--threads", threads])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: clique count exceeds 128-bit limit\n")
+
+
 @pytest.mark.parametrize(
     "exc, attrs",
     [

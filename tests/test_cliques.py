@@ -13,11 +13,13 @@ from spectral_turan import (
     turan_graph,
 )
 
+import spectral_turan.cliques as cl
 from spectral_turan.cliques import degeneracy_order
 
 from oracles import (
     all_graphs,
     oracle_count_cliques,
+    oracle_count_cliques_bitset,
     oracle_degeneracy_order,
     petersen,
     seeded_graph_sample,
@@ -90,6 +92,18 @@ def test_complete_graph_counts_are_binomials():
         g = complete_graph(n)
         for r in range(1, n + 1):
             assert count_cliques(g, r) == math.comb(n, r)
+    for n, rs in ((40, range(3, 9)), (300, (4, 5))):
+        for r in rs:
+            assert count_cliques(complete_graph(n), r) == math.comb(n, r)
+
+
+def _multipartite_cliques(sizes, r):
+    """e_r of the part sizes: an r-clique takes one vertex from each of r parts."""
+    e = [1] + [0] * r
+    for s in sizes:
+        for k in range(r, 0, -1):
+            e[k] += s * e[k - 1]
+    return e[r]
 
 
 def test_turan_graph_counts():
@@ -97,6 +111,13 @@ def test_turan_graph_counts():
     g = complete_multipartite((3, 2, 2))
     assert count_cliques(g, 3) == 3 * 2 * 2
     assert count_cliques(g, 4) == 0
+    assert count_cliques(turan_graph(60, 5), 4) == _multipartite_cliques((12,) * 5, 4)
+    # (25, 25) is dense, but every forward set is independent
+    for sizes in ((12,) * 5, (25, 25), (9, 8, 7, 5, 3, 1), (20, 1, 1, 1, 17)):
+        g = complete_multipartite(sizes)
+        for r in range(3, 7):
+            want = _multipartite_cliques(sizes, r)
+            assert count_cliques(g, r) == want == oracle_count_cliques_bitset(g, r)
 
 
 def test_oracle_domain_limit():
@@ -112,3 +133,69 @@ def test_overflow_guard(monkeypatch):
     monkeypatch.setattr(cl, "_COUNT_LIMIT", 5)
     with pytest.raises(cl.CliqueCountOverflowError):
         cl.count_cliques(complete_graph(5), 3)
+
+
+@pytest.mark.parametrize("g, rs", [
+    (gnp(80, 0.8, 1), (3, 4, 5, 6)),
+    (gnp(120, 0.9, 2), (5,)),
+    (gnp(700, 0.1, 3), (4, 5)),
+    (gnp(200, 0.3, 4), (4, 5)),
+    (complete_graph(40), (3, 4, 5)),
+], ids=["G(80,.8)", "G(120,.9)", "G(700,.1)", "G(200,.3)", "K40"])
+def test_bitset_oracle_equivalence_beyond_brute_force(g, rs):
+    for r in rs:
+        assert count_cliques(g, r) == oracle_count_cliques_bitset(g, r), r
+
+
+def _record_blocks(monkeypatch):
+    blocks = []
+    real = cl._blas_count
+
+    def spy(block, need):
+        blocks.append((len(block), need))
+        return real(block, need)
+
+    monkeypatch.setattr(cl, "_blas_count", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_blas_switch_at_threshold_vertices(r, monkeypatch):
+    # the forward sets of K_n are cliques of every size below n; one of
+    # _BLAS_MIN_VERTICES vertices has C(12, 2) = 66 >= _BLAS_MIN_EDGES edges
+    # and switches, one of threshold - 1 vertices (55 edges) walks
+    t = cl._BLAS_MIN_VERTICES
+    assert math.comb(t - 1, 2) < cl._BLAS_MIN_EDGES <= math.comb(t, 2)
+    blocks = _record_blocks(monkeypatch)
+    assert count_cliques(complete_graph(t), r) == math.comb(t, r)
+    assert blocks == []
+    assert count_cliques(complete_graph(t + 1), r) == math.comb(t + 1, r)
+    assert blocks == [(t, r - 1)]
+
+
+def test_sparse_sets_keep_the_bitset_walk(monkeypatch):
+    # G(700, .1): forward sets of ~40 vertices with ~2 edges per vertex; the
+    # 4-clique GEMM would cost more than the walk, so none is built
+    blocks = _record_blocks(monkeypatch)
+    count_cliques(gnp(700, 0.1, 3), 5)
+    assert blocks == []
+    assert count_cliques(complete_multipartite((25, 25)), 4) == 0
+    assert blocks == []
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_every_set_through_blas(chunk, monkeypatch):
+    # drive every candidate set that needs 3 or 4 vertices through the
+    # base cases, at several Y chunk sizes, empty and tiny blocks included
+    monkeypatch.setattr(cl, "_BLAS_MIN_VERTICES", 0)
+    monkeypatch.setattr(cl, "_BLAS_MIN_EDGES", 0)
+    monkeypatch.setattr(cl, "_BLAS_EDGES_PER_VERTEX", 0)
+    monkeypatch.setattr(cl, "_EDGE_CHUNK", chunk)
+    blocks = _record_blocks(monkeypatch)
+    for g in seeded_graph_sample(40, 4, 14, base_seed=9100):
+        for r in (4, 5, 6):
+            assert count_cliques(g, r) == oracle_count_cliques(g, r)
+    for g in (gnp(60, 0.5, 5), gnp(50, 0.9, 6), petersen(), turan_graph(30, 4)):
+        for r in (4, 5, 6):
+            assert count_cliques(g, r) == oracle_count_cliques_bitset(g, r)
+    assert {need for _, need in blocks} == {3, 4}

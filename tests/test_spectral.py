@@ -169,6 +169,18 @@ def test_components_and_isolated_vertices_enclose(g):
     _assert_encloses_perron_root(g, est)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 11])
+def test_components_at_the_minimum_degree_boundary(k, monkeypatch):
+    # two disjoint K_k have minimum degree (n - 2)/2, one below the bound
+    # that proves connectivity, and must still split
+    two = _union(complete_graph(k), complete_graph(k))
+    assert spectral._components(two) == ([list(range(k)), list(range(k, 2 * k))] if k > 1 else [])
+    # K_{k, k+1} sits at minimum degree k = (n - 1)/2: connected, and
+    # proved so without the BFS
+    monkeypatch.setattr(spectral, "iter_bits", None)
+    assert spectral._components(complete_multipartite((k, k + 1))) == []
+
+
 def _lollipop(clique: int, tail: int) -> Graph:
     """K_clique with a path of ``tail`` more vertices hanging off its last vertex."""
     edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
