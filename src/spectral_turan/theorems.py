@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -447,9 +447,22 @@ def spex_scan(
 
     mu is monotone under edge addition and F-freeness survives edge
     deletion, so only maximal F-free graphs (no addable edge) need their
-    eigenvalue computed.  The scan decides edges one by one: an edge whose
-    inclusion creates an F-copy is pruned immediately (supersets only get
-    worse), exclusions are rechecked for maximality at the leaves.
+    eigenvalue computed.  The scan decides the C(n, 2) vertex pairs in
+    lexicographic order, first with the pair as an edge, then without it.
+
+    Graphs are masks over the pair indices.  Every labeled copy of F in K_n
+    is listed once, as the mask of the pairs it uses, and filed under each
+    of its pairs.  Along the search path the scan keeps the edge mask and a
+    ``blocked`` mask: the pairs whose addition would complete a copy.  When
+    a pair becomes an edge, a copy through it with exactly one pair still
+    missing blocks that pair; a copy of a one-edge pattern is blocked from
+    the start.  Since the graph stays F-free, G + e contains F exactly when
+    e is blocked.  So a blocked pair is excluded without branching, and a
+    leaf is maximal exactly when every non-edge is blocked.  These are the
+    answers subgraph embedding gave for the same questions, so the tree,
+    the order of the maximal leaves, the single spectral_radius call per
+    leaf and the strict ``>`` that picks the first best are unchanged, and
+    with them the witness and every reported number.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -458,46 +471,41 @@ def spex_scan(
     if contains_subgraph(Graph.empty(n), f):
         raise ValueError("pattern is contained in every graph of this order")
     pairs = list(combinations(range(n), 2))
-    rows = [0] * n
+    bit = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        bit[u][v] = bit[v][u] = 1 << i
+    f_edges = list(f.edges())
+    copies = {sum(bit[p[u]][p[v]] for u, v in f_edges) for p in permutations(range(n), f.n)}
+    # through[i]: the other pairs of each copy that uses pair i
+    through = [[m ^ 1 << i for m in copies if m >> i & 1] for i in range(len(pairs))]
+    last = len(pairs)
+    everything = (1 << last) - 1
     best: tuple[SpectralEstimate, Graph] | None = None
     maximal = 0
 
-    def current() -> Graph:
-        return Graph(n, list(rows), validate=False)
-
-    def leaf(excluded: list[tuple[int, int]]) -> None:
+    def decide(i: int, edges: int, blocked: int) -> None:
         nonlocal best, maximal
-        g = current()
-        for u, v in excluded:
-            if not contains_subgraph(g.add_edge(u, v), f):
+        if i == last:
+            if edges | blocked != everything:
                 return  # an edge is still addable: dominated by a supergraph
-        maximal += 1
-        est = spectral_radius(g)
-        if best is None or est.value > best[0].value:
-            best = (est, g)
-
-    def decide(i: int, excluded: list[tuple[int, int]]) -> None:
-        if i == len(pairs):
-            leaf(excluded)
+            maximal += 1
+            g = Graph.from_edges(n, (pairs[k] for k in iter_bits(edges)))
+            est = spectral_radius(g)
+            if best is None or est.value > best[0].value:
+                best = (est, g)
             return
-        u, v = pairs[i]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        creates = contains_subgraph(current(), f)
-        if not creates:
-            decide(i + 1, excluded)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        if creates:
-            # justified exclusion: adding this edge creates F in the current
-            # graph, hence in every supergraph; no recheck needed at leaves
-            decide(i + 1, excluded)
-        else:
-            excluded.append((u, v))
-            decide(i + 1, excluded)
-            excluded.pop()
+        if not blocked >> i & 1:
+            grown = edges | 1 << i
+            absent = ~grown
+            now_blocked = blocked
+            for rest in through[i]:
+                missing = rest & absent
+                if missing & (missing - 1) == 0:
+                    now_blocked |= missing
+            decide(i + 1, grown, now_blocked)
+        decide(i + 1, edges, blocked)
 
-    decide(0, [])
+    decide(0, 0, sum(m for m in copies if m & (m - 1) == 0))
     return SpexResult(*best, maximal)
 
 

@@ -6,8 +6,10 @@ enclosures are certified by exact sign tests, the subgraph/multipartite
 enumerators are plain itertools sweeps with pairwise adjacency probes, the
 bit-matrix layer (G(n, p), graph6 decoding, degeneracy order) is checked
 against scalar pair-by-pair and vertex-by-vertex loops, clique counting
-against pure bitset extension without numpy base cases, and the multipartite
-search against a version that rebuilds every part's cross mask per step.
+against pure bitset extension without numpy base cases, the multipartite
+search against a version that rebuilds every part's cross mask per step, and
+the spectral extremal scan against its decision tree driven by subgraph
+embedding instead of precomputed F-copies.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from itertools import combinations
 
 import numpy as np
 
-from spectral_turan import Graph, gnp
+from spectral_turan import (
+    Graph,
+    SpectralEstimate,
+    SpexResult,
+    contains_subgraph,
+    gnp,
+    spectral_radius,
+)
 from spectral_turan.graphs import (
     _G6_HEADER,
     MAX_VERTICES,
@@ -33,6 +42,7 @@ from spectral_turan.multipartite import (
     MultipartiteWitness,
     SearchBudgetExceeded,
 )
+from spectral_turan.theorems import SPEX_MAX_N
 
 
 def all_graphs(n):
@@ -285,6 +295,62 @@ def brute_spex(n: int, f: Graph) -> float:
         mu = float(np.linalg.eigvalsh(a)[-1]) if n else 0.0
         best = max(best, mu)
     return best
+
+
+def oracle_spex_scan(n: int, f: Graph) -> SpexResult:
+    """The labeled decision tree of ``spex_scan`` with every question put to
+    ``contains_subgraph``: each pair is tried as an edge by re-embedding F in
+    the grown graph, and each excluded pair is rechecked at the leaf.  The
+    tree, the leaf order and the eigenvalue calls are those of the scan, so
+    the results must be identical, not merely close."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > SPEX_MAX_N:
+        raise ValueError(f"n = {n} exceeds exhaustive scan bound {SPEX_MAX_N}")
+    if contains_subgraph(Graph.empty(n), f):
+        raise ValueError("pattern is contained in every graph of this order")
+    pairs = list(combinations(range(n), 2))
+    rows = [0] * n
+    best: tuple[SpectralEstimate, Graph] | None = None
+    maximal = 0
+
+    def current() -> Graph:
+        return Graph(n, list(rows), validate=False)
+
+    def leaf(excluded: list[tuple[int, int]]) -> None:
+        nonlocal best, maximal
+        g = current()
+        for u, v in excluded:
+            if not contains_subgraph(g.add_edge(u, v), f):
+                return  # an edge is still addable: dominated by a supergraph
+        maximal += 1
+        est = spectral_radius(g)
+        if best is None or est.value > best[0].value:
+            best = (est, g)
+
+    def decide(i: int, excluded: list[tuple[int, int]]) -> None:
+        if i == len(pairs):
+            leaf(excluded)
+            return
+        u, v = pairs[i]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        creates = contains_subgraph(current(), f)
+        if not creates:
+            decide(i + 1, excluded)
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        if creates:
+            # justified exclusion: adding this edge creates F in the current
+            # graph, hence in every supergraph; no recheck needed at leaves
+            decide(i + 1, excluded)
+        else:
+            excluded.append((u, v))
+            decide(i + 1, excluded)
+            excluded.pop()
+
+    decide(0, [])
+    return SpexResult(*best, maximal)
 
 
 def partitions_upto(nmax: int) -> list[tuple[int, ...]]:

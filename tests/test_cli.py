@@ -171,6 +171,17 @@ def test_scan_bound_is_fixed(command, capsys):
     assert "unrecognized arguments: --max-n 9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pattern, message", [
+    ("K11", "error: pattern limited to n <= 10"),
+    ("K1", "error: pattern is contained in every graph of this order"),
+])
+def test_spex_pattern_outside_domain_exits_2(pattern, message, capsys):
+    code = cli_main(["spex", "--n", "4", "--f", pattern])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("command", ["mu", "verify fact1 --r 3", "gap --n 5 --f K3"])
 def test_tol_flag_is_gone(command, capsys):
     code = cli_main(command.split() + ["--turan", "6,2"] * (command != "gap --n 5 --f K3")

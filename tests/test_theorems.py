@@ -23,6 +23,7 @@ from spectral_turan import (
     theorem1_check,
     theorem1_params,
     theorem2_gap,
+    to_graph6,
     turan_graph,
 )
 
@@ -33,6 +34,7 @@ from oracles import (
     brute_spex,
     k100_minus_50_edges,
     oracle_chromatic_number,
+    oracle_spex_scan,
     petersen,
 )
 
@@ -389,8 +391,56 @@ def test_spex_witness_is_f_free():
 def test_spex_domain():
     with pytest.raises(ValueError):
         spex_scan(9, complete_graph(3))
-    with pytest.raises(ValueError):
-        spex_scan(4, Graph.empty(1))  # contained in every graph
+    with pytest.raises(ValueError, match="pattern is contained in every graph of this order"):
+        spex_scan(4, Graph.empty(1))
+    with pytest.raises(ValueError, match="pattern limited to n <= 10"):
+        spex_scan(4, complete_graph(11))
+
+
+def test_spex_scan_matches_decision_tree_oracle():
+    nx = pytest.importorskip("networkx")
+    # every pattern on 2..5 vertices with an edge, at every order up to 5
+    atlas = [
+        Graph.from_edges(h.number_of_nodes(), h.edges())
+        for h in nx.graph_atlas_g()
+        if 2 <= h.number_of_nodes() <= 5 and h.number_of_edges() >= 1
+    ]
+    cases = [(n, f) for f in atlas for n in range(1, 6)]
+    # the gap-spex patterns: K3, K4, C5, the wheel W4 and the diamond
+    gap_patterns = [complete_graph(3), complete_graph(4), cycle_graph(5),
+                    parse_graph6("D|s"), parse_graph6("Cz")]
+    cases += [(6, f) for f in gap_patterns]
+    for n, f in cases:
+        got, want = spex_scan(n, f), oracle_spex_scan(n, f)
+        assert got.maximal_graphs == want.maximal_graphs, (n, to_graph6(f))
+        assert got.witness == want.witness, (n, to_graph6(f))
+        assert (got.mu.value, got.mu.residual) == (want.mu.value, want.mu.residual), (n, to_graph6(f))
+
+
+# K2 and an edge plus three isolated vertices: every pair completes a copy on its own
+@pytest.mark.parametrize("f", [complete_graph(2), parse_graph6("D_?")])
+def test_one_edge_pattern_leaves_only_the_empty_graph(f):
+    for n in range(f.n, theorems.SPEX_MAX_N + 1):
+        res = spex_scan(n, f)
+        assert res.witness == Graph.empty(n), n
+        assert res.maximal_graphs == 1
+        assert res.mu.value == 0.0
+
+
+def test_pattern_larger_than_n_leaves_the_complete_graph():
+    res = spex_scan(4, complete_graph(5))
+    assert res.witness == complete_graph(4)
+    assert res.maximal_graphs == 1
+    assert res.mu.lower <= 3.0 <= res.mu.upper
+
+
+def test_spex_n7_pins_parent_values():
+    res = spex_scan(7, complete_graph(3))
+    assert res.maximal_graphs == 1743
+    assert res.mu.lower <= math.sqrt(12) <= res.mu.upper
+    # K_{3,4}: the triangle-free graph on 7 vertices with the most edges
+    assert res.witness.degree_sequence() == (4, 4, 4, 3, 3, 3, 3)
+    assert not contains_subgraph(res.witness, complete_graph(3))
 
 
 def test_theorem2_gap_examples():
