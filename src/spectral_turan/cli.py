@@ -5,7 +5,8 @@ Output is JSON lines (one report object per line) or a CSV summary.
 or without fork).  Reports are buffered and written in instance order, so
 ``--threads`` never changes output bytes.  Exit codes: 0 all
 confirmed/vacuous, 1 any VIOLATION, 2 usage or input error, 3 indeterminate
-results present under --strict.
+results present under --strict, 4 internal error (an uncaught exception,
+whose traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -419,7 +421,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("SPECTRAL_TURAN_THREADS", "1")),
+        default=1,
         help="worker processes (fork; serial for one task or without fork); "
         "output bytes do not depend on it",
     )
@@ -527,7 +529,15 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    # exit 1 means a VIOLATION report, so a crash must not exit 1
+    try:
+        code = cli_main()
+    except Exception:
+        import traceback  # only a crash needs it; start-up stays lean
+
+        traceback.print_exc()
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

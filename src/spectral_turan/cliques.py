@@ -1,11 +1,14 @@
 """Exact r-clique counting by ordered bitset extension, with BLAS base cases.
 
-``count_cliques`` orients every edge forward along a degeneracy order and
-extends partial cliques through candidate sets, the bit-intersections of
-forward neighbourhoods, so each clique is generated exactly once, at its
-earliest vertex.  The top level loops over vertices, so every candidate set
-is a forward neighbourhood and holds at most degeneracy-many vertices.  A
-set that needs 2 more vertices counts its edges, one popcount per vertex.
+``count_cliques`` orients every edge forward along the vertices sorted by
+degree (ties by label) and extends partial cliques through candidate sets,
+the bit-intersections of forward neighbourhoods, so each clique is generated
+exactly once, at its earliest vertex.  The top level loops over vertices, so
+every candidate set is a forward neighbourhood.  The k forward neighbours of
+v each have degree >= deg v >= k and all degrees sum to 2m, so a set holds
+at most min(deg v, sqrt(2m)) vertices (Chiba & Nishizeki, SIAM J. Comput.
+1985).  A set that needs 2 more vertices counts its edges, one popcount per
+vertex.
 
 A set that still needs 3 or 4 vertices can finish in numpy instead of one
 Python call per clique.  Both base cases run on U, the set's block of the
@@ -17,7 +20,7 @@ built once, on first use):
 - ``need == 4``: for each oriented edge j -> k of the set, the row
   ``Y = U[j] * U[k]`` marks their common forward neighbours, and the set's
   4-cliques number ``sum((Y @ U) * Y)``, one per edge c -> d inside a row.
-  With the set in degeneracy order U is strictly upper triangular, so a row
+  With the set in orientation order U is strictly upper triangular, so a row
   of Y vanishes left of its k.  Y is built ``_EDGE_CHUNK`` rows at a time in
   increasing k, which bounds the temporaries, and each chunk's GEMM runs on
   the columns after its first k only.
@@ -62,44 +65,6 @@ class CliqueCountOverflowError(OverflowError):
     """Clique count exceeds the 128-bit counter contract."""
 
 
-def degeneracy_order(g: Graph) -> list[int]:
-    """Vertices in degeneracy order (repeatedly remove a min-degree vertex).
-
-    Ties break on the smallest label, so the order is deterministic.  A
-    bucket queue (Matula & Beck, JACM 1983) keeps ``bucket[d]`` as the
-    bitmask of remaining vertices of degree d: each step pops the lowest
-    set bit of the lowest nonempty bucket, and since a removal lowers
-    degrees by at most one, the bucket pointer then drops by at most one.
-    """
-    n = g.n
-    degs = [g.degree(v) for v in range(n)]
-    bucket = [0] * max(n, 1)
-    for v, d in enumerate(degs):
-        bucket[d] |= 1 << v
-    alive = (1 << n) - 1
-    order = []
-    d = 0
-    for _ in range(n):
-        while not bucket[d]:
-            d += 1
-        b = bucket[d] & -bucket[d]
-        bucket[d] ^= b
-        alive ^= b
-        v = b.bit_length() - 1
-        order.append(v)
-        m = g.row(v) & alive
-        while m:
-            b = m & -m
-            m ^= b
-            u = b.bit_length() - 1
-            du = degs[u]
-            bucket[du] ^= b
-            bucket[du - 1] |= b
-            degs[u] = du - 1
-        d = max(d - 1, 0)
-    return order
-
-
 def _oriented_bits(g: Graph, pos: np.ndarray) -> np.ndarray:
     """Boolean n x n matrix with [u, v] set iff uv is an edge and pos[u] < pos[v]."""
     bits = g.to_bits()
@@ -111,7 +76,7 @@ def _oriented_bits(g: Graph, pos: np.ndarray) -> np.ndarray:
 
 def _blas_count(block: np.ndarray, need: int) -> int:
     """Triangles (need 3) or 4-cliques (need 4) of a block of the oriented
-    adjacency matrix; at need 4 its vertices must be in degeneracy order,
+    adjacency matrix; at need 4 its vertices must be in orientation order,
     so the block is strictly upper triangular."""
     u = block.astype(np.float64)
     if need == 3:
@@ -140,15 +105,15 @@ def count_cliques(g: Graph, r: int) -> int:
     if r == 2:
         return g.edge_count()
 
-    # forward[v] = neighbors of v that come later in the degeneracy order
-    order = degeneracy_order(g)
+    # forward[v] = neighbors of v that come later in the orientation order
+    order = sorted(range(n), key=g.degree)
     forward = [0] * n
     later = 0
     for v in reversed(order):
         forward[v] = g.row(v) & later
         later |= 1 << v
     density = 2 * g.edge_count() / (n * (n - 1))
-    # degeneracy positions and the forward adjacency as a boolean matrix,
+    # orientation positions and the forward adjacency as a boolean matrix,
     # built on first use
     pos = oriented = None
 

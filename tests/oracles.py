@@ -4,12 +4,12 @@ Everything here deliberately avoids the production code paths it checks:
 the characteristic polynomial is built in exact integer arithmetic, root
 enclosures are certified by exact sign tests, the subgraph/multipartite
 enumerators are plain itertools sweeps with pairwise adjacency probes, the
-bit-matrix layer (G(n, p), graph6 decoding, degeneracy order) is checked
-against scalar pair-by-pair and vertex-by-vertex loops, clique counting
-against pure bitset extension without numpy base cases, the multipartite
-search against a version that rebuilds every part's cross mask per step, and
-the spectral extremal scan against its decision tree driven by subgraph
-embedding instead of precomputed F-copies.
+bit-matrix layer (G(n, p), graph6 decoding) is checked against scalar
+pair-by-pair loops, clique counting against pure bitset extension along a
+degeneracy order (not a degree order) without numpy base cases, the
+multipartite search against a version that rebuilds every part's cross mask
+per step, and the spectral extremal scan against its decision tree driven by
+subgraph embedding instead of precomputed F-copies.
 """
 
 from __future__ import annotations

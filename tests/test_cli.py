@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from spectral_turan.cli import build_parser, cli_main
 from spectral_turan.cliques import CliqueCountOverflowError
 from spectral_turan.graphs import Graph6Error
 from spectral_turan.multipartite import SearchBudgetExceeded
+from spectral_turan.theorems import TheoremReport, Verdict
 
 from oracles import graph6_large
 
@@ -287,10 +289,33 @@ def test_repeated_run_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("SPECTRAL_TURAN_THREADS", "5")
-    args = build_parser().parse_args(["mu", "--turan", "5,2"])
-    assert args.threads == 5
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_main_exit_codes(threads, monkeypatch, capsys):
+    # an uncaught exception exits 4 with its traceback: exit 1 stays the
+    # code of a written VIOLATION report
+    def crash(g):
+        raise RuntimeError("planted crash")
+
+    def violation(g, r, instance_id):
+        return TheoremReport(instance_id, {"n": g.n, "r": r}, True, Verdict.VIOLATION)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "spectral_radius", crash)
+    monkeypatch.setattr(cli, "fact1_check", violation)
+    corpus = ["--gnp", "10,0.5", "--count", "3", "--threads", threads]
+    for argv, code in ((["mu"], 4), (["verify", "fact1", "--r", "3"], 1)):
+        monkeypatch.setattr(sys, "argv", ["spectral-turan", *argv, *corpus])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        captured = capsys.readouterr()
+        assert exc.value.code == code
+        if code == 4:
+            assert captured.out == ""
+            assert "Traceback" in captured.err
+            assert "RuntimeError: planted crash" in captured.err
+        else:
+            assert [r["verdict"] for r in load_jsonl(captured.out)] == ["VIOLATION"] * 3
+            assert captured.err == ""
 
 
 class _InlinePool:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,13 +15,11 @@ from spectral_turan import (
 )
 
 import spectral_turan.cliques as cl
-from spectral_turan.cliques import degeneracy_order
 
 from oracles import (
     all_graphs,
     oracle_count_cliques,
     oracle_count_cliques_bitset,
-    oracle_degeneracy_order,
     petersen,
     seeded_graph_sample,
 )
@@ -34,18 +33,6 @@ def test_examples():
     assert oracle_count_cliques(complete_multipartite((2, 2, 2)), 3) == 8
     assert count_cliques(petersen(), 3) == 0
     assert oracle_count_cliques(petersen(), 3) == 0
-
-
-def test_degeneracy_order_matches_scan_oracle():
-    rnd = random.Random(77)
-    star = Graph.from_edges(9, [(0, v) for v in range(1, 9)])
-    corpus = [Graph.empty(0), Graph.empty(6), complete_graph(12), petersen(),
-              turan_graph(30, 4), cycle_graph(11), star]
-    for i in range(40):
-        p = rnd.choice([0.01, 0.05, 0.3, 0.7, 0.95])
-        corpus.append(gnp(rnd.randint(1, 300), p, i))
-    for g in corpus:
-        assert degeneracy_order(g) == oracle_degeneracy_order(g), g
 
 
 def test_degenerate_orders():
@@ -135,13 +122,39 @@ def test_overflow_guard(monkeypatch):
         cl.count_cliques(complete_graph(5), 3)
 
 
+def _planted_clique(g, vertices):
+    """g with every pair of ``vertices`` joined."""
+    return Graph.from_edges(g.n, [*g.edges(), *itertools.combinations(vertices, 2)])
+
+
+def _preferential_attachment(n, m, seed):
+    """K_{m+1}, then each new vertex joins m distinct earlier vertices drawn
+    with probability proportional to degree."""
+    rnd = random.Random(seed)
+    edges = list(itertools.combinations(range(m + 1), 2))
+    ends = [v for e in edges for v in e]
+    for v in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rnd.choice(ends))
+        for u in sorted(targets):
+            edges.append((u, v))
+            ends += (u, v)
+    return Graph.from_edges(n, edges)
+
+
+# skewed degree sequences are where a degree order and a degeneracy order
+# (the oracle's) differ most
 @pytest.mark.parametrize("g, rs", [
     (gnp(80, 0.8, 1), (3, 4, 5, 6)),
     (gnp(120, 0.9, 2), (5,)),
     (gnp(700, 0.1, 3), (4, 5)),
     (gnp(200, 0.3, 4), (4, 5)),
     (complete_graph(40), (3, 4, 5)),
-], ids=["G(80,.8)", "G(120,.9)", "G(700,.1)", "G(200,.3)", "K40"])
+    (_planted_clique(gnp(1000, 0.01, 1), range(0, 1000, 25)), (3, 4, 5)),
+    (_preferential_attachment(2000, 8, 7), (4, 5)),
+], ids=["G(80,.8)", "G(120,.9)", "G(700,.1)", "G(200,.3)", "K40",
+        "K40-in-G(1000,.01)", "PA(2000,8)"])
 def test_bitset_oracle_equivalence_beyond_brute_force(g, rs):
     for r in rs:
         assert count_cliques(g, r) == oracle_count_cliques_bitset(g, r), r
