@@ -92,27 +92,18 @@ def find_complete_multipartite(
     # later[k] = bit-intersection of the neighborhoods of all placed vertices,
     # for part pi + 1 + k.  Every placed vertex lies in a part before it, so
     # later masks never hold a used vertex.  Parts before pi are complete, and
-    # the current part's own candidates are ``cand``: placing a vertex only
+    # the current part's own candidates are the frame's: placing a vertex only
     # narrows the masks of the parts after it.
     tails = [szs[i + 1:] for i in range(r)]
 
-    def search(pi: int, slot: int, cand: int, later: list[int]) -> bool:
-        nonlocal expansions
-        if slot == szs[pi]:
-            ni = pi + 1
-            if ni == r:
-                return True
-            ncand = later[0]
-            if szs[ni] == szs[pi]:
-                # equal-size parts ascend by first element (pure symmetry cut)
-                ncand &= -(1 << (parts[pi][0] + 1))
-            return search(ni, 0, ncand, later[1:])
-        need = szs[pi] - slot
-        sizes_after = tails[pi]
-        m = cand
-        while m:
-            if m.bit_count() < need:
-                return False
+    # depth-first on an explicit stack, one frame per placed vertex, so a
+    # witness with a thousand parts does not exhaust Python's recursion;
+    # a frame is (part, slot, candidates not yet tried, later masks)
+    stack = [(0, 0, full, [full] * (r - 1))]
+    while stack:
+        pi, slot, m, later = stack[-1]
+        need = szs[pi] - slot  # >= 1: a frame has a slot to fill
+        while m.bit_count() >= need:
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
@@ -121,20 +112,31 @@ def find_complete_multipartite(
                 raise SearchBudgetExceeded(budget)
             row_v = rows[v]
             nlater = []
-            for c, s in zip(later, sizes_after):
+            for c, s in zip(later, tails[pi]):
                 c &= row_v
                 if c.bit_count() < s:
                     break
                 nlater.append(c)
             else:
-                parts[pi].append(v)
-                if search(pi, slot + 1, m, nlater):
-                    return True
-                parts[pi].pop()
-        return False
-
-    if search(0, 0, full, [full] * (r - 1)):
-        return MultipartiteWitness(tuple(tuple(p) for p in parts))
+                break  # v fits every later part
+        else:
+            stack.pop()  # frame exhausted: undo the vertex its parent placed
+            if stack:
+                parts[stack[-1][0]].pop()
+            continue
+        stack[-1] = (pi, slot, m, later)
+        parts[pi].append(v)
+        if slot + 1 < szs[pi]:
+            stack.append((pi, slot + 1, m, nlater))
+            continue
+        ni = pi + 1
+        if ni == r:
+            return MultipartiteWitness(tuple(tuple(p) for p in parts))
+        ncand = nlater[0]
+        if szs[ni] == szs[pi]:
+            # equal-size parts ascend by first element (pure symmetry cut)
+            ncand &= -(1 << (parts[pi][0] + 1))
+        stack.append((ni, 0, ncand, nlater[1:]))
     return None
 
 

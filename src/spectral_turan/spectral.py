@@ -76,11 +76,13 @@ def _perron(scaled, m: int) -> tuple[float, float, int, bool]:
     for iterations in range(1, _MAX_ITER + 1):
         y = matvec(x)
         ratios = y / x
-        lo, hi = float(ratios.min()), float(ratios.max())
+        lo, hi = float(np.minimum.reduce(ratios)), float(np.maximum.reduce(ratios))
         lower, upper = lo * (1.0 - slack), hi * (1.0 + slack)
         if upper - lower <= 2e-10 * m:
             return lower, upper, iterations, True
-        x = (y + x) / (hi + 1.0)  # shift by +1; entry i scales by (r_i + 1) / (hi + 1)
+        y += x  # shift by +1; entry i scales by (r_i + 1) / (hi + 1)
+        y /= hi + 1.0
+        x = y
         floor *= (lo + 1.0) / (hi + 1.0)
         if floor < 2.0**-700 and (floor := float(x.min())) < 2.0**-700:
             x, shift = np.frexp(x)  # x = mantissas in [0.5, 1) times 2^shift
@@ -102,7 +104,7 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def _dense_matvec(a: np.ndarray, e: np.ndarray | None = None):
     """x -> B @ x for B = a, or for diag(2^-e) a diag(2^e) when e is given."""
-    return (a if e is None else np.ldexp(a, e[None, :] - e[:, None])).__matmul__
+    return (a if e is None else np.ldexp(a, e[None, :] - e[:, None])).dot
 
 
 def _sparse_matvec(ra: np.ndarray, ca: np.ndarray, m: int, e: np.ndarray | None = None):

@@ -463,6 +463,15 @@ def spex_scan(
     the order of the maximal leaves, the single spectral_radius call per
     leaf and the strict ``>`` that picks the first best are unchanged, and
     with them the witness and every reported number.
+
+    Maximality look-ahead: the scan also carries ``open_``, the excluded
+    pairs not yet blocked.  Each must end up blocked in a maximal leaf, so
+    some copy through it must fit in its final edges, and those lie among
+    the current edges and the unblocked pairs after i (blocked pairs never
+    become edges).  Before excluding pair i the scan looks for such a copy
+    through i and through every open pair, and skips the branch if one has
+    none.  Only non-maximal leaves are cut, so the maximal leaves, their
+    order and every reported number stay as above.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -480,10 +489,11 @@ def spex_scan(
     through = [[m ^ 1 << i for m in copies if m >> i & 1] for i in range(len(pairs))]
     last = len(pairs)
     everything = (1 << last) - 1
+    after = [everything >> i + 1 << i + 1 for i in range(last)]  # the pairs after i
     best: tuple[SpectralEstimate, Graph] | None = None
     maximal = 0
 
-    def decide(i: int, edges: int, blocked: int) -> None:
+    def decide(i: int, edges: int, blocked: int, open_: int) -> None:
         nonlocal best, maximal
         if i == last:
             if edges | blocked != everything:
@@ -494,18 +504,30 @@ def spex_scan(
             if best is None or est.value > best[0].value:
                 best = (est, g)
             return
-        if not blocked >> i & 1:
-            grown = edges | 1 << i
-            absent = ~grown
-            now_blocked = blocked
-            for rest in through[i]:
-                missing = rest & absent
-                if missing & (missing - 1) == 0:
-                    now_blocked |= missing
-            decide(i + 1, grown, now_blocked)
-        decide(i + 1, edges, blocked)
+        if blocked >> i & 1:
+            decide(i + 1, edges, blocked, open_)
+            return
+        grown = edges | 1 << i
+        absent = ~grown
+        now_blocked = blocked
+        for rest in through[i]:
+            missing = rest & absent
+            if missing & (missing - 1) == 0:
+                now_blocked |= missing
+        decide(i + 1, grown, now_blocked, open_)
+        # without pair i: every excluded, unblocked pair still needs a copy
+        # of F through it inside the pairs that can yet become edges
+        open_ = (open_ | 1 << i) & ~blocked
+        gone = ~(edges | after[i] & ~blocked)
+        for x in iter_bits(open_):
+            for rest in through[x]:
+                if not rest & gone:
+                    break
+            else:
+                return  # x stays addable below: no maximal leaf
+        decide(i + 1, edges, blocked, open_)
 
-    decide(0, 0, sum(m for m in copies if m & (m - 1) == 0))
+    decide(0, 0, sum(m for m in copies if m & (m - 1) == 0), 0)
     return SpexResult(*best, maximal)
 
 

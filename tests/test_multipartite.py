@@ -10,6 +10,7 @@ from spectral_turan import (
     find_complete_multipartite,
     gnp,
     max_balanced_biclique,
+    turan_graph,
     verify_witness,
 )
 
@@ -158,6 +159,15 @@ def test_search_matches_mask_rebuilding_oracle():
         cases += 1
         found += w is not None
     assert cases >= 140 and 0 < found < cases
+
+
+def test_witness_deeper_than_the_recursion_limit():
+    # 1,100 one-vertex parts: one search frame per part, past Python's
+    # default recursion limit of 1,000
+    g = turan_graph(1100, 1100)
+    w = find_complete_multipartite(g, (1,) * 1100)
+    assert w.parts == tuple((v,) for v in range(1100))
+    assert verify_witness(g, w)
 
 
 def test_max_balanced_biclique_examples():

@@ -205,6 +205,23 @@ def test_perron_vector_past_the_float_range_is_rescaled(g):
     assert est.lower <= mu <= est.upper
 
 
+# exact (value, residual, iterations, converged), one graph per matvec path:
+# a change in the order of the loop's float operations would move them
+@pytest.mark.parametrize("g, value, residual, iterations", [
+    (gnp(80, 0.8, 1), "0x1.f8a7c543641a9p+5", "0x1.3c46400000000p-28", 10),  # dense
+    (gnp(1000, 0.002, 1), "0x1.b3f335d1ad552p+1", "0x1.48def0a000000p-24", 862),  # components
+    (_union(complete_graph(5), Graph.empty(2), complete_graph(4)),
+     "0x1.0000000000000p+2", "0x1.4000000000000p-48", 2),  # dense component blocks
+    (gnp(2100, 0.002, 5), "0x1.5bb4fab832aafp+2", "0x1.b7abdec000000p-23", 89),  # > _DENSE_LIMIT
+    (_lollipop(20, 300), "0x1.300ad5a3e3744p+4", "0x1.586b700000000p-26", 475),  # rescaled
+    (_lollipop(20, 2100), "0x1.300ad59b8722ep+4", "0x1.b7c8420000000p-25", 3265),  # both
+])
+def test_spectral_radius_pins_floats_per_matvec_path(g, value, residual, iterations):
+    est = spectral_radius(g)
+    assert (est.value, est.residual, est.iterations, est.converged) == (
+        float.fromhex(value), float.fromhex(residual), iterations, True)
+
+
 def test_edgeless_graph_runs_once_on_its_zero_matrix():
     est = spectral_radius(Graph.empty(5))
     assert (est.value, est.residual, est.iterations, est.converged) == (0.0, 0.0, 1, True)

@@ -443,6 +443,19 @@ def test_spex_n7_pins_parent_values():
     assert not contains_subgraph(res.witness, complete_graph(3))
 
 
+# exact results of the full labeled tree for K4 and the diamond, the
+# patterns whose maximality look-ahead cuts most of it
+@pytest.mark.parametrize("f, maximal, value, residual, witness", [
+    (complete_graph(4), 2173, "0x1.26c15a2321feep+2", "0x1.4e61c00000000p-32", "F}qzw"),
+    (parse_graph6("Cz"), 11711, "0x1.bb67ae8584cabp+1", "0x1.fb53c00000000p-32", "Fs`zo"),
+])
+def test_spex_n7_pins_parent_values_of_pruned_patterns(f, maximal, value, residual, witness):
+    res = spex_scan(7, f)
+    assert res.maximal_graphs == maximal
+    assert (res.mu.value, res.mu.residual) == (float.fromhex(value), float.fromhex(residual))
+    assert to_graph6(res.witness) == witness
+
+
 def test_theorem2_gap_examples():
     rep = theorem2_gap(6, complete_graph(3))
     assert rep.verdict is Verdict.CONFIRMED
