@@ -417,10 +417,10 @@ def _cmd_biclique_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node-expansion budget")
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET, help="search node-expansion budget")
     p.add_argument(
         "--threads",
-        type=int,
+        type=_count,
         default=1,
         help="worker processes (fork; serial for one task or without fork); "
         "output bytes do not depend on it",

@@ -5,11 +5,12 @@ int used as a bitset, so neighborhood intersections are single ``&``
 operations regardless of n.  Graphs are immutable after construction.
 
 Bulk conversions go through one bit-matrix layer: ``Graph.from_bits`` packs
-an n x n boolean numpy matrix into the int rows and ``Graph.to_bits``
-unpacks them again.  The G(n, p) generator, the graph6 codec and the
-spectral matvec are vectorised on top of it, so none of them walks pairs
-one at a time in Python.  The graph6 reader accepts n <= MAX_VERTICES; the
-writer stays limited to n <= 62 (single-byte size field).
+an n x n boolean numpy matrix into the int rows and ``Graph.to_bits(rows)``
+unpacks them again, all of them or only the listed ones.  The G(n, p)
+generator, the graph6 codec and the spectral matvec are vectorised on top
+of it, so none of them walks pairs one at a time in Python.  The graph6
+reader accepts n <= MAX_VERTICES; the writer stays limited to n <= 62
+(single-byte size field).
 """
 
 from __future__ import annotations
@@ -127,16 +128,16 @@ class Graph:
         ]
         return cls(n, rows, validate=False)
 
-    def to_bits(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows start..stop-1 (default all) as a boolean (rows, n) matrix.
+    def to_bits(self, rows: Iterable[int] | None = None) -> np.ndarray:
+        """The adjacency rows of the given vertices, in their order (default
+        all), as a boolean (len(rows), n) matrix.
 
         ``Graph.from_bits(g.to_bits()) == g``.
         """
-        rows = self._rows[start:stop]
         nbytes = (self.n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
-        ).reshape(len(rows), nbytes)
+        chunks = [self._rows[v].to_bytes(nbytes, "little")
+                  for v in (range(self.n) if rows is None else rows)]
+        packed = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(chunks), nbytes)
         bits = np.unpackbits(packed, axis=1, count=self.n, bitorder="little")
         return bits.view(np.bool_)
 

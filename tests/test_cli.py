@@ -205,6 +205,19 @@ def test_count_below_one_is_a_usage_error(argv, capsys):
     assert "argument --count: must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("mu --turan 6,2 --threads -3", "--threads"),
+    ("verify fact1 --turan 6,2 --r 3 --threads 0", "--threads"),
+    ("find-kpartite --sizes 2,2 --turan 6,2 --budget -1", "--budget"),
+    ("biclique-scan --n 10 --p 0.5 --seeds 1 --budget 0", "--budget"),
+])
+def test_threads_and_budget_below_one_are_usage_errors(argv, flag, capsys):
+    code = cli_main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"argument {flag}: must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize("seeds", ["5..1", ","])
 def test_empty_seed_spec_is_a_usage_error(seeds, capsys):
     code = cli_main(["biclique-scan", "--n", "10", "--p", "0.5", "--seeds", seeds])

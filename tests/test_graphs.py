@@ -324,7 +324,18 @@ def test_bits_round_trip():
         assert all(a[u, v] == g.has_edge(u, v) for u in range(g.n) for v in range(g.n))
         assert Graph.from_bits(a) == g
         assert Graph.from_bits(a.astype(np.float64)) == g
-        assert np.array_equal(g.to_bits(2, 7), a[2:7])
+        assert np.array_equal(g.to_bits(range(2, min(7, g.n))), a[2:7])
+
+
+def test_to_bits_of_listed_rows():
+    g = gnp(40, 0.4, 3)
+    a = g.to_bits()
+    rows = [17, 3, 39, 3, 0]  # out of order, with a repeat
+    assert np.array_equal(g.to_bits(rows), a[rows])
+    assert np.array_equal(g.to_bits(np.array(rows)), a[rows])
+    for h, rows in [(g, []), (Graph.empty(0), []), (Graph.empty(0), None)]:
+        bits = h.to_bits(rows)
+        assert bits.dtype == np.bool_ and bits.shape == (0, h.n)
 
 
 def test_from_bits_validation(monkeypatch):

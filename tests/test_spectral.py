@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from spectral_turan import (
 )
 
 from spectral_turan import spectral
-from spectral_turan.spectral import _DENSE_LIMIT, _adjacency_matvec
+from spectral_turan.spectral import _DENSE_LIMIT, _block_matvec
 
 from oracles import (
     all_graphs,
@@ -94,7 +95,7 @@ def test_sparse_matvec_path():
     g = gnp(2100, 0.002, 5)
     assert g.n > _DENSE_LIMIT
     a = g.to_bits().astype(float)
-    matvec = _adjacency_matvec(g)
+    matvec = _block_matvec(g, range(g.n))
     for x in (np.ones(g.n), np.random.default_rng(0).random(g.n) + 0.5):
         np.testing.assert_allclose(matvec(x), a @ x, rtol=1e-12)
     est = spectral_radius(g)
@@ -192,7 +193,7 @@ def _lollipop(clique: int, tail: int) -> Graph:
 # ~240 steps its entries are below the smallest double; a tail of 300 or of
 # 2100 moves the Perron root by less than 19^-600
 @pytest.mark.parametrize("g", [
-    _lollipop(20, 300),  # dense matvec
+    _lollipop(20, 300),  # whole-graph edge arrays, density 0.01
     _union(_lollipop(20, 300), Graph.empty(1)),  # a component's edge arrays
     _lollipop(20, 2100),  # whole-graph edge arrays, above _DENSE_LIMIT
 ])
@@ -213,13 +214,40 @@ def test_perron_vector_past_the_float_range_is_rescaled(g):
     (_union(complete_graph(5), Graph.empty(2), complete_graph(4)),
      "0x1.0000000000000p+2", "0x1.4000000000000p-48", 2),  # dense component blocks
     (gnp(2100, 0.002, 5), "0x1.5bb4fab832aafp+2", "0x1.b7abdec000000p-23", 89),  # > _DENSE_LIMIT
-    (_lollipop(20, 300), "0x1.300ad5a3e3744p+4", "0x1.586b700000000p-26", 475),  # rescaled
+    (_lollipop(20, 300), "0x1.300ad5a3e3744p+4", "0x1.586b740000000p-26", 475),  # sparse, rescaled
     (_lollipop(20, 2100), "0x1.300ad59b8722ep+4", "0x1.b7c8420000000p-25", 3265),  # both
+    (_lollipop(80, 200), "0x1.3c00297d2710ep+6", "0x1.5bcdc00000000p-27", 273),  # dense, rescaled
 ])
 def test_spectral_radius_pins_floats_per_matvec_path(g, value, residual, iterations):
     est = spectral_radius(g)
     assert (est.value, est.residual, est.iterations, est.converged) == (
         float.fromhex(value), float.fromhex(residual), iterations, True)
+
+
+def test_a_component_block_gives_the_bits_of_the_whole_graph():
+    # G(80, .8, 1) beside a K2 is cut from wider rows; its dense block must
+    # be the same C-ordered matrix, so BLAS rounds as for the whole graph
+    g = gnp(80, 0.8, 1)
+    u = _union(g, complete_graph(2))
+    x = np.random.default_rng(1).random(80) + 0.5
+    assert np.array_equal(_block_matvec(u, list(range(80)))(x), _block_matvec(g, range(80))(x))
+    est = spectral_radius(u)
+    assert (est.value, est.residual) == (
+        float.fromhex("0x1.f8a7c543641a9p+5"), float.fromhex("0x1.3c46400000000p-28"))
+
+
+def test_many_components_unpack_only_their_own_rows():
+    # 1,000 disjoint K10: the whole boolean matrix alone would be 100 MB
+    g = Graph.from_edges(10_000, [(10 * b + u, 10 * b + v)
+                                  for b in range(1000) for u in range(10) for v in range(u + 1, 10)])
+    tracemalloc.start()
+    try:
+        est = spectral_radius(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.value == 9.0
+    assert peak < 8 * 10**6
 
 
 def test_edgeless_graph_runs_once_on_its_zero_matrix():
