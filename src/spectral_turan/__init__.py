@@ -33,7 +33,6 @@ from .theorems import (
     TheoremReport,
     Verdict,
     chromatic_number,
-    contains_subgraph,
     fact1_check,
     fact1_rhs,
     fact2_check,
@@ -62,7 +61,6 @@ __all__ = [
     "chromatic_number",
     "complete_graph",
     "complete_multipartite",
-    "contains_subgraph",
     "count_cliques",
     "cycle_graph",
     "fact1_check",

@@ -110,7 +110,10 @@ def _gather_instances(args) -> list[tuple[str, Graph]]:
             for i, line in enumerate(ln for ln in text.splitlines() if ln.strip()):
                 instances.append((f"{name}#{i}", parse_graph6(line)))
     if args.turan:
-        n, r = _parse_int_list(args.turan)
+        values = _parse_int_list(args.turan)
+        if len(values) != 2:
+            raise UsageError("--turan expects 'n,r'")
+        n, r = values
         instances.append((f"turan-n{n}-r{r}", turan_graph(n, r)))
     if args.multipartite:
         sizes = _parse_int_list(args.multipartite)
@@ -374,7 +377,7 @@ def _cmd_verify(args) -> int:
 def _cmd_spex(args) -> int:
     def task(f):
         res = spex_scan(args.n, f)
-        quantities = {"max_mu": res.max_mu, "maximal_graphs": res.maximal_graphs}
+        quantities = {"max_mu": res.mu.value, "maximal_graphs": res.maximal_graphs}
         tr = TheoremReport(
             f"spex-n{args.n}-f{args.f}", {"n": args.n}, True, Verdict.CONFIRMED,
             mu=res.mu, quantities=quantities,
@@ -393,11 +396,10 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_biclique_scan(args) -> int:
-    alarm = 4.0 * math.log(args.n)
-
     def task(seed):
         g = gnp(args.n, args.p, seed)
         res = max_balanced_biclique(g, budget=args.budget)
+        alarm = 4.0 * math.log(g.n)  # g.n >= 2 once the search ran
         tr = TheoremReport(
             f"biclique-n{args.n}-p{args.p}-seed{seed}", {"n": g.n}, True,
             Verdict.CONFIRMED, witness=res.witness,

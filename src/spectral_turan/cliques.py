@@ -53,8 +53,6 @@ _COUNT_LIMIT = 1 << COUNT_BITS
 # need 4, this many per vertex); below, the bitset walk is cheaper
 _BLAS_MIN_EDGES = 64
 _BLAS_EDGES_PER_VERTEX = 4
-# the least size with C(size, 2) >= _BLAS_MIN_EDGES: a cheap first gate
-_BLAS_MIN_VERTICES = 12
 # rows of Y per GEMM in the 4-clique base case
 _EDGE_CHUNK = 256
 # matrix entries masked per block when orienting the adjacency matrix
@@ -144,7 +142,7 @@ def count_cliques(g: Graph, r: int) -> int:
         size = cand.bit_count()
         if size < need:
             return 0
-        if need <= 4 and size >= _BLAS_MIN_VERTICES:
+        if need <= 4:
             target = _BLAS_MIN_EDGES
             if need == 4:
                 target = max(target, _BLAS_EDGES_PER_VERTEX * size)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
 
@@ -342,7 +343,7 @@ def fact3_check(n: int, r: int, instance_id: str = "") -> TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# chromatic number and subgraph containment (for the spectral extremal limit)
+# chromatic number (for the spectral extremal limit)
 # ---------------------------------------------------------------------------
 
 def chromatic_number(f: Graph) -> int:
@@ -378,50 +379,6 @@ def _colorable(f: Graph, order: list[int], k: int) -> bool:
     return assign(0, 0)
 
 
-def contains_subgraph(g: Graph, f: Graph) -> bool:
-    """True iff g has a (not necessarily induced) subgraph isomorphic to f.
-
-    Backtracking embedding: pattern vertices in descending degree order,
-    candidates filtered by degree and by adjacency to already-placed
-    neighbors, tried in ascending host label order.
-    """
-    if f.n > 10:
-        raise ValueError("pattern limited to n <= 10")
-    if f.n > g.n:
-        return False
-    order = sorted(range(f.n), key=lambda v: (-f.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    placed_nbrs: list[list[int]] = []
-    for i, v in enumerate(order):
-        placed_nbrs.append([u for u in iter_bits(f.row(v)) if pos[u] < i])
-    f_degs = [f.degree(v) for v in order]
-    g_rows = [g.row(v) for v in range(g.n)]
-    g_degs = [g.degree(v) for v in range(g.n)]
-    full = (1 << g.n) - 1
-    images = [0] * f.n  # images[i] = host vertex for order[i]
-
-    def embed(i: int, used: int) -> bool:
-        if i == f.n:
-            return True
-        cand = full & ~used
-        for u in placed_nbrs[i]:
-            cand &= g_rows[images[pos[u]]]
-        need = f_degs[i]
-        m = cand
-        while m:
-            b = m & -m
-            m ^= b
-            w = b.bit_length() - 1
-            if g_degs[w] < need:
-                continue
-            images[i] = w
-            if embed(i + 1, used | b):
-                return True
-        return False
-
-    return embed(0, 0)
-
-
 # ---------------------------------------------------------------------------
 # finite-n spectral extremal scan and the limit sandwich
 # ---------------------------------------------------------------------------
@@ -433,10 +390,6 @@ class SpexResult:
     mu: SpectralEstimate
     witness: Graph
     maximal_graphs: int
-
-    @property
-    def max_mu(self) -> float:
-        return self.mu.value
 
 
 def spex_scan(
@@ -459,10 +412,13 @@ def spex_scan(
     the start.  Since the graph stays F-free, G + e contains F exactly when
     e is blocked.  So a blocked pair is excluded without branching, and a
     leaf is maximal exactly when every non-edge is blocked.  These are the
-    answers subgraph embedding gave for the same questions, so the tree,
+    answers subgraph embedding gives for the same questions, so the tree,
     the order of the maximal leaves, the single spectral_radius call per
-    leaf and the strict ``>`` that picks the first best are unchanged, and
-    with them the witness and every reported number.
+    leaf and the strict ``>`` that picks the first best are those of the
+    embedding-driven scan, and with them the witness and every reported
+    number.  The copy set also decides the domain: F is contained in every
+    graph on n vertices exactly when the empty pair mask is a copy, i.e.
+    when F has no edge and at most n vertices.
 
     Maximality look-ahead: the scan also carries ``open_``, the excluded
     pairs not yet blocked.  Each must end up blocked in a maximal leaf, so
@@ -477,14 +433,16 @@ def spex_scan(
         raise ValueError("n must be >= 1")
     if n > SPEX_MAX_N:
         raise ValueError(f"n = {n} exceeds exhaustive scan bound {SPEX_MAX_N}")
-    if contains_subgraph(Graph.empty(n), f):
-        raise ValueError("pattern is contained in every graph of this order")
+    if f.n > 10:
+        raise ValueError("pattern limited to n <= 10")
     pairs = list(combinations(range(n), 2))
     bit = [[0] * n for _ in range(n)]
     for i, (u, v) in enumerate(pairs):
         bit[u][v] = bit[v][u] = 1 << i
     f_edges = list(f.edges())
     copies = {sum(bit[p[u]][p[v]] for u, v in f_edges) for p in permutations(range(n), f.n)}
+    if 0 in copies:
+        raise ValueError("pattern is contained in every graph of this order")
     # through[i]: the other pairs of each copy that uses pair i
     through = [[m ^ 1 << i for m in copies if m >> i & 1] for i in range(len(pairs))]
     last = len(pairs)
@@ -541,8 +499,10 @@ def theorem2_gap(
     lower = mu(T_{r-1}(n))/n from the Turan quotient; upper = spex(n, F)/n
     from the exhaustive scan.  Certifies lower <= upper and the Turan-graph
     floor lower >= 1 - 1/(r-1) - (r-1)/(4 n^2), each at the ends of the two
-    certified intervals; reports upper minus the limit as the finite-n gap
-    (its sign is unconstrained at small n).
+    certified intervals and without tolerance: the sandwich compares the
+    float ends, the floor is cleared of denominators and compared in exact
+    rationals.  Reports upper minus the limit as the finite-n gap (its sign
+    is unconstrained at small n).
     """
     r = chromatic_number(f)
     if r < 3:
@@ -556,11 +516,12 @@ def theorem2_gap(
     turan = _estimate(*_perron(partial(_dense_matvec, quotient), len(sizes)))
     spex = spex_scan(n, f)
     lower = turan.value / n
-    upper = spex.max_mu / n
+    upper = spex.mu.value / n
     limit = 1.0 - 1.0 / (r - 1)
     turan_floor = limit - (r - 1) / (4.0 * n * n)
-    sandwich_ok = turan.lower / n <= spex.mu.upper / n + EPS
-    floor_ok = turan.upper / n >= turan_floor - EPS
+    sandwich_ok = turan.lower <= spex.mu.upper
+    # the floor times 4 n^2 (r-1), in exact rationals
+    floor_ok = 4 * n * (r - 1) * Fraction(turan.upper) >= 4 * n * n * (r - 2) - (r - 1) ** 2
     verdict = Verdict.CONFIRMED if sandwich_ok and floor_ok else Verdict.VIOLATION
     notes = []
     if not sandwich_ok:

@@ -9,7 +9,8 @@ pair-by-pair loops, clique counting against pure bitset extension along a
 degeneracy order (not a degree order) without numpy base cases, the
 multipartite search against a version that rebuilds every part's cross mask
 per step, and the spectral extremal scan against its decision tree driven by
-subgraph embedding instead of precomputed F-copies.
+subgraph embedding (the backtracking embedder ``contains_subgraph``) instead
+of precomputed F-copies.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from spectral_turan import (
     Graph,
     SpectralEstimate,
     SpexResult,
-    contains_subgraph,
     gnp,
     spectral_radius,
 )
@@ -34,6 +34,7 @@ from spectral_turan.graphs import (
     MAX_VERTICES,
     Graph6Error,
     _g6_decode_size,
+    iter_bits,
     pair_uniform,
     part_sizes,
 )
@@ -277,6 +278,50 @@ def brute_contains_injection(g: Graph, f: Graph) -> bool:
         if all(g.has_edge(images[u], images[v]) for u, v in f_edges):
             return True
     return False
+
+
+def contains_subgraph(g: Graph, f: Graph) -> bool:
+    """True iff g has a (not necessarily induced) subgraph isomorphic to f.
+
+    Backtracking embedding: pattern vertices in descending degree order,
+    candidates filtered by degree and by adjacency to already-placed
+    neighbors, tried in ascending host label order.
+    """
+    if f.n > 10:
+        raise ValueError("pattern limited to n <= 10")
+    if f.n > g.n:
+        return False
+    order = sorted(range(f.n), key=lambda v: (-f.degree(v), v))
+    pos = {v: i for i, v in enumerate(order)}
+    placed_nbrs: list[list[int]] = []
+    for i, v in enumerate(order):
+        placed_nbrs.append([u for u in iter_bits(f.row(v)) if pos[u] < i])
+    f_degs = [f.degree(v) for v in order]
+    g_rows = [g.row(v) for v in range(g.n)]
+    g_degs = [g.degree(v) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    images = [0] * f.n  # images[i] = host vertex for order[i]
+
+    def embed(i: int, used: int) -> bool:
+        if i == f.n:
+            return True
+        cand = full & ~used
+        for u in placed_nbrs[i]:
+            cand &= g_rows[images[pos[u]]]
+        need = f_degs[i]
+        m = cand
+        while m:
+            b = m & -m
+            m ^= b
+            w = b.bit_length() - 1
+            if g_degs[w] < need:
+                continue
+            images[i] = w
+            if embed(i + 1, used | b):
+                return True
+        return False
+
+    return embed(0, 0)
 
 
 def brute_spex(n: int, f: Graph) -> float:

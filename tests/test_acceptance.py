@@ -198,12 +198,12 @@ def test_criterion_7_multipartite_completeness():
 def test_criterion_8_spex_finite_values_and_gap():
     t0 = time.time()
     k3 = complete_graph(3)
-    assert abs(spex_scan(4, k3).max_mu - 2.0) <= 1e-6
-    assert abs(spex_scan(5, k3).max_mu - math.sqrt(6)) <= 1e-6
-    assert abs(spex_scan(6, k3).max_mu - 3.0) <= 1e-6
+    assert abs(spex_scan(4, k3).mu.value - 2.0) <= 1e-6
+    assert abs(spex_scan(5, k3).mu.value - math.sqrt(6)) <= 1e-6
+    assert abs(spex_scan(6, k3).mu.value - 3.0) <= 1e-6
     for f in [k3, complete_graph(4), cycle_graph(5)]:
         for n in (1, 2, 3, 4, 5):
-            assert abs(spex_scan(n, f).max_mu - brute_spex(n, f)) <= 1e-8, (n,)
+            assert abs(spex_scan(n, f).mu.value - brute_spex(n, f)) <= 1e-8, (n,)
     rep = theorem2_gap(6, k3)
     assert rep.verdict is Verdict.CONFIRMED
     assert abs(rep.quantities["lower"] - 0.5) <= 1e-9

@@ -218,6 +218,18 @@ def test_threads_and_budget_below_one_are_usage_errors(argv, flag, capsys):
     assert f"argument {flag}: must be >= 1" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("mu --turan 6", "error: --turan expects 'n,r'\n"),
+    ("verify fact1 --turan 6,2,1 --r 3", "error: --turan expects 'n,r'\n"),
+    ("biclique-scan --n 0 --p 0.5 --seeds 1", "error: max_balanced_biclique requires n >= 2\n"),
+    ("biclique-scan --n 1 --p 0.5 --seeds 1,2 --threads 2", "error: max_balanced_biclique requires n >= 2\n"),
+])
+def test_input_errors_name_the_flag_or_the_bound(argv, message, capsys):
+    code = cli_main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message)
+
+
 @pytest.mark.parametrize("seeds", ["5..1", ","])
 def test_empty_seed_spec_is_a_usage_error(seeds, capsys):
     code = cli_main(["biclique-scan", "--n", "10", "--p", "0.5", "--seeds", seeds])

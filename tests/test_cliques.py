@@ -175,10 +175,10 @@ def _record_blocks(monkeypatch):
 @pytest.mark.parametrize("r", [4, 5])
 def test_blas_switch_at_threshold_vertices(r, monkeypatch):
     # the forward sets of K_n are cliques of every size below n; one of
-    # _BLAS_MIN_VERTICES vertices has C(12, 2) = 66 >= _BLAS_MIN_EDGES edges
-    # and switches, one of threshold - 1 vertices (55 edges) walks
-    t = cl._BLAS_MIN_VERTICES
-    assert math.comb(t - 1, 2) < cl._BLAS_MIN_EDGES <= math.comb(t, 2)
+    # t = 12 vertices, the least with C(t, 2) >= _BLAS_MIN_EDGES, has 66
+    # edges and switches, one of t - 1 vertices (55 edges) walks
+    t = next(t for t in itertools.count() if math.comb(t, 2) >= cl._BLAS_MIN_EDGES)
+    assert t == 12
     blocks = _record_blocks(monkeypatch)
     assert count_cliques(complete_graph(t), r) == math.comb(t, r)
     assert blocks == []
@@ -200,7 +200,6 @@ def test_sparse_sets_keep_the_bitset_walk(monkeypatch):
 def test_every_set_through_blas(chunk, monkeypatch):
     # drive every candidate set that needs 3 or 4 vertices through the
     # base cases, at several Y chunk sizes, empty and tiny blocks included
-    monkeypatch.setattr(cl, "_BLAS_MIN_VERTICES", 0)
     monkeypatch.setattr(cl, "_BLAS_MIN_EDGES", 0)
     monkeypatch.setattr(cl, "_BLAS_EDGES_PER_VERTEX", 0)
     monkeypatch.setattr(cl, "_EDGE_CHUNK", chunk)

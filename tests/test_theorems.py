@@ -9,7 +9,6 @@ from spectral_turan import (
     chromatic_number,
     complete_graph,
     complete_multipartite,
-    contains_subgraph,
     count_cliques,
     cycle_graph,
     fact1_check,
@@ -27,11 +26,12 @@ from spectral_turan import (
     turan_graph,
 )
 
-from spectral_turan import spectral, theorems
+from spectral_turan import SpectralEstimate, SpexResult, spectral, theorems
 
 from oracles import (
     brute_contains_injection,
     brute_spex,
+    contains_subgraph,
     k100_minus_50_edges,
     oracle_chromatic_number,
     oracle_spex_scan,
@@ -372,15 +372,15 @@ def test_contains_domain():
 # ---------------------------------------------------------------------------
 
 def test_spex_triangle_free_values():
-    assert abs(spex_scan(4, complete_graph(3)).max_mu - 2.0) <= 1e-6
-    assert abs(spex_scan(5, complete_graph(3)).max_mu - math.sqrt(6)) <= 1e-6
-    assert abs(spex_scan(6, complete_graph(3)).max_mu - 3.0) <= 1e-6
+    assert abs(spex_scan(4, complete_graph(3)).mu.value - 2.0) <= 1e-6
+    assert abs(spex_scan(5, complete_graph(3)).mu.value - math.sqrt(6)) <= 1e-6
+    assert abs(spex_scan(6, complete_graph(3)).mu.value - 3.0) <= 1e-6
 
 
 def test_spex_matches_brute_force_small():
     for f in [complete_graph(3), complete_graph(4), cycle_graph(5)]:
         for n in (1, 2, 3, 4, 5):
-            assert abs(spex_scan(n, f).max_mu - brute_spex(n, f)) <= 1e-8
+            assert abs(spex_scan(n, f).mu.value - brute_spex(n, f)) <= 1e-8
 
 
 def test_spex_witness_is_f_free():
@@ -395,6 +395,24 @@ def test_spex_domain():
         spex_scan(4, Graph.empty(1))
     with pytest.raises(ValueError, match="pattern limited to n <= 10"):
         spex_scan(4, complete_graph(11))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spex_domain_from_the_copy_set(n):
+    # an edgeless pattern is contained in every graph of order >= its own;
+    # a larger one is in none, so K_n is the only maximal graph
+    for k in range(12):
+        f = Graph.empty(k)
+        if k > 10:
+            with pytest.raises(ValueError, match="pattern limited to n <= 10"):
+                spex_scan(n, f)
+        elif k <= n:
+            with pytest.raises(ValueError, match="pattern is contained in every graph of this order"):
+                spex_scan(n, f)
+        else:
+            res = spex_scan(n, f)
+            assert res.witness == complete_graph(n), k
+            assert res.maximal_graphs == 1
 
 
 def test_spex_scan_matches_decision_tree_oracle():
@@ -467,6 +485,31 @@ def test_theorem2_gap_examples():
     rep = theorem2_gap(5, complete_graph(3))
     assert abs(rep.quantities["lower"] - math.sqrt(6) / 5) <= 1e-9
     assert abs(rep.quantities["upper"] - math.sqrt(6) / 5) <= 1e-9
+
+
+def test_gap_sandwich_is_decided_without_tolerance(monkeypatch):
+    # a spex maximum whose upper end lies one ulp below the Turan quotient's
+    # lower end breaks the sandwich: no tolerance may absorb it
+    quotient = []
+    estimate = theorems._estimate
+    monkeypatch.setattr(theorems, "_estimate", lambda *a: quotient.append(estimate(*a)) or quotient[-1])
+
+    def scan(n, f):
+        below = math.nextafter(quotient[0].lower, -math.inf)
+        return SpexResult(SpectralEstimate(below, 0.0, 1, True), complete_multipartite((2, 2)), 1)
+
+    monkeypatch.setattr(theorems, "spex_scan", scan)
+    rep = theorem2_gap(4, complete_graph(3))
+    assert (rep.verdict, rep.notes) == (Verdict.VIOLATION, "lower bound exceeds the exhaustive maximum")
+
+
+def test_gap_floor_is_decided_in_exact_rationals(monkeypatch):
+    # K3 at n = 4: floor * n = 2 - 2/16 = 1.875 exactly; a quotient bracket
+    # ending one ulp below it falls short of the floor
+    below = math.nextafter(1.875, -math.inf)
+    monkeypatch.setattr(theorems, "_perron", lambda matvec, m: (below, below, 1, True))
+    rep = theorem2_gap(4, complete_graph(3))
+    assert (rep.verdict, rep.notes) == (Verdict.VIOLATION, "Turan quotient fell below its guaranteed floor")
 
 
 def test_theorem2_gap_rejects_bipartite_pattern():
