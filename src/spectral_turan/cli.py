@@ -63,18 +63,30 @@ class UsageError(Exception):
     pass
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+_SIZES_USAGE = "--sizes expects part sizes 'S1,S2,...'"
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _number(tok: str, usage: str, kind: type = int):
+    """``kind(tok)`` for a flag's value; ``usage`` ("--flag expects ...") is
+    the error for a malformed one."""
+    try:
+        return kind(tok)
+    except ValueError:
+        raise UsageError(usage) from None
+
+
+def _parse_list(text: str, usage: str, kind: type = int) -> list:
+    return [_number(tok, usage, kind) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_seeds(text: str) -> list[int]:
     """Seed spec: '7', '1,2,5', or a range '1..20'; never empty."""
+    usage = "--seeds expects '7', '1,2,5' or '1..20'"
     lo, dots, hi = text.partition("..")
-    seeds = list(range(int(lo), int(hi) + 1)) if dots else _parse_int_list(text)
+    if dots:
+        seeds = list(range(_number(lo, usage), _number(hi, usage) + 1))
+    else:
+        seeds = _parse_list(text, usage)
     if not seeds:
         raise UsageError(f"--seeds {text!r} names no seed")
     return seeds
@@ -110,20 +122,22 @@ def _gather_instances(args) -> list[tuple[str, Graph]]:
             for i, line in enumerate(ln for ln in text.splitlines() if ln.strip()):
                 instances.append((f"{name}#{i}", parse_graph6(line)))
     if args.turan:
-        values = _parse_int_list(args.turan)
+        usage = "--turan expects 'n,r'"
+        values = _parse_list(args.turan, usage)
         if len(values) != 2:
-            raise UsageError("--turan expects 'n,r'")
+            raise UsageError(usage)
         n, r = values
         instances.append((f"turan-n{n}-r{r}", turan_graph(n, r)))
     if args.multipartite:
-        sizes = _parse_int_list(args.multipartite)
+        sizes = _parse_list(args.multipartite, "--multipartite expects part sizes 'S1,S2,...'")
         label = "x".join(str(s) for s in sizes)
         instances.append((f"kpartite-{label}", complete_multipartite(sizes)))
     if args.gnp:
+        usage = "--gnp expects 'n,p'"
         parts = args.gnp.split(",")
         if len(parts) != 2:
-            raise UsageError("--gnp expects 'n,p'")
-        n, p = int(parts[0]), float(parts[1])
+            raise UsageError(usage)
+        n, p = _number(parts[0], usage), _number(parts[1], usage, float)
         seed = args.seed
         for i in range(args.count):
             instances.append((f"gnp-n{n}-p{p}-seed{seed}-i{i:04d}", gnp(n, p, seed + i)))
@@ -267,7 +281,7 @@ def _cmd_gen(args) -> int:
     if args.kind == "turan":
         graphs = [turan_graph(args.n, args.r)]
     elif args.kind == "multipartite":
-        graphs = [complete_multipartite(_parse_int_list(args.sizes))]
+        graphs = [complete_multipartite(_parse_list(args.sizes, _SIZES_USAGE))]
     else:  # gnp
         graphs = [gnp(args.n, args.p, args.seed + i) for i in range(args.count)]
     if args.format == "edgelist":
@@ -318,7 +332,7 @@ def _cmd_cliques(args) -> int:
 
 
 def _cmd_find_kpartite(args) -> int:
-    sizes = _parse_int_list(args.sizes)
+    sizes = _parse_list(args.sizes, _SIZES_USAGE)
 
     def task(item):
         iid, g = item
@@ -348,8 +362,8 @@ def _cmd_verify(args) -> int:
         return run_campaign(sweep, fact3_task, args)
 
     instances = _gather_instances(args)
-    r_values = _parse_int_list(args.r) if args.r else []
-    c_values = _parse_float_list(args.c) if args.c else []
+    r_values = _parse_list(args.r, "--r expects clique orders 'R1,R2,...'") if args.r else []
+    c_values = _parse_list(args.c, "--c expects numbers 'C1,C2,...'", float) if args.c else []
     if not r_values:
         raise UsageError(f"verify {args.check} needs --r")
     needs_c = args.check in ("fact2", "theorem1", "chain")

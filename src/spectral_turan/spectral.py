@@ -1,6 +1,11 @@
 """One certified Perron routine, ``_perron``: ``spectral_radius`` runs it per
 connected component, ``theorems.theorem2_gap`` on the Turan quotient matrix.
 
+A run may be given a ``ceiling``: it then stops, unconverged, as soon as its
+certified upper end falls below it.  ``theorems.spex_scan`` passes one so a
+leaf that can no longer beat the best so far costs a few iterations instead
+of a full 1e-10 bracket; without one (the default) every run is as before.
+
 Each component with an edge, or the whole graph when it is connected or
 edgeless, is one block whose matvec, ``_block_matvec``, is a dense float64
 matrix when the block has m <= _DENSE_LIMIT vertices and is at least 1/16
@@ -35,7 +40,9 @@ class SpectralEstimate:
     The float ends enclose it, rounding included, whether or not the
     iteration converged; ``converged`` means every component's half-width
     reached 1e-10 per vertex within the iteration cap, and ``iterations``
-    counts matrix-vector products.
+    counts matrix-vector products.  ``converged=False`` also means "stopped
+    below the ceiling": every component's upper end fell below a ceiling
+    passed to ``spectral_radius`` before its bracket settled.
     """
 
     value: float
@@ -60,7 +67,7 @@ def _estimate(lower: float, upper: float, iterations: int, converged: bool) -> S
     return SpectralEstimate(value, residual, iterations, converged)
 
 
-def _perron(scaled, m: int) -> tuple[float, float, int, bool]:
+def _perron(scaled, m: int, ceiling: float = -math.inf) -> tuple[float, float, int, bool]:
     """(lower, upper, iterations, converged): a certified bracket on the Perron
     root of a nonnegative symmetric m x m matrix A, whose scaled
     diag(2^-e) A diag(2^e) has the matvec ``scaled(e)`` (A itself at None).
@@ -74,7 +81,9 @@ def _perron(scaled, m: int) -> tuple[float, float, int, bool]:
     and Stability, 3.1).  A Perron vector can span more than the float
     range, so once an entry of x falls below 2^-700 the exponents of x move
     into e, an exact similarity.  Stops at half-width <= 1e-10 m, or after
-    _MAX_ITER iterations with the wider bracket and converged=False.
+    _MAX_ITER iterations with the wider bracket and converged=False, or with
+    converged=False as soon as an unsettled bracket's upper end is below
+    ``ceiling``; every bracket returned is certified.
     """
     ku = (m + 5) * math.ulp(1.0) / 2  # (m + 5) u, u = 2^-53
     slack = ku / (1.0 - ku)
@@ -91,6 +100,8 @@ def _perron(scaled, m: int) -> tuple[float, float, int, bool]:
         lower, upper = lo * down, hi * up
         if upper - lower <= width:
             return lower, upper, iterations, True
+        if upper < ceiling:
+            return lower, upper, iterations, False
         y += x  # shift by +1; entry i scales by (r_i + 1) / (hi + 1)
         y /= hi + 1.0
         x = y
@@ -157,13 +168,26 @@ def _components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def spectral_radius(g: Graph) -> SpectralEstimate:
+def spectral_radius(g: Graph, ceiling: float = -math.inf) -> SpectralEstimate:
     """Certified enclosure of mu(G): [max lower end, max upper end] over the
     components with an edge, or over the whole graph as one block if it is
-    connected or edgeless."""
+    connected or edgeless.
+
+    Each component's run stops once its upper end is below ``ceiling``.  If
+    every one did, mu(G) < ceiling and the enclosure is returned unconverged.
+    Otherwise the stopped components are solved again without the ceiling,
+    so the estimate is bit for bit the one without a ceiling.
+    """
     if g.n < 1:
         raise ValueError("spectral_radius requires n >= 1")
     blocks = _components(g) or [range(g.n)]
-    brackets = [_perron(partial(_block_matvec, g, c), len(c)) for c in blocks]
+
+    def solve(c, top):
+        return _perron(partial(_block_matvec, g, c), len(c), top)
+
+    brackets = [solve(c, ceiling) for c in blocks]
+    if max(b[1] for b in brackets) >= ceiling:  # mu(G) may reach it: undo every stop
+        brackets = [b if b[3] or b[1] >= ceiling else solve(c, -math.inf)
+                    for c, b in zip(blocks, brackets)]
     lowers, uppers, iterations, converged = zip(*brackets)
     return _estimate(max(lowers), max(uppers), sum(iterations), all(converged))

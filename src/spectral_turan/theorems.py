@@ -428,6 +428,17 @@ def spex_scan(
     through i and through every open pair, and skips the branch if one has
     none.  Only non-maximal leaves are cut, so the maximal leaves, their
     order and every reported number stay as above.
+
+    Eigen-solves that cannot win: once a best exists, a leaf's
+    spectral_radius gets the ceiling best.value - 2e-10 n and stops as soon
+    as its certified upper end is below it.  A converged full run's bracket
+    is at most 2e-10 n wide, so its value lies at most 1e-10 n above mu(G),
+    which the stopped upper end bounds.  That leaf's full value would thus
+    be below best.value - 1e-10 n, the 1e-10 n left over covering the
+    rounding of the midpoint, and the strict ``>`` rejects it either way (a
+    stopped estimate has value <= upper < ceiling).  A leaf that can still
+    win is solved exactly as without a ceiling, so the winner's estimate,
+    the call count and every reported number are unchanged.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -458,7 +469,7 @@ def spex_scan(
                 return  # an edge is still addable: dominated by a supergraph
             maximal += 1
             g = Graph.from_edges(n, (pairs[k] for k in iter_bits(edges)))
-            est = spectral_radius(g)
+            est = spectral_radius(g, -math.inf if best is None else best[0].value - 2e-10 * n)
             if best is None or est.value > best[0].value:
                 best = (est, g)
             return

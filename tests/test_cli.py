@@ -230,6 +230,24 @@ def test_input_errors_name_the_flag_or_the_bound(argv, message, capsys):
     assert (code, captured.out, captured.err) == (2, "", message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("mu --turan a,b", "error: --turan expects 'n,r'\n"),
+    ("mu --gnp 5,x", "error: --gnp expects 'n,p'\n"),
+    ("mu --gnp 5.5,0.5", "error: --gnp expects 'n,p'\n"),
+    ("mu --multipartite 2,x", "error: --multipartite expects part sizes 'S1,S2,...'\n"),
+    ("gen multipartite --sizes 2,x", "error: --sizes expects part sizes 'S1,S2,...'\n"),
+    ("find-kpartite --sizes 2,2.5 --turan 6,2", "error: --sizes expects part sizes 'S1,S2,...'\n"),
+    ("verify fact1 --turan 6,2 --r 3,x", "error: --r expects clique orders 'R1,R2,...'\n"),
+    ("verify fact2 --turan 6,2 --r 3 --c 0.1,x", "error: --c expects numbers 'C1,C2,...'\n"),
+    ("biclique-scan --n 10 --p 0.5 --seeds x", "error: --seeds expects '7', '1,2,5' or '1..20'\n"),
+    ("biclique-scan --n 10 --p 0.5 --seeds 1..x", "error: --seeds expects '7', '1,2,5' or '1..20'\n"),
+])
+def test_malformed_numbers_name_the_flag(argv, message, capsys):
+    code = cli_main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message)
+
+
 @pytest.mark.parametrize("seeds", ["5..1", ","])
 def test_empty_seed_spec_is_a_usage_error(seeds, capsys):
     code = cli_main(["biclique-scan", "--n", "10", "--p", "0.5", "--seeds", seeds])

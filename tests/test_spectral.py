@@ -250,6 +250,70 @@ def test_many_components_unpack_only_their_own_rows():
     assert peak < 8 * 10**6
 
 
+# seeded G(n, p), all but G(40, .3) disconnected (G(200, .01) has five
+# components with an edge), and two lollipops, one past the float range
+CEILING_GRAPHS = [gnp(12, 0.15, 3), gnp(25, 0.1, 7), gnp(40, 0.3, 2), gnp(200, 0.01, 4),
+                  _lollipop(6, 10), _lollipop(20, 300)]
+# ceilings from well below mu to well above it
+CEILING_OFFSETS = [-1.0, -1e-3, -1e-9, 0.0, 1e-9, 1e-6, 1e-3, 0.5, 5.0]
+
+
+def _ceilings(g: Graph) -> tuple[float, list[float]]:
+    mu = np.linalg.eigvalsh(g.to_bits().astype(float))[-1]
+    return mu, [mu + d for d in CEILING_OFFSETS]
+
+
+@pytest.mark.parametrize("g", CEILING_GRAPHS)
+def test_a_stopped_run_still_encloses_the_root(g):
+    mu, ceilings = _ceilings(g)
+    for ceiling in ceilings:
+        est = spectral_radius(g, ceiling)
+        assert est.lower <= mu <= est.upper, ceiling
+
+
+@pytest.mark.parametrize("g", CEILING_GRAPHS)
+def test_a_run_that_reaches_the_ceiling_is_the_run_without_one(g):
+    full = spectral_radius(g)
+    for ceiling in _ceilings(g)[1]:
+        est = spectral_radius(g, ceiling)
+        if est.upper >= ceiling:
+            assert est == full, ceiling
+
+
+@pytest.mark.parametrize("g", CEILING_GRAPHS)
+def test_a_run_below_the_ceiling_could_not_have_reached_it(g):
+    full = spectral_radius(g)
+    for ceiling in _ceilings(g)[1]:
+        est = spectral_radius(g, ceiling)
+        if est.upper < ceiling:
+            assert full.value < ceiling + 1e-10 * g.n, ceiling
+
+
+@pytest.mark.parametrize("g", CEILING_GRAPHS)
+def test_the_ceilings_stop_some_runs_and_not_others(g):
+    stopped = [spectral_radius(g, c).upper < c for c in _ceilings(g)[1]]
+    assert any(stopped) and not all(stopped)
+    assert not spectral_radius(g, _ceilings(g)[0] + 5.0).converged
+
+
+def test_a_stopped_component_is_solved_again_when_another_reaches_the_ceiling(monkeypatch):
+    # K4 (mu = 3) settles at once; the P5 beside it (mu = sqrt 3) stops below
+    # 2.9 and must then run again without the ceiling
+    g = _union(complete_graph(4), Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+    runs, perron = [], spectral._perron
+
+    def counted(scaled, m, ceiling=-math.inf):
+        bracket = perron(scaled, m, ceiling)
+        runs.append((m, ceiling, bracket[3]))
+        return bracket
+
+    monkeypatch.setattr(spectral, "_perron", counted)
+    est = spectral_radius(g, 2.9)
+    assert runs == [(4, 2.9, True), (5, 2.9, False), (5, -math.inf, True)]
+    monkeypatch.undo()
+    assert est == spectral_radius(g)
+
+
 def test_edgeless_graph_runs_once_on_its_zero_matrix():
     est = spectral_radius(Graph.empty(5))
     assert (est.value, est.residual, est.iterations, est.converged) == (0.0, 0.0, 1, True)
