@@ -105,7 +105,10 @@ def named_graph(spec: str) -> Graph:
     if len(s) >= 2 and s[0] in "KC" and s[1:].isdigit():
         k = int(s[1:])
         return complete_graph(k) if s[0] == "K" else cycle_graph(k)
-    return parse_graph6(s)
+    try:
+        return parse_graph6(s)
+    except Graph6Error as exc:
+        raise UsageError(f"--f expects 'K<n>', 'C<n>' or graph6: {exc}") from None
 
 
 def _gather_instances(args) -> list[tuple[str, Graph]]:
@@ -433,7 +436,8 @@ def _cmd_biclique_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET, help="search node-expansion budget")
+    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
+                   help="search budget in node expansions (candidate vertices tried)")
     p.add_argument(
         "--threads",
         type=_count,

@@ -16,7 +16,8 @@ DEFAULT_BUDGET = 10**8
 
 
 class SearchBudgetExceeded(Exception):
-    """Exhaustive search ran out of node expansions; result is indeterminate."""
+    """Exhaustive search ran out of node expansions (one per candidate vertex
+    tried); result is indeterminate."""
 
     def __init__(self, budget: int):
         # the constructor's argument as args, so the error survives pickling
@@ -24,7 +25,8 @@ class SearchBudgetExceeded(Exception):
         self.budget = budget
 
     def __str__(self) -> str:
-        return f"search budget of {self.budget} node expansions exhausted"
+        return (f"search budget of {self.budget} node expansions"
+                " (candidate vertices tried) exhausted")
 
 
 @dataclass(frozen=True)
@@ -70,12 +72,26 @@ def find_complete_multipartite(
     Parts are built in nonincreasing size order, vertices tried in ascending
     label order, so a returned witness is the lexicographically least one.
     Candidates for a new vertex are the bit-intersection of the neighborhoods
-    of everything placed in *other* parts; a part is pruned when the
-    candidates above its last vertex cannot fill the remaining slots.
-    Consecutive equal-size parts are forced to ascend by first element,
-    which removes permutation-equivalent branches without losing witnesses.
+    of everything placed in *other* parts; a vertex is rejected when some
+    later part can no longer be filled from its narrowed mask, and a part is
+    pruned when its candidates cannot fill the remaining slots.  Consecutive
+    equal-size parts ascend by first element, which removes
+    permutation-equivalent branches without losing witnesses: placing a
+    part's first vertex v at once restricts an equal-size next part to the
+    vertices above v, so the prune of the placing frame sees the cut.
 
-    Returns a witness, or None after exhausting the space.  Raises
+    A part-opening frame tests each candidate as it is tried.  Once a part
+    holds a vertex and still needs k more, one pass keeps only the
+    candidates after it that fit every later part under the narrowed masks,
+    giving up once fewer than k can remain; the frames that fill the part
+    pop from this filtered set without testing again.  A vertex that fails
+    at a frame fails at every frame below it, whose masks are narrower, so
+    the visit order is unchanged.
+
+    One node expansion is one candidate vertex tried, i.e. popped from a
+    frame.  The filter pass is not charged; its work per expansion is at
+    most n * r popcounts, so the budget still bounds time.  Returns a
+    witness, or None after exhausting the space.  Raises
     SearchBudgetExceeded when the budget runs out first: an indeterminate
     outcome, deliberately distinct from None.
     """
@@ -98,11 +114,13 @@ def find_complete_multipartite(
 
     # depth-first on an explicit stack, one frame per placed vertex, so a
     # witness with a thousand parts does not exhaust Python's recursion;
-    # a frame is (part, slot, candidates not yet tried, later masks)
+    # a frame is (part, slot, candidates not yet tried, later masks), and a
+    # frame past slot 0 holds only candidates that fit every later part
     stack = [(0, 0, full, [full] * (r - 1))]
     while stack:
         pi, slot, m, later = stack[-1]
         need = szs[pi] - slot  # >= 1: a frame has a slot to fill
+        rest = tails[pi]
         while m.bit_count() >= need:
             b = m & -m
             m ^= b
@@ -111,14 +129,46 @@ def find_complete_multipartite(
             if expansions > budget:
                 raise SearchBudgetExceeded(budget)
             row_v = rows[v]
-            nlater = []
-            for c, s in zip(later, tails[pi]):
-                c &= row_v
-                if c.bit_count() < s:
-                    break
-                nlater.append(c)
+            if slot:
+                nlater = [c & row_v for c in later]
             else:
-                break  # v fits every later part
+                # a part-opening frame tests each candidate as it is tried
+                nlater = []
+                for c, s in zip(later, rest):
+                    c &= row_v
+                    if c.bit_count() < s:
+                        break
+                    nlater.append(c)
+                if len(nlater) < len(rest):
+                    continue
+                if rest and rest[0] == need:
+                    # equal-size parts ascend by first element (pure symmetry
+                    # cut): the next part lies above this part's first vertex
+                    nlater[0] &= -(b << 1)
+                    if nlater[0].bit_count() < rest[0]:
+                        continue
+            keep = m
+            if need > 1 and rest:
+                # one pass keeps the rest of this part's candidates that fit
+                # every later part under the new masks; it gives up once
+                # fewer than need - 1 can remain
+                keep = 0
+                room = m.bit_count()  # candidates kept or not yet tested
+                rm = m
+                fit = list(zip(nlater, rest))
+                while rm and room >= need - 1:
+                    u = rm & -rm
+                    rm ^= u
+                    row_u = rows[u.bit_length() - 1]
+                    for c, s in fit:
+                        if (c & row_u).bit_count() < s:
+                            room -= 1
+                            break
+                    else:
+                        keep |= u
+                if room < need - 1:
+                    continue
+            break
         else:
             stack.pop()  # frame exhausted: undo the vertex its parent placed
             if stack:
@@ -127,16 +177,12 @@ def find_complete_multipartite(
         stack[-1] = (pi, slot, m, later)
         parts[pi].append(v)
         if slot + 1 < szs[pi]:
-            stack.append((pi, slot + 1, m, nlater))
+            stack.append((pi, slot + 1, keep, nlater))
             continue
         ni = pi + 1
         if ni == r:
             return MultipartiteWitness(tuple(tuple(p) for p in parts))
-        ncand = nlater[0]
-        if szs[ni] == szs[pi]:
-            # equal-size parts ascend by first element (pure symmetry cut)
-            ncand &= -(1 << (parts[pi][0] + 1))
-        stack.append((ni, 0, ncand, nlater[1:]))
+        stack.append((ni, 0, nlater[0], nlater[1:]))
     return None
 
 

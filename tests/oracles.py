@@ -8,9 +8,10 @@ bit-matrix layer (G(n, p), graph6 decoding) is checked against scalar
 pair-by-pair loops, clique counting against pure bitset extension along a
 degeneracy order (not a degree order) without numpy base cases, the
 multipartite search against a version that rebuilds every part's cross mask
-per step, and the spectral extremal scan against its decision tree driven by
-subgraph embedding (the backtracking embedder ``contains_subgraph``) instead
-of precomputed F-copies.
+per step and against the least family an itertools walk meets, and the
+spectral extremal scan against its decision tree driven by subgraph
+embedding (the backtracking embedder ``contains_subgraph``) instead of
+precomputed F-copies.
 """
 
 from __future__ import annotations
@@ -207,6 +208,41 @@ def brute_multipartite_exists(g: Graph, sizes: tuple[int, ...]) -> bool:
         return False
 
     return rec([], 0)
+
+
+def ordered_families(n: int, sizes, rows=None):
+    """Families of disjoint ascending parts on range(n), part sizes in
+    nonincreasing order, in lexicographic order, by itertools.combinations.
+
+    With adjacency ``rows`` only complete multipartite families are yielded:
+    a part is skipped unless each of its vertices is adjacent to every
+    vertex of the parts before it, which no extension can repair."""
+    szs = sorted(sizes, reverse=True)
+    if rows is None:
+        rows = [(1 << n) - 1] * n
+
+    def walk(prefix, free, joined):
+        if len(prefix) == len(szs):
+            yield prefix
+            return
+        for part in combinations(free, szs[len(prefix)]):
+            if all(joined >> v & 1 for v in part):
+                common = joined
+                for v in part:
+                    common &= rows[v]
+                rest = [v for v in free if v not in part]
+                yield from walk(prefix + (part,), rest, common)
+
+    return walk((), list(range(n)), (1 << n) - 1)
+
+
+def brute_least_witness(g: Graph, sizes) -> MultipartiteWitness | None:
+    """The lexicographically least witness in search order: the first family
+    ``ordered_families`` meets.  Swapping two equal-size parts keeps a
+    witness, so the least one already has them ascending by first element,
+    as the search's symmetry cut asks."""
+    first = next(ordered_families(g.n, sizes, [g.row(v) for v in range(g.n)]), None)
+    return None if first is None else MultipartiteWitness(first)
 
 
 def oracle_count_cliques(g: Graph, r: int) -> int:
@@ -532,9 +568,13 @@ def oracle_degeneracy_order(g: Graph) -> list[int]:
 
 def oracle_find_complete_multipartite(g: Graph, sizes, budget: int = DEFAULT_BUDGET):
     """``find_complete_multipartite`` with one cross mask per part, rebuilt
-    for every part at every expansion, a used-vertex mask, and a feasibility
-    scan over all later parts.  It visits vertices in the production order
-    and counts expansions at the same point, so witnesses and budget
+    for every part at every expansion, a used-vertex mask, a feasibility
+    scan over all later parts at every slot, and recursion.  Placing a
+    part's first vertex v narrows an equal-size next part's mask to the
+    vertices above v; a part that still needs vertices after v recurses on
+    the candidates above v that fit every later part.  It visits vertices in
+    the production order and counts expansions at the same point (one per
+    candidate tried, none for the filter), so witnesses and budget
     exhaustion must match exactly."""
     szs = part_sizes(sizes)
     if sum(szs) > g.n:
@@ -546,16 +586,18 @@ def oracle_find_complete_multipartite(g: Graph, sizes, budget: int = DEFAULT_BUD
     parts: list[list[int]] = [[] for _ in range(r)]
     expansions = 0
 
+    def fits(u: int, cross: list[int], used: int, pi: int) -> bool:
+        return all(
+            (cross[j] & ~used & rows[u]).bit_count() >= szs[j] for j in range(pi + 1, r)
+        )
+
     def search(pi: int, slot: int, cand: int, cross: list[int], used: int) -> bool:
         nonlocal expansions
         if slot == szs[pi]:
             ni = pi + 1
             if ni == r:
                 return True
-            ncand = cross[ni] & ~used
-            if szs[ni] == szs[pi]:
-                ncand &= -(1 << (parts[pi][0] + 1))
-            return search(ni, 0, ncand, cross, used)
+            return search(ni, 0, cross[ni] & ~used, cross, used)
         need = szs[pi] - slot
         m = cand
         while m:
@@ -569,13 +611,21 @@ def oracle_find_complete_multipartite(g: Graph, sizes, budget: int = DEFAULT_BUD
                 raise SearchBudgetExceeded(budget)
             row_v = rows[v]
             ncross = [c if j == pi else c & row_v for j, c in enumerate(cross)]
+            if slot == 0 and pi + 1 < r and szs[pi + 1] == szs[pi]:
+                ncross[pi + 1] &= -(1 << (v + 1))
             nused = used | b
             if any(
                 (ncross[j] & ~nused).bit_count() < szs[j] for j in range(pi + 1, r)
             ):
                 continue
+            nm = m
+            if slot + 1 < szs[pi]:
+                nm = 0
+                for u in range(v + 1, n):
+                    if m >> u & 1 and fits(u, ncross, nused, pi):
+                        nm |= 1 << u
             parts[pi].append(v)
-            if search(pi, slot + 1, m, ncross, nused):
+            if search(pi, slot + 1, nm, ncross, nused):
                 return True
             parts[pi].pop()
         return False

@@ -223,6 +223,10 @@ def test_threads_and_budget_below_one_are_usage_errors(argv, flag, capsys):
     ("verify fact1 --turan 6,2,1 --r 3", "error: --turan expects 'n,r'\n"),
     ("biclique-scan --n 0 --p 0.5 --seeds 1", "error: max_balanced_biclique requires n >= 2\n"),
     ("biclique-scan --n 1 --p 0.5 --seeds 1,2 --threads 2", "error: max_balanced_biclique requires n >= 2\n"),
+    ("spex --n 6 --f Kx",
+     "error: --f expects 'K<n>', 'C<n>' or graph6: body length 1 != expected 11 (byte offset 1)\n"),
+    ("gap --n 6 --f ~",
+     "error: --f expects 'K<n>', 'C<n>' or graph6: truncated multi-byte size (byte offset 1)\n"),
 ])
 def test_input_errors_name_the_flag_or_the_bound(argv, message, capsys):
     code = cli_main(argv.split())

@@ -1,3 +1,6 @@
+from itertools import combinations, product
+
+import numpy as np
 import pytest
 
 from spectral_turan import (
@@ -10,14 +13,17 @@ from spectral_turan import (
     find_complete_multipartite,
     gnp,
     max_balanced_biclique,
+    to_graph6,
     turan_graph,
     verify_witness,
 )
 
 from oracles import (
     all_graphs,
+    brute_least_witness,
     brute_multipartite_exists,
     oracle_find_complete_multipartite,
+    ordered_families,
     partitions_upto,
 )
 
@@ -188,3 +194,46 @@ def test_max_balanced_biclique_budget_flag():
 def test_max_balanced_biclique_domain():
     with pytest.raises(ValueError):
         max_balanced_biclique(Graph.empty(1))
+
+
+LEAST_SIZES = [(1, 1), (2, 2), (3, 3), (3, 2), (2, 2, 2), (2, 2, 1), (3, 3, 2)]
+
+
+def test_witness_is_the_least_family_on_every_small_graph():
+    # all_graphs(n) yields the graph with edge mask i i-th; a family fits the
+    # graphs whose mask holds its cross pairs, and the least family that
+    # fits is the witness, so one sweep over the families in reverse
+    # lexicographic order labels every graph with its expected witness
+    for n in range(2, 7):
+        index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
+        masks = np.arange(1 << len(index))
+        graphs = list(all_graphs(n))
+        for sizes in LEAST_SIZES:
+            if sum(sizes) > n:
+                continue
+            families = list(ordered_families(n, sizes))
+            least = np.full(len(masks), -1)
+            for i in reversed(range(len(families))):
+                cross = 0
+                for pa, pb in combinations(families[i], 2):
+                    for u, v in product(pa, pb):
+                        cross |= 1 << index[min(u, v), max(u, v)]
+                least[masks & cross == cross] = i
+            for g, i in zip(graphs, least):
+                want = MultipartiteWitness(families[i]) if i >= 0 else None
+                assert find_complete_multipartite(g, sizes) == want, (to_graph6(g), sizes)
+
+
+def test_witness_is_the_least_family_on_seeded_graphs():
+    cases = found = 0
+    for i in range(36):
+        n = 7 + i % 6
+        g = gnp(n, (0.4, 0.6, 0.8)[i % 3], 4200 + i)
+        for sizes in LEAST_SIZES:
+            if sum(sizes) > n:
+                continue
+            w = find_complete_multipartite(g, sizes)
+            assert w == brute_least_witness(g, sizes), (i, sizes)
+            cases += 1
+            found += w is not None
+    assert 0 < found < cases
