@@ -1,10 +1,10 @@
-"""One certified Perron routine, ``_perron``: ``spectral_radius`` runs it per
-connected component, ``theorems.theorem2_gap`` on the Turan quotient matrix.
+"""One certified Perron routine, ``_perron``, which ``spectral_radius`` runs
+once per connected component of an adjacency matrix.
 
 A run may be given a ``ceiling``: it then stops, unconverged, as soon as its
-certified upper end falls below it.  ``theorems.spex_scan`` passes one so a
-leaf that can no longer beat the best so far costs a few iterations instead
-of a full 1e-10 bracket; without one (the default) every run is as before.
+certified upper end falls below it.  ``theorems.spex_scan`` passes the best
+leaf's upper end, so a losing leaf costs a few iterations, not a full 1e-10
+bracket; without one (the default) every run is as before.
 
 Each component with an edge, or the whole graph when it is connected or
 edgeless, is one block whose matvec, ``_block_matvec``, is a dense float64
@@ -59,31 +59,25 @@ class SpectralEstimate:
         return self.value + self.residual
 
 
-def _estimate(lower: float, upper: float, iterations: int, converged: bool) -> SpectralEstimate:
-    value = 0.5 * (lower + upper)
-    residual = max(value - lower, upper - value)
-    while value - residual > lower or value + residual < upper:  # round the half-width up
-        residual = math.nextafter(residual, math.inf)
-    return SpectralEstimate(value, residual, iterations, converged)
-
-
 def _perron(scaled, m: int, ceiling: float = -math.inf) -> tuple[float, float, int, bool]:
     """(lower, upper, iterations, converged): a certified bracket on the Perron
-    root of a nonnegative symmetric m x m matrix A, whose scaled
+    root of the adjacency matrix A of an m-vertex block, whose scaled
     diag(2^-e) A diag(2^e) has the matvec ``scaled(e)`` (A itself at None).
 
     Power iteration on A + I from the all-ones vector keeps the iterate x
     positive, and for any positive x, min (Ax)_i/x_i <= rho <= max (Ax)_i/x_i
     (Collatz–Wielandt; Horn & Johnson, Matrix Analysis, 8.1.26).  Both ends
-    are widened by gamma_{m+5} = (m+5)u / (1 - (m+5)u): m + 1 roundings in
-    each (Ax)_i (the sum, the products, a rounded matrix entry), one in the
-    ratio, three in forming and applying the widening (Higham, Accuracy
-    and Stability, 3.1).  A Perron vector can span more than the float
-    range, so once an entry of x falls below 2^-700 the exponents of x move
-    into e, an exact similarity.  Stops at half-width <= 1e-10 m, or after
-    _MAX_ITER iterations with the wider bracket and converged=False, or with
-    converged=False as soon as an unsettled bracket's upper end is below
-    ``ceiling``; every bracket returned is certified.
+    are widened by gamma_{m+5} = (m+5)u / (1 - (m+5)u): m - 1 roundings in
+    the sum of each (Ax)_i, one in the ratio, three in forming and applying
+    the widening (Higham, Accuracy and Stability, 3.1); the entries of A and
+    their power-of-two scalings are exact, and the two spare roundings stay
+    because the widening enters every reported bit.  A Perron vector can
+    span more than the float range, so once an entry of x falls below
+    2^-700 the exponents of x move into e, an exact similarity.  Stops at
+    half-width <= 1e-10 m, or after _MAX_ITER iterations with the wider
+    bracket and converged=False, or with converged=False as soon as an
+    unsettled bracket's upper end is below ``ceiling``; every bracket
+    returned is certified.
     """
     ku = (m + 5) * math.ulp(1.0) / 2  # (m + 5) u, u = 2^-53
     slack = ku / (1.0 - ku)
@@ -113,14 +107,10 @@ def _perron(scaled, m: int, ceiling: float = -math.inf) -> tuple[float, float, i
     return lower, upper, _MAX_ITER, False
 
 
-def _dense_matvec(a: np.ndarray, e: np.ndarray | None = None):
-    """x -> B @ x for B = a, or for diag(2^-e) a diag(2^e) when e is given."""
-    return (a if e is None else np.ldexp(a, e[None, :] - e[:, None])).dot
-
-
 def _block_matvec(g: Graph, c: Sequence[int], e: np.ndarray | None = None):
-    """The same for g's adjacency matrix on the ascending vertex list c, which
-    no edge leaves; the rows of c are unpacked _SPARSE_BLOCK entries at a time."""
+    """x -> B @ x for B = A, or for diag(2^-e) A diag(2^e) when e is given,
+    where A is g's adjacency matrix on the ascending vertex list c, which no
+    edge leaves; the rows of c are unpacked _SPARSE_BLOCK entries at a time."""
     m = len(c)
     step = max(1, _SPARSE_BLOCK // g.n)
     # below 1/16 full, np.bincount beats the dense product (measured at m >= 700)
@@ -129,7 +119,7 @@ def _block_matvec(g: Graph, c: Sequence[int], e: np.ndarray | None = None):
         for lo in range(0, m, step):
             bits = g.to_bits(c[lo:lo + step])
             a[lo:lo + step] = bits if m == g.n else bits[:, c]
-        return _dense_matvec(a, e)
+        return (a if e is None else np.ldexp(a, e[None, :] - e[:, None])).dot
     local = np.empty(g.n, dtype=np.intp)  # vertex -> its position in c
     local[c] = np.arange(m)
     rows, cols = [], []  # row-major, as bincount's summation order fixes the bits
@@ -190,4 +180,9 @@ def spectral_radius(g: Graph, ceiling: float = -math.inf) -> SpectralEstimate:
         brackets = [b if b[3] or b[1] >= ceiling else solve(c, -math.inf)
                     for c, b in zip(blocks, brackets)]
     lowers, uppers, iterations, converged = zip(*brackets)
-    return _estimate(max(lowers), max(uppers), sum(iterations), all(converged))
+    lower, upper = max(lowers), max(uppers)
+    value = 0.5 * (lower + upper)
+    residual = max(value - lower, upper - value)
+    while value - residual > lower or value + residual < upper:  # round the half-width up
+        residual = math.nextafter(residual, math.inf)
+    return SpectralEstimate(value, residual, sum(iterations), all(converged))

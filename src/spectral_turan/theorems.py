@@ -12,10 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from itertools import combinations, permutations
-
-import numpy as np
 
 from .cliques import count_cliques
 from .graphs import Graph, iter_bits, part_sizes, turan_part_sizes
@@ -26,7 +23,7 @@ from .multipartite import (
     find_complete_multipartite,
     verify_witness,
 )
-from .spectral import SpectralEstimate, _dense_matvec, _estimate, _perron, spectral_radius
+from .spectral import SpectralEstimate, spectral_radius
 
 EPS = 1e-9
 SPEX_MAX_N = 8
@@ -81,8 +78,8 @@ def _require_domain(check: str, g: Graph, r: int, r_min: int, c: float | None = 
     """Raise ValueError for an instance outside a checker's domain."""
     if r < r_min:
         raise ValueError(f"{check} requires r >= {r_min}")
-    if c is not None and c <= 0:
-        raise ValueError(f"{check} requires c > 0")
+    if c is not None and not 0 < c < math.inf:
+        raise ValueError(f"{check} requires " + ("c > 0" if c <= 0 else "a finite c"))
     if g.n < 1:
         raise ValueError(f"{check} requires n >= 1")
 
@@ -164,6 +161,8 @@ def theorem1_params(r: int, c: float, n: int) -> tuple[int | float, float, bool]
     """
     if r < 3 or c <= 0 or n < 1:
         raise ValueError("need r >= 3, c > 0, n >= 1")
+    if not math.isfinite(c):
+        raise ValueError("need a finite c")
     return _part_targets(c, r, r, n)
 
 
@@ -413,12 +412,11 @@ def spex_scan(
     e is blocked.  So a blocked pair is excluded without branching, and a
     leaf is maximal exactly when every non-edge is blocked.  These are the
     answers subgraph embedding gives for the same questions, so the tree,
-    the order of the maximal leaves, the single spectral_radius call per
-    leaf and the strict ``>`` that picks the first best are those of the
-    embedding-driven scan, and with them the witness and every reported
-    number.  The copy set also decides the domain: F is contained in every
-    graph on n vertices exactly when the empty pair mask is a copy, i.e.
-    when F has no edge and at most n vertices.
+    the order of the maximal leaves and the single spectral_radius call per
+    leaf are those of the embedding-driven scan, and with them the witness
+    and every reported number.  The copy set also decides the domain: F is
+    contained in every graph on n vertices exactly when the empty pair mask
+    is a copy, i.e. when F has no edge and at most n vertices.
 
     Maximality look-ahead: the scan also carries ``open_``, the excluded
     pairs not yet blocked.  Each must end up blocked in a maximal leaf, so
@@ -429,16 +427,13 @@ def spex_scan(
     none.  Only non-maximal leaves are cut, so the maximal leaves, their
     order and every reported number stay as above.
 
-    Eigen-solves that cannot win: once a best exists, a leaf's
-    spectral_radius gets the ceiling best.value - 2e-10 n and stops as soon
-    as its certified upper end is below it.  A converged full run's bracket
-    is at most 2e-10 n wide, so its value lies at most 1e-10 n above mu(G),
-    which the stopped upper end bounds.  That leaf's full value would thus
-    be below best.value - 1e-10 n, the 1e-10 n left over covering the
-    rounding of the midpoint, and the strict ``>`` rejects it either way (a
-    stopped estimate has value <= upper < ceiling).  A leaf that can still
-    win is solved exactly as without a ceiling, so the winner's estimate,
-    the call count and every reported number are unchanged.
+    A leaf replaces the best so far only when its certified lower end is
+    above the best's upper end.  Isomorphic copies share mu, so none
+    replaces another: unless two classes' intervals overlap, the witness is
+    the first copy of its class in leaf order.  That upper end is each
+    later leaf's ceiling.  A run stopped under it (lower <= upper < ceiling)
+    could not have won; one that can win never stops, as each upper end it
+    reports is >= mu >= its final lower end > ceiling.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -469,8 +464,8 @@ def spex_scan(
                 return  # an edge is still addable: dominated by a supergraph
             maximal += 1
             g = Graph.from_edges(n, (pairs[k] for k in iter_bits(edges)))
-            est = spectral_radius(g, -math.inf if best is None else best[0].value - 2e-10 * n)
-            if best is None or est.value > best[0].value:
+            est = spectral_radius(g, -math.inf if best is None else best[0].upper)
+            if best is None or est.lower > best[0].upper:
                 best = (est, g)
             return
         if blocked >> i & 1:
@@ -500,6 +495,19 @@ def spex_scan(
     return SpexResult(*best, maximal)
 
 
+def _turan_root(n: int, k: int) -> tuple[int, int]:
+    """(b, disc) with mu(T_k(n)) = (b + sqrt(disc))/2, for 1 <= k <= n.
+
+    mu is the largest root of sum_i s_i/(x + s_i) = 1 over the part sizes:
+    a parts of p = q + 1 and k - a of q = n // k.  Times (x + p)(x + q)
+    this is x^2 - b x - c = 0, b = n - p - q, c = (k - 1) p q, whatever a.
+    """
+    q = n // k
+    p = q + 1
+    b = n - p - q
+    return b, b * b + 4 * (k - 1) * p * q
+
+
 def theorem2_gap(
     n: int,
     f: Graph,
@@ -507,32 +515,27 @@ def theorem2_gap(
 ) -> TheoremReport:
     """Finite-n sandwich around the spectral extremal limit 1 - 1/(r-1).
 
-    lower = mu(T_{r-1}(n))/n from the Turan quotient; upper = spex(n, F)/n
-    from the exhaustive scan.  Certifies lower <= upper and the Turan-graph
-    floor lower >= 1 - 1/(r-1) - (r-1)/(4 n^2), each at the ends of the two
-    certified intervals and without tolerance: the sandwich compares the
-    float ends, the floor is cleared of denominators and compared in exact
-    rationals.  Reports upper minus the limit as the finite-n gap (its sign
-    is unconstrained at small n).
+    lower = mu(T_{r-1}(n))/n, a root in closed form; upper = spex(n, F)/n
+    from the exhaustive scan.  Certifies mu(T_{r-1}(n)) <= the scan's upper
+    end and the floor lower >= 1 - 1/(r-1) - (r-1)/(4 n^2) exactly, by signs
+    of integers and rationals.  Reports upper minus the limit as the
+    finite-n gap (its sign is unconstrained at small n).
     """
     r = chromatic_number(f)
     if r < 3:
         raise ValueError("limit statement needs chromatic number >= 3")
     if n < r - 1:
         raise ValueError("need n >= r - 1 so the Turan graph has r - 1 parts")
-    sizes = np.array(turan_part_sizes(n, r - 1), dtype=np.float64)  # all >= 1 as n >= r - 1
-    # the parts' quotient B_ij = s_j (i != j) has the Perron root of the whole
-    # graph; diag(s)^(1/2) B diag(s)^(-1/2) makes it symmetric, S_ij = sqrt(s_i s_j)
-    quotient = np.sqrt(np.outer(sizes, sizes)) * (1.0 - np.eye(len(sizes)))
-    turan = _estimate(*_perron(partial(_dense_matvec, quotient), len(sizes)))
+    b, disc = _turan_root(n, r - 1)
     spex = spex_scan(n, f)
-    lower = turan.value / n
     upper = spex.mu.value / n
     limit = 1.0 - 1.0 / (r - 1)
-    turan_floor = limit - (r - 1) / (4.0 * n * n)
-    sandwich_ok = turan.lower <= spex.mu.upper
-    # the floor times 4 n^2 (r-1), in exact rationals
-    floor_ok = 4 * n * (r - 1) * Fraction(turan.upper) >= 4 * n * n * (r - 2) - (r - 1) ** 2
+    # x >= (b + sqrt(disc))/2 iff 2x - b >= 0 and (2x - b)^2 >= disc; the
+    # floor times n is (4 n^2 (r-2) - (r-1)^2) / (4 n (r-1))
+    t = 2 * Fraction(spex.mu.upper) - b
+    u = 2 * Fraction(4 * n * n * (r - 2) - (r - 1) ** 2, 4 * n * (r - 1)) - b
+    sandwich_ok = t >= 0 and t * t >= disc
+    floor_ok = u <= 0 or u * u <= disc
     verdict = Verdict.CONFIRMED if sandwich_ok and floor_ok else Verdict.VIOLATION
     notes = []
     if not sandwich_ok:
@@ -542,11 +545,11 @@ def theorem2_gap(
     return TheoremReport(
         instance_id, {"n": n, "r": r}, True, verdict,
         quantities={
-            "lower": lower,
+            "lower": (b + math.sqrt(disc)) / 2 / n,
             "upper": upper,
             "limit": limit,
             "gap": upper - limit,
-            "turan_floor": turan_floor,
+            "turan_floor": limit - (r - 1) / (4.0 * n * n),
             "maximal_graphs": spex.maximal_graphs,
         },
         notes="; ".join(notes),

@@ -382,8 +382,10 @@ def oracle_spex_scan(n: int, f: Graph) -> SpexResult:
     """The labeled decision tree of ``spex_scan`` with every question put to
     ``contains_subgraph``: each pair is tried as an edge by re-embedding F in
     the grown graph, and each excluded pair is rechecked at the leaf.  The
-    tree, the leaf order and the eigenvalue calls are those of the scan, so
-    the results must be identical, not merely close."""
+    tree, the leaf order, the eigenvalue calls and the rule that a leaf
+    replaces the best only when its interval lies wholly above the best's
+    are those of the scan, so the results must be identical, not merely
+    close.  Every solve here runs without a ceiling."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > SPEX_MAX_N:
@@ -406,7 +408,7 @@ def oracle_spex_scan(n: int, f: Graph) -> SpexResult:
                 return  # an edge is still addable: dominated by a supergraph
         maximal += 1
         est = spectral_radius(g)
-        if best is None or est.value > best[0].value:
+        if best is None or est.lower > best[0].upper:  # provably larger mu
             best = (est, g)
 
     def decide(i: int, excluded: list[tuple[int, int]]) -> None:

@@ -227,6 +227,11 @@ def test_threads_and_budget_below_one_are_usage_errors(argv, flag, capsys):
      "error: --f expects 'K<n>', 'C<n>' or graph6: body length 1 != expected 11 (byte offset 1)\n"),
     ("gap --n 6 --f ~",
      "error: --f expects 'K<n>', 'C<n>' or graph6: truncated multi-byte size (byte offset 1)\n"),
+    # a non-finite c would write NaN or Infinity, which is not JSON
+    ("verify theorem1 --turan 8,3 --r 3 --c nan", "error: theorem1 requires a finite c\n"),
+    ("verify fact2 --turan 8,3 --r 2 --c nan", "error: fact2 requires a finite c\n"),
+    ("verify chain --turan 8,3 --r 3 --c inf", "error: proof chain requires a finite c\n"),
+    ("verify theorem1 --turan 8,3 --r 3 --c=-inf", "error: theorem1 requires c > 0\n"),
 ])
 def test_input_errors_name_the_flag_or_the_bound(argv, message, capsys):
     code = cli_main(argv.split())

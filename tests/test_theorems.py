@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -24,6 +26,7 @@ from spectral_turan import (
     theorem2_gap,
     to_graph6,
     turan_graph,
+    turan_part_sizes,
 )
 
 from spectral_turan import SpectralEstimate, SpexResult, spectral, theorems
@@ -36,6 +39,7 @@ from oracles import (
     oracle_chromatic_number,
     oracle_spex_scan,
     petersen,
+    quotient_mu_multipartite,
 )
 
 
@@ -95,6 +99,22 @@ def test_capped_iteration_still_decides_at_the_interval_ends(monkeypatch):
 def test_fact1_domain():
     with pytest.raises(ValueError):
         fact1_check(complete_graph(3), 1)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_non_finite_c_is_rejected(c):
+    g = complete_graph(5)
+    for check, name in [(theorem1_check, "theorem1"), (proof_chain_check, "proof chain"),
+                        (fact2_check, "fact2")]:
+        with pytest.raises(ValueError, match=f"^{name} requires a finite c$"):
+            check(g, 3, c)
+    with pytest.raises(ValueError, match="^need a finite c$"):
+        theorem1_params(3, c, 10)
+    # c <= 0, -inf included, keeps its own message
+    with pytest.raises(ValueError, match="^fact2 requires c > 0$"):
+        fact2_check(g, 2, -math.inf)
+    with pytest.raises(ValueError, match="^need r >= 3, c > 0, n >= 1$"):
+        theorem1_params(3, -math.inf, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +474,38 @@ def test_pattern_larger_than_n_leaves_the_complete_graph():
     assert res.mu.lower <= 3.0 <= res.mu.upper
 
 
+def _pair_vector(g: Graph) -> tuple[bool, ...]:
+    return tuple(g.has_edge(u, v) for u, v in combinations(range(g.n), 2))
+
+
+def _scan_first_copy(g: Graph) -> bool:
+    """Whether g's pair vector is the largest over its relabelings: the
+    scan meets the leaves in decreasing order of it, so such a g is the
+    first copy of its class that the scan meets."""
+    edges = list(g.edges())
+    vec = _pair_vector(g)
+    return all(
+        _pair_vector(Graph.from_edges(g.n, [(p[u], p[v]) for u, v in edges])) <= vec
+        for p in permutations(range(g.n))
+    )
+
+
+def test_spex_witness_is_the_first_copy_of_its_class():
+    nx = pytest.importorskip("networkx")
+    # the three cases whose witness the former midpoint rule took from a
+    # later copy, then every pattern on 2..5 vertices with an edge at every
+    # order up to 5
+    cases = [(5, parse_graph6("D|s")), (6, cycle_graph(4)), (6, cycle_graph(6))]
+    cases += [
+        (n, Graph.from_edges(h.number_of_nodes(), h.edges()))
+        for h in nx.graph_atlas_g()
+        if 2 <= h.number_of_nodes() <= 5 and h.number_of_edges() >= 1
+        for n in range(1, 6)
+    ]
+    for n, f in cases:
+        assert _scan_first_copy(spex_scan(n, f).witness), (n, to_graph6(f))
+
+
 def test_spex_n7_pins_parent_values():
     res = spex_scan(7, complete_graph(3))
     assert res.maximal_graphs == 1743
@@ -489,29 +541,54 @@ def test_theorem2_gap_examples():
     assert abs(rep.quantities["upper"] - math.sqrt(6) / 5) <= 1e-9
 
 
+def _spex_with_upper(upper: float):
+    return lambda n, f: SpexResult(SpectralEstimate(upper, 0.0, 1, True), complete_graph(n), 1)
+
+
 def test_gap_sandwich_is_decided_without_tolerance(monkeypatch):
-    # a spex maximum whose upper end lies one ulp below the Turan quotient's
-    # lower end breaks the sandwich: no tolerance may absorb it
-    quotient = []
-    estimate = theorems._estimate
-    monkeypatch.setattr(theorems, "_estimate", lambda *a: quotient.append(estimate(*a)) or quotient[-1])
-
-    def scan(n, f):
-        below = math.nextafter(quotient[0].lower, -math.inf)
-        return SpexResult(SpectralEstimate(below, 0.0, 1, True), complete_multipartite((2, 2)), 1)
-
-    monkeypatch.setattr(theorems, "spex_scan", scan)
+    # K3 at n = 4: mu(T_2(4)) = mu(K_{2,2}) = 2 exactly; a spex maximum whose
+    # upper end lies one ulp below it breaks the sandwich, one at it does not
+    monkeypatch.setattr(theorems, "spex_scan", _spex_with_upper(math.nextafter(2.0, -math.inf)))
     rep = theorem2_gap(4, complete_graph(3))
     assert (rep.verdict, rep.notes) == (Verdict.VIOLATION, "lower bound exceeds the exhaustive maximum")
+    monkeypatch.setattr(theorems, "spex_scan", _spex_with_upper(2.0))
+    rep = theorem2_gap(4, complete_graph(3))
+    assert (rep.verdict, rep.notes) == (Verdict.CONFIRMED, "")
 
 
 def test_gap_floor_is_decided_in_exact_rationals(monkeypatch):
-    # K3 at n = 4: floor * n = 2 - 2/16 = 1.875 exactly; a quotient bracket
-    # ending one ulp below it falls short of the floor
-    below = math.nextafter(1.875, -math.inf)
-    monkeypatch.setattr(theorems, "_perron", lambda matvec, m: (below, below, 1, True))
+    # K3 at n = 4: floor * n = 2 - 2/16 = 1.875 exactly; a Turan root a hair
+    # below it, (0 + sqrt(disc))/2 with disc = 3.75^2 - 2^-80, falls short of
+    # the floor, and one exactly at it does not
+    exact = Fraction(15, 4) ** 2
+    monkeypatch.setattr(theorems, "_turan_root", lambda n, k: (0, exact - Fraction(1, 2**80)))
     rep = theorem2_gap(4, complete_graph(3))
     assert (rep.verdict, rep.notes) == (Verdict.VIOLATION, "Turan quotient fell below its guaranteed floor")
+    monkeypatch.setattr(theorems, "_turan_root", lambda n, k: (0, exact))
+    rep = theorem2_gap(4, complete_graph(3))
+    assert (rep.verdict, rep.notes) == (Verdict.CONFIRMED, "")
+
+
+def test_gap_lower_is_the_turan_root(monkeypatch):
+    # the scan is stubbed with 8 > mu of every graph on n <= 8 vertices:
+    # only the Turan side of the sandwich is under test
+    monkeypatch.setattr(theorems, "spex_scan", _spex_with_upper(8.0))
+    ulps = Fraction(4, 2**53)
+    for r in range(3, 11):
+        for n in range(r - 1, 9):
+            rep = theorem2_gap(n, complete_graph(r))
+            assert rep.verdict is Verdict.CONFIRMED, (n, r)
+            sizes = turan_part_sizes(n, r - 1)
+            mu = rep.quantities["lower"] * n
+            assert abs(mu - quotient_mu_multipartite(sizes)) <= 1e-11 * n, (n, r)
+            # lower * n lies within 4 ulps of the root of
+            # sum s/(x + s) = 1, decided exactly by signs ...
+            lo, hi = Fraction(mu) * (1 - ulps), Fraction(mu) * (1 + ulps)
+            assert sum(Fraction(s) / (lo + s) for s in sizes) >= 1 >= sum(
+                Fraction(s) / (hi + s) for s in sizes), (n, r)
+            # ... and through squares: 2x - b >= sqrt(disc) at hi, not at lo
+            b, disc = theorems._turan_root(n, r - 1)
+            assert (2 * lo - b) ** 2 <= disc <= (2 * hi - b) ** 2 and 2 * hi >= b, (n, r)
 
 
 def test_theorem2_gap_rejects_bipartite_pattern():
