@@ -1,12 +1,13 @@
 """Campaign runner: generate corpora, run checkers, emit deterministic reports.
 
-Output is JSON lines (one report object per line) or a CSV summary.
-``--threads`` sets the number of worker processes (fork; serial for one task
-or without fork).  Reports are buffered and written in instance order, so
-``--threads`` never changes output bytes.  Exit codes: 0 all
-confirmed/vacuous, 1 any VIOLATION, 2 usage or input error, 3 indeterminate
-results present under --strict, 4 internal error (an uncaught exception,
-whose traceback goes to stderr).
+Each command parses only the flags it reads; ``gen`` writes the graphs of
+the corpus flags the campaigns read.  Output is JSON lines (one report
+object per line) or a CSV summary.  ``--threads`` sets the number of worker
+processes (fork; serial for one task or without fork).  Reports are
+buffered and written in instance order, so ``--threads`` never changes
+output bytes.  Exit codes: 0 all confirmed/vacuous, 1 any VIOLATION, 2 usage
+or input error, 3 indeterminate results present under --strict, 4 internal
+error (an uncaught exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .cliques import CliqueCountOverflowError, count_cliques
@@ -61,9 +63,6 @@ EXIT_INTERNAL = 4
 
 class UsageError(Exception):
     pass
-
-
-_SIZES_USAGE = "--sizes expects part sizes 'S1,S2,...'"
 
 
 def _number(tok: str, usage: str, kind: type = int):
@@ -281,12 +280,7 @@ def _exit_code(reports: list[dict], strict: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.kind == "turan":
-        graphs = [turan_graph(args.n, args.r)]
-    elif args.kind == "multipartite":
-        graphs = [complete_multipartite(_parse_list(args.sizes, _SIZES_USAGE))]
-    else:  # gnp
-        graphs = [gnp(args.n, args.p, args.seed + i) for i in range(args.count)]
+    graphs = [g for _, g in _gather_instances(args)]
     if args.format == "edgelist":
         if len(graphs) > 1:
             raise UsageError("edgelist output supports a single graph")
@@ -306,7 +300,7 @@ def run_campaign(items, task, args) -> int:
         [lambda it=it: _report_dict(*task(it), config) for it in items], args.threads
     )
     _write_reports(reports, args)
-    return _exit_code(reports, args.strict)
+    return _exit_code(reports, getattr(args, "strict", False))
 
 
 def _cmd_mu(args) -> int:
@@ -335,7 +329,7 @@ def _cmd_cliques(args) -> int:
 
 
 def _cmd_find_kpartite(args) -> int:
-    sizes = _parse_list(args.sizes, _SIZES_USAGE)
+    sizes = _parse_list(args.sizes, "--sizes expects part sizes 'S1,S2,...'")
 
     def task(item):
         iid, g = item
@@ -352,42 +346,34 @@ def _cmd_find_kpartite(args) -> int:
     return run_campaign(_gather_instances(args), task, args)
 
 
+def _cmd_fact3(args) -> int:
+    sweep = [(n, r) for r in range(1, args.r_max + 1) for n in range(args.n_max + 1)]
+
+    def task(item):
+        n, r = item
+        return fact3_check(n, r, instance_id=f"fact3-n{n}-r{r}"), None
+
+    return run_campaign(sweep, task, args)
+
+
 def _cmd_verify(args) -> int:
-    if args.check == "fact3":
-        if args.n_max is None or args.r_max is None:
-            raise UsageError("verify fact3 needs --n-max and --r-max")
-        sweep = [(n, r) for r in range(1, args.r_max + 1) for n in range(args.n_max + 1)]
-
-        def fact3_task(item):
-            n, r = item
-            return fact3_check(n, r, instance_id=f"fact3-n{n}-r{r}"), None
-
-        return run_campaign(sweep, fact3_task, args)
-
-    instances = _gather_instances(args)
-    r_values = _parse_list(args.r, "--r expects clique orders 'R1,R2,...'") if args.r else []
-    c_values = _parse_list(args.c, "--c expects numbers 'C1,C2,...'", float) if args.c else []
-    if not r_values:
-        raise UsageError(f"verify {args.check} needs --r")
-    needs_c = args.check in ("fact2", "theorem1", "chain")
-    if needs_c and not c_values:
-        raise UsageError(f"verify {args.check} needs --c")
-    if not needs_c:
-        c_values = [None]
+    r_usage, c_usage = "--r expects clique orders 'R1,R2,...'", "--c expects numbers 'C1,C2,...'"
+    r_values = _parse_list(args.r, r_usage)
+    c_values = _parse_list(args.c, c_usage, float) if "c" in args else [None]
+    if not r_values or not c_values:
+        raise UsageError(c_usage if r_values else r_usage)
 
     def task(item):
         (iid, g), r, c = item
         iid += f"-r{r}" + (f"-c{c}" if c is not None else "")
         if args.check == "fact1":
             return fact1_check(g, r, instance_id=iid), g
-        if args.check == "fact2":
-            return fact2_check(g, r, c, budget=args.budget, instance_id=iid), g
-        if args.check == "theorem1":
-            tr = theorem1_check(g, r, c, budget=args.budget, instance_id=iid)
-            return tr, g
-        return proof_chain_check(g, r, c, instance_id=iid), g
+        if args.check == "chain":
+            return proof_chain_check(g, r, c, instance_id=iid), g
+        check = fact2_check if args.check == "fact2" else theorem1_check
+        return check(g, r, c, budget=args.budget, instance_id=iid), g
 
-    items = [(inst, r, c) for inst in instances for r in r_values for c in c_values]
+    items = [(inst, r, c) for inst in _gather_instances(args) for r in r_values for c in c_values]
     return run_campaign(items, task, args)
 
 
@@ -435,9 +421,14 @@ def _cmd_biclique_scan(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
-                   help="search budget in node expansions (candidate vertices tried)")
+def _add_common(p: argparse.ArgumentParser, search: bool = False, strict: bool = False) -> None:
+    """Every campaign's output flags; a witness search adds --budget and
+    --strict, and ``strict`` adds --strict alone."""
+    if search:
+        p.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
+                       help="search budget in node expansions (candidate vertices tried)")
+    if search or strict:
+        p.add_argument("--strict", action="store_true", help="exit 3 when indeterminate results occur")
     p.add_argument(
         "--threads",
         type=_count,
@@ -445,7 +436,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="worker processes (fork; serial for one task or without fork); "
         "output bytes do not depend on it",
     )
-    p.add_argument("--strict", action="store_true", help="exit 3 when indeterminate results occur")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
@@ -461,33 +451,25 @@ def _add_inputs(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # each flag is taken by its full name only, so that a flag of another
+    # command (--c) is never read as a prefix of this one's (--count)
+    exact = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = exact(
         prog="spectral-turan",
         description="Verify the spectral radius / clique count / multipartite subgraph chain on exact graph corpora.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
 
-    p_gen = sub.add_parser("gen", help="generate graphs")
-    gen_sub = p_gen.add_subparsers(dest="kind", required=True)
-    g_turan = gen_sub.add_parser("turan")
-    g_turan.add_argument("--n", type=int, required=True)
-    g_turan.add_argument("--r", type=int, required=True)
-    g_multi = gen_sub.add_parser("multipartite")
-    g_multi.add_argument("--sizes", required=True, metavar="S1,S2,...")
-    g_gnp = gen_sub.add_parser("gnp")
-    g_gnp.add_argument("--n", type=int, required=True)
-    g_gnp.add_argument("--p", type=float, required=True)
-    g_gnp.add_argument("--seed", type=int, default=0)
-    g_gnp.add_argument("--count", type=_count, default=1)
-    for gp in (g_turan, g_multi, g_gnp):
-        gp.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
-        gp.add_argument("--out", default=None)
+    p_gen = sub.add_parser("gen", help="write the graphs of the campaign corpus flags")
+    _add_inputs(p_gen)
+    p_gen.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
+    p_gen.add_argument("--out", default=None, help="output path (default stdout)")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_mu = sub.add_parser("mu", help="certified spectral radius")
     _add_inputs(p_mu)
-    _add_common(p_mu)
+    _add_common(p_mu, strict=True)
     p_mu.set_defaults(func=_cmd_mu)
 
     p_cl = sub.add_parser("cliques", help="exact r-clique count")
@@ -499,18 +481,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_fk = sub.add_parser("find-kpartite", help="search complete multipartite subgraph")
     p_fk.add_argument("--sizes", required=True, metavar="S1,S2,...")
     _add_inputs(p_fk)
-    _add_common(p_fk)
+    _add_common(p_fk, search=True)
     p_fk.set_defaults(func=_cmd_find_kpartite)
 
-    p_ver = sub.add_parser("verify", help="run a theorem/fact checker over a corpus")
-    p_ver.add_argument("check", choices=("fact1", "fact2", "fact3", "theorem1", "chain"))
-    p_ver.add_argument("--r", default=None, help="clique orders, comma separated")
-    p_ver.add_argument("--c", default=None, help="c parameters, comma separated")
-    p_ver.add_argument("--n-max", dest="n_max", type=int, default=None, help="fact3 sweep bound")
-    p_ver.add_argument("--r-max", dest="r_max", type=int, default=None, help="fact3 sweep bound")
-    _add_inputs(p_ver)
-    _add_common(p_ver)
-    p_ver.set_defaults(func=_cmd_verify)
+    checks = sub.add_parser("verify", help="run a theorem/fact checker").add_subparsers(
+        dest="check", required=True, parser_class=exact)
+    for check, reads_c, search, help_ in (
+        ("fact1", False, False, "r-clique count bound at mu (Fact 1)"),
+        ("fact2", True, True, "k_r >= c n^r forces a complete r-partite subgraph (Fact 2)"),
+        ("theorem1", True, True, "large mu forces a complete r-partite subgraph (Theorem 1)"),
+        ("chain", True, False, "Theorem 1's clique-count inequalities under its hypothesis"),
+    ):
+        p_ck = checks.add_parser(check, help=help_)
+        p_ck.add_argument("--r", required=True, help="clique orders, comma separated")
+        if reads_c:
+            p_ck.add_argument("--c", required=True, help="c parameters, comma separated")
+        _add_inputs(p_ck)
+        _add_common(p_ck, search=search)
+        p_ck.set_defaults(func=_cmd_verify)
+    p_f3 = checks.add_parser("fact3", help="Turan graph edge bound over an (n, r) sweep (Fact 3)")
+    p_f3.add_argument("--n-max", type=int, required=True, help="largest n of the sweep")
+    p_f3.add_argument("--r-max", type=int, required=True, help="largest r of the sweep")
+    _add_common(p_f3)
+    p_f3.set_defaults(func=_cmd_fact3)
 
     p_spex = sub.add_parser("spex", help="exhaustive max spectral radius over F-free graphs")
     p_spex.add_argument("--n", type=int, required=True)
@@ -528,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bc.add_argument("--n", type=int, required=True)
     p_bc.add_argument("--p", type=float, required=True)
     p_bc.add_argument("--seeds", required=True, help="'7', '1,2,5' or '1..20'")
-    _add_common(p_bc)
+    _add_common(p_bc, search=True)
     p_bc.set_defaults(func=_cmd_biclique_scan)
 
     return parser

@@ -134,14 +134,7 @@ def _block_matvec(g: Graph, c: Sequence[int], e: np.ndarray | None = None):
 
 def _components(g: Graph) -> list[list[int]]:
     """Vertex lists of the components with an edge, by bitset BFS; [] if g is
-    connected or edgeless.
-
-    Minimum degree >= (n - 1)/2 proves connectivity without the BFS: two
-    non-adjacent vertices then have n - 1 > n - 2 neighbours in all, so they
-    share one.
-    """
-    if all(2 * g.degree(v) >= g.n - 1 for v in range(g.n)):
-        return []
+    connected or edgeless."""
     unseen = full = (1 << g.n) - 1
     comps = []
     while unseen:

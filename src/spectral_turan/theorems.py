@@ -56,9 +56,11 @@ def _spectral_hypothesis(
 ) -> tuple[SpectralEstimate, float, bool, list[str]]:
     """The hypothesis mu(G) >= (1 - 1/(r-1) + c) n of theorem1 and the chain.
 
-    Returns (mu, threshold, hyp, notes) for r >= 3.  hyp holds at the
-    certified lower interval end, converged or not; notes open with one on
-    c outside (0, 1/(r-1)), then say when the threshold is not reached.
+    Returns (mu, threshold, hyp, notes) for r >= 3.  hyp holds when the
+    certified lower interval end, converged or not, reaches the threshold,
+    compared as exact rationals (the reported threshold is its float);
+    notes open with one on c outside (0, 1/(r-1)), then say when the
+    threshold is not reached.
     """
     threshold = (1.0 - 1.0 / (r - 1) + c) * g.n
     mu = spectral_radius(g)
@@ -68,7 +70,7 @@ def _spectral_hypothesis(
             f"c={c} outside (0, 1/(r-1)) = (0, {1.0 / (r - 1):.6g}); "
             "spectral hypothesis unsatisfiable"
         )
-    hyp = mu.lower >= threshold - EPS
+    hyp = Fraction(mu.lower) >= (1 - Fraction(1, r - 1) + Fraction(c)) * g.n
     if not hyp:
         notes.append(f"hypothesis mu >= {threshold:.6g} not established")
     return mu, threshold, hyp, notes
@@ -541,7 +543,7 @@ def theorem2_gap(
     if not sandwich_ok:
         notes.append("lower bound exceeds the exhaustive maximum")
     if not floor_ok:
-        notes.append("Turan quotient fell below its guaranteed floor")
+        notes.append("Turan root fell below its guaranteed floor")
     return TheoremReport(
         instance_id, {"n": n, "r": r}, True, verdict,
         quantities={

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import spectral_turan.cli as cli
-from spectral_turan import parse_graph6, to_graph6, turan_graph
+from spectral_turan import complete_multipartite, parse_graph6, to_edge_list, to_graph6, turan_graph
 from spectral_turan.cli import build_parser, cli_main
 from spectral_turan.cliques import CliqueCountOverflowError
 from spectral_turan.graphs import Graph6Error
@@ -33,27 +33,35 @@ def load_jsonl(text):
 
 
 def test_gen_turan_graph6(capsys):
-    code, out = run_cli(["gen", "turan", "--n", "7", "--r", "3"], capsys)
+    code, out = run_cli(["gen", "--turan", "7,3"], capsys)
     assert code == 0
     assert out.strip() == to_graph6(turan_graph(7, 3))
     assert parse_graph6(out.strip()) == turan_graph(7, 3)
 
 
 def test_gen_gnp_count_and_edgelist(capsys):
-    code, out = run_cli(["gen", "gnp", "--n", "12", "--p", "0.5", "--seed", "3", "--count", "2"], capsys)
+    code, out = run_cli(["gen", "--gnp", "12,0.5", "--seed", "3", "--count", "2"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert lines[0] != lines[1]
 
-    code, out = run_cli(["gen", "turan", "--n", "4", "--r", "2", "--format", "edgelist"], capsys)
+    code, out = run_cli(["gen", "--turan", "4,2", "--format", "edgelist"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "4 4"
 
     code, _ = run_cli(
-        ["gen", "gnp", "--n", "5", "--p", "0.5", "--count", "2", "--format", "edgelist"], capsys
+        ["gen", "--gnp", "5,0.5", "--count", "2", "--format", "edgelist"], capsys
     )
     assert code == 2  # edgelist holds a single graph
+
+
+def test_gen_converts_an_edge_list_to_graph6(tmp_path, capsys):
+    path = tmp_path / "g9.txt"
+    path.write_text(to_edge_list(complete_multipartite((3, 3, 3))))
+    converted = run_cli(["gen", "--in", str(path), "--in-format", "edgelist"], capsys)
+    assert converted == run_cli(["gen", "--multipartite", "3,3,3"], capsys)
+    assert converted[0] == 0 and converted[1].count("\n") == 1
 
 
 def test_mu_report_schema(capsys):
@@ -192,9 +200,27 @@ def test_tol_flag_is_gone(command, capsys):
     assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
 
+# each command parses only the flags it reads: --budget only where a witness
+# search runs, --strict only where a report can be indeterminate, --c only
+# where c is read, and fact3 sweeps (n, r) without a corpus
+@pytest.mark.parametrize("argv, unread", [
+    ("spex --n 4 --f K3", "--budget 5"),
+    ("gap --n 4 --f K3", "--strict"),
+    ("cliques --r 3 --turan 6,2", "--strict"),
+    ("verify fact1 --turan 6,2 --r 3", "--c 0.3"),
+    ("verify fact3 --n-max 3 --r-max 2", "--gnp 5,0.5"),
+    ("mu --turan 6,2", "--thr 2"),  # no flag is taken by a prefix
+])
+def test_a_flag_the_command_does_not_read_is_rejected(argv, unread, capsys):
+    code = cli_main(f"{argv} {unread}".split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"unrecognized arguments: {unread}\n" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
-    "gen gnp --n 5 --p 0.5 --count 0 --format edgelist",
-    "gen gnp --n 5 --p 0.5 --count -1",
+    "gen --gnp 5,0.5 --count 0 --format edgelist",
+    "gen --gnp 5,0.5 --count -1",
     "mu --gnp 5,0.5 --count 0",
     "verify fact1 --turan 6,2 --gnp 5,0.5 --count 0 --r 3",
 ])
@@ -244,10 +270,12 @@ def test_input_errors_name_the_flag_or_the_bound(argv, message, capsys):
     ("mu --gnp 5,x", "error: --gnp expects 'n,p'\n"),
     ("mu --gnp 5.5,0.5", "error: --gnp expects 'n,p'\n"),
     ("mu --multipartite 2,x", "error: --multipartite expects part sizes 'S1,S2,...'\n"),
-    ("gen multipartite --sizes 2,x", "error: --sizes expects part sizes 'S1,S2,...'\n"),
+    ("gen --multipartite 2,x", "error: --multipartite expects part sizes 'S1,S2,...'\n"),
     ("find-kpartite --sizes 2,2.5 --turan 6,2", "error: --sizes expects part sizes 'S1,S2,...'\n"),
     ("verify fact1 --turan 6,2 --r 3,x", "error: --r expects clique orders 'R1,R2,...'\n"),
     ("verify fact2 --turan 6,2 --r 3 --c 0.1,x", "error: --c expects numbers 'C1,C2,...'\n"),
+    ("verify fact1 --turan 6,2 --r ,", "error: --r expects clique orders 'R1,R2,...'\n"),
+    ("verify chain --turan 6,2 --r 3 --c ,", "error: --c expects numbers 'C1,C2,...'\n"),
     ("biclique-scan --n 10 --p 0.5 --seeds x", "error: --seeds expects '7', '1,2,5' or '1..20'\n"),
     ("biclique-scan --n 10 --p 0.5 --seeds 1..x", "error: --seeds expects '7', '1,2,5' or '1..20'\n"),
 ])
@@ -280,17 +308,29 @@ ECHO_ARGV = {
     "cliques": "cliques --r 3 --turan 6,2",
     "find-kpartite": "find-kpartite --sizes 2,2 --turan 6,2",
     "verify": "verify chain --turan 6,2 --r 3 --c 0.1",
+    "verify-fact1": "verify fact1 --turan 6,2 --r 3",
+    "verify-fact2": "verify fact2 --turan 6,2 --r 2 --c 0.1",
+    "verify-fact3": "verify fact3 --n-max 0 --r-max 1",
     "spex": "spex --n 4 --f K3",
     "gap": "gap --n 4 --f K3",
     "biclique-scan": "biclique-scan --n 8 --p 0.5 --seeds 1",
 }
 
 
+def leaf_parser(argv):
+    """The parser of the (sub)command that argv names."""
+    parser = build_parser()
+    for word in argv:
+        sub = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+        if sub is None:
+            return parser
+        parser = sub.choices[word]
+
+
 @pytest.mark.parametrize("command", sorted(ECHO_ARGV))
 def test_config_echo_is_every_flag(command, capsys):
     argv = ECHO_ARGV[command].split()
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+    dests = {a.dest for a in leaf_parser(argv)._actions if a.dest != "help"}
     code, out = run_cli(argv, capsys)
     assert code == 0
     (rep,) = load_jsonl(out)
@@ -488,12 +528,17 @@ def test_in_file_graph6_lines(tmp_path, capsys):
 # subcommand, verdict path and csv report shape.  Output bytes change only on
 # purpose, and never with the thread count.
 GOLDEN = {
+    # gen writes graphs, not reports: this digest is the concatenated stdout
+    # of the former `gen turan --n 7 --r 3`, `gen multipartite --sizes 2,3`
+    # and `gen gnp --n 12 --p 0.5 --seed 3 --count 2`
+    "gen": ("gen --turan 7,3 --multipartite 2,3 --gnp 12,0.5 --seed 3 --count 2", 0,
+        "d8af0b2e97cba22a721c2f29f855fa1aece5b20099e5a3ac4e7d400297e7be01"),
     "mu": ("mu --turan 6,2 --gnp 12,0.4 --count 2", 0,
-        "d0589ae2fcf33dacdecd77bfdf1dd56195ca87c52ade464fc3d1ae96e5fd11af"),
+        "f0c10246e26e86425ad97a6ff6ab747089c001dc9ad7ad38ed18b9ee47349ab4"),
     "mu-g70": ("mu --in g70.g6", 0,
-        "dc8565727396683caa7ed6fb2d68395100cf46f57513eeab7fdf5a502335757c"),
+        "42475efdf208c9e701e207f14fe5f8d993ee15fc008b1d73666dc36653d1b1fc"),
     "cliques": ("cliques --r 3 --in g9.txt --in-format edgelist --multipartite 2,2,3", 0,
-        "16bbcbeb9b5686a9bacfbd9674c5f2207a94a8ceb1571fa521df63b28e758d3e"),
+        "09f46ca448893000f28f76d6f08f58d6650b25764b7d19b4c69cc3af16000fe3"),
     "find-kpartite": ("find-kpartite --sizes 2,3 --multipartite 2,3 --gnp 9,0.3 --count 3", 0,
         "d226c2575e0a7ffa408f31c7edb8e1e1f6d5ef7c3c332860c81506428f9efd68"),
     "find-kpartite-budget": ("find-kpartite --sizes 6,6 --gnp 16,0.5 --budget 2", 0,
@@ -501,9 +546,9 @@ GOLDEN = {
     "find-kpartite-g70": ("find-kpartite --sizes 2,2 --in g70.g6", 0,
         "9a44ae96af50c66fff13a54eef95137e56a182832985136bd8e423397fee8065"),
     "spex": ("spex --n 5 --f K3", 0,
-        "674a352ef0686addfff5776313ecb97366252885b5f8e21ba6ad7bfe187fca86"),
+        "456f5e394d605e228f1740a8e26029b3beacf5d704a92f11f0355804c2086bf1"),
     "gap": ("gap --n 5 --f C5", 0,
-        "3bfbfa3031038bcfc653aaa09df283ed6f8b2227935e4b0bae440b5aa88dfa8c"),
+        "2a02ea080d665ce7fd8b6f140ccc4379c032b8509758bab1178e9f7205e6058a"),
     "biclique-scan": ("biclique-scan --n 18 --p 0.5 --seeds 1..3", 0,
         "79a5d191b7d564d164df04d4d3bbdad11326e9112582c8cade4d4ee7ec3993ee"),
     "biclique-scan-budget": ("biclique-scan --n 18 --p 0.5 --seeds 4,5 --budget 5", 0,
@@ -511,23 +556,23 @@ GOLDEN = {
     "biclique-scan-alarm": ("biclique-scan --n 30 --p 1 --seeds 1", 0,
         "89d4bb862bd8ab402b11f4d86e265fd86265476dbda7e01b7512b257658212bd"),
     "fact1": ("verify fact1 --gnp 20,0.5 --count 4 --seed 3 --r 2,3", 0,
-        "732ce344b2e7806889dcb77def8e81bef72c66677fa916fd4d74150254c4e843"),
+        "8dc661c1838acee6f7c46a1af498f9b92bc50f5fd2e0416729f45221a065aa22"),
     "fact1-g70": ("verify fact1 --in g70.g6 --r 3", 0,
-        "ffb1d7f5586cfe02cbc3bfea774ec3e71d1a1e5de2ff86e168fa0c2086832e75"),
+        "abb65aca31c60b395817e9d9cca403af62cdd83a8a62e38adfc83617f9c30e53"),
     "fact2-confirmed": ("verify fact2 --turan 100,100 --r 2 --c 0.49", 0,
-        "c4a85049c2f05280c34391fb4e8d145b1fd4bb4bf509305b0f81259dd85560f0"),
+        "dc22129db8e11c5915cd3116bdfa53685bed1d5a134835dededf8ed97a01e808"),
     "fact2-budget": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --budget 1", 0,
-        "869c65223475f47d4e7f6fd299c31870ba8aea14ecc0df0374fd3bebf164ae47"),
+        "bfee826e2210964233ccd69e514d3aa9bf252657fa853e684ff24625ac291cd3"),
     "fact2-strict": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --budget 1 --strict", 3,
-        "9c4e41fcf4154c977a5f7586e0b3c96d0f9c26a437d17fd05b45587a516ffe12"),
+        "81059625dcc6c16495e7699bda80e441abcefeb5c702ce7bc41e9bef3505fd81"),
     "fact2-vacuous": ("verify fact2 --gnp 12,0.5 --r 2,3 --c 0.3", 0,
-        "2abf44a348f05a525e59e9d170bd7d9f9d91410e976d3d877c1de872279af2c7"),
+        "c13546af4a1602e2498c02123767d2b07acec45597c7dbb9eaf84bb5e1574bf8"),
     "fact3": ("verify fact3 --n-max 12 --r-max 4", 0,
-        "9924e4de849aa5763b06ed0de6655d09d493532d3974ec62a8f5708d4b3d8e81"),
+        "36133d32c7691767783d8fdb89d3203fd8532b02f19338f278ee822eee64df0a"),
     "theorem1": ("verify theorem1 --gnp 20,0.6 --count 2 --r 3 --c 0.3,2", 0,
-        "65d54fe0e2773ba44a9a652d3fe64a573035ff867b9bf9fc275f0caf1a49d703"),
+        "8952b1716c352706b695935d2b725b81c6445e751fb8461ae5e32abf6797781c"),
     "chain": ("verify chain --multipartite 1,1,1,1,1,1,1,1,1 --gnp 10,0.3 --r 3,4 --c 0.05,0.1", 0,
-        "0ab500d0d889b505b66ce76f635ccea41ff0cdc4208f2040381d72c537dc3f36"),
+        "c0ce2324e818a429dfa80b9b86db27e727755cfe0ba4f89de3066bc055c3d9b5"),
     "csv-mu": ("mu --turan 6,2 --format csv", 0,
         "653f3e5016057a4508a1979917ea48e85b11d52628cab7064038f94f47afa86d"),
     "csv-cliques": ("cliques --r 3 --multipartite 2,2,3 --format csv", 0,
@@ -555,7 +600,7 @@ GOLDEN = {
 
 @pytest.fixture
 def golden_dir(tmp_path, monkeypatch):
-    from spectral_turan import complete_multipartite, gnp, to_edge_list
+    from spectral_turan import gnp
 
     g70 = gnp(70, 0.3, 5)
     text = graph6_large(g70)
@@ -569,7 +614,9 @@ def golden_dir(tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_bytes(case, threads, golden_dir, capsys):
     argv, code, digest = GOLDEN[case]
-    got_code, out = run_cli(argv.split() + ["--threads", threads], capsys)
+    if case != "gen":  # gen runs no campaign, so it takes no --threads
+        argv += f" --threads {threads}"
+    got_code, out = run_cli(argv.split(), capsys)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 

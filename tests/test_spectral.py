@@ -171,14 +171,12 @@ def test_components_and_isolated_vertices_enclose(g):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 11])
-def test_components_at_the_minimum_degree_boundary(k, monkeypatch):
-    # two disjoint K_k have minimum degree (n - 2)/2, one below the bound
-    # that proves connectivity, and must still split
+def test_components_at_the_minimum_degree_boundary(k):
+    # two disjoint K_k have minimum degree (n - 2)/2, just below the
+    # (n - 1)/2 that forces connectivity, and must split
     two = _union(complete_graph(k), complete_graph(k))
     assert spectral._components(two) == ([list(range(k)), list(range(k, 2 * k))] if k > 1 else [])
-    # K_{k, k+1} sits at minimum degree k = (n - 1)/2: connected, and
-    # proved so without the BFS
-    monkeypatch.setattr(spectral, "iter_bits", None)
+    # K_{k, k+1} sits at minimum degree k = (n - 1)/2: connected
     assert spectral._components(complete_multipartite((k, k + 1))) == []
 
 

@@ -238,6 +238,16 @@ def test_proof_chain_never_violates_on_complete_graphs():
             assert rep.hypothesis_satisfied
 
 
+@pytest.mark.parametrize("check", [proof_chain_check, theorem1_check])
+def test_spectral_hypothesis_is_decided_exactly(check):
+    # mu(K10) = 9 exactly, below the threshold (1/2 + c) * 10 = 9.0000000005;
+    # a 1e-9 slack on the comparison let the hypothesis pass
+    rep = check(complete_graph(10), 3, 0.40000000005)
+    assert rep.mu.lower <= 9 <= rep.mu.upper
+    assert rep.quantities["threshold"] > 9
+    assert (rep.hypothesis_satisfied, rep.verdict) == (False, Verdict.VACUOUS)
+
+
 # ---------------------------------------------------------------------------
 # clique density forces a multipartite subgraph
 # ---------------------------------------------------------------------------
@@ -563,7 +573,7 @@ def test_gap_floor_is_decided_in_exact_rationals(monkeypatch):
     exact = Fraction(15, 4) ** 2
     monkeypatch.setattr(theorems, "_turan_root", lambda n, k: (0, exact - Fraction(1, 2**80)))
     rep = theorem2_gap(4, complete_graph(3))
-    assert (rep.verdict, rep.notes) == (Verdict.VIOLATION, "Turan quotient fell below its guaranteed floor")
+    assert (rep.verdict, rep.notes) == (Verdict.VIOLATION, "Turan root fell below its guaranteed floor")
     monkeypatch.setattr(theorems, "_turan_root", lambda n, k: (0, exact))
     rep = theorem2_gap(4, complete_graph(3))
     assert (rep.verdict, rep.notes) == (Verdict.CONFIRMED, "")
