@@ -348,6 +348,8 @@ def _cmd_find_kpartite(args) -> int:
 
 def _cmd_fact3(args) -> int:
     sweep = [(n, r) for r in range(1, args.r_max + 1) for n in range(args.n_max + 1)]
+    if not sweep:
+        raise UsageError("--n-max must be >= 0 and --r-max >= 1")
 
     def task(item):
         n, r = item

@@ -154,20 +154,11 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self._rows) // 2
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees sorted nonincreasing."""
-        return tuple(sorted((r.bit_count() for r in self._rows), reverse=True))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (u, v) with u < v, lexicographic order."""
         for u in range(self.n):
             for v in iter_bits(self._rows[u] >> (u + 1) << (u + 1)):
                 yield u, v
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        rows = [full & ~r & ~(1 << v) for v, r in enumerate(self._rows)]
-        return Graph(self.n, rows, validate=False)
 
     def add_edge(self, u: int, v: int) -> "Graph":
         """New graph with edge (u, v) added (no-op if present)."""

@@ -1,9 +1,10 @@
 """Checkable forms of the spectral/clique/multipartite inequality chain.
 
 Every checker consumes certified eigenvalue intervals and exact integer
-clique counts, and emits a structured report.  A VIOLATION verdict is
-reserved for inequalities that fail at every point of every certified
-interval; search budget shortfalls surface as ``indeterminate``.
+clique counts, and emits a structured report.  Verdicts compare integers
+with exact ``Fraction`` values taken at certified interval ends; floats are
+only reported.  A VIOLATION verdict needs the inequality to fail at every
+point of every certified interval; search budget shortfalls are ``indeterminate``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .multipartite import (
 )
 from .spectral import SpectralEstimate, spectral_radius
 
-EPS = 1e-9
 SPEX_MAX_N = 8
 
 
@@ -119,16 +119,19 @@ def fact1_check(
 ) -> TheoremReport:
     """Check k_r >= clique lower bound at the spectral radius.
 
-    The bound is increasing in mu, so it is evaluated at the certified lower
-    interval end: confirmed means the inequality holds somewhere in the
-    interval, VIOLATION that it fails everywhere (it never does).
+    The bound rises with mu, so it is decided in exact rationals at the
+    certified lower end (rhs_low and rhs_high are floats): confirmed means it
+    holds somewhere in the interval, VIOLATION that it fails everywhere.
     """
     _require_domain("fact1", g, r, 2)
     mu = spectral_radius(g)
     kr = count_cliques(g, r)
     rhs_lo = fact1_rhs(g.n, r, mu.lower)
     rhs_hi = fact1_rhs(g.n, r, mu.upper)
-    verdict = Verdict.CONFIRMED if kr >= rhs_lo - EPS else Verdict.VIOLATION
+    a = Fraction(mu.lower) / g.n - 1 + Fraction(1, r)
+    # a > 0 forces r < n, as mu.lower <= mu <= n - 1, so the power stays small
+    ok = a <= 0 or kr >= a * Fraction(r * (r - 1), r + 1) * Fraction(g.n, r) ** r
+    verdict = Verdict.CONFIRMED if ok else Verdict.VIOLATION
     return TheoremReport(
         instance_id, {"n": g.n, "r": r}, True, verdict,
         mu=mu, kr=kr, quantities={"rhs_low": rhs_lo, "rhs_high": rhs_hi},
@@ -242,8 +245,8 @@ def proof_chain_check(
     multipartite conclusion.
 
     Under the spectral hypothesis, asserts k_r > c (r-2)/r^r * n^r and
-    k_r >= (c/r^r) * n^r.  Desk-checkable at every n, unlike the full
-    conclusion.
+    k_r >= (c/r^r) * n^r in exact rationals (the reported bounds are
+    floats).  Desk-checkable at every n, unlike the full conclusion.
     """
     _require_domain("proof chain", g, r, 3, c)
     n = g.n
@@ -257,7 +260,9 @@ def proof_chain_check(
     kr = count_cliques(g, r)
     bound_weak = _scaled_power(c, n / r, r)
     bound_strict = (r - 2) * bound_weak
-    ok = kr > bound_strict - EPS and kr >= bound_weak - EPS
+    # reached only under the hypothesis, which forces r <= n: the power stays small
+    w = Fraction(c) * Fraction(n, r) ** r
+    ok = kr > (r - 2) * w and kr >= w
     return TheoremReport(
         instance_id, params, True,
         Verdict.CONFIRMED if ok else Verdict.VIOLATION,
@@ -286,15 +291,16 @@ def fact2_check(
 
     Searches for r-1 parts of size exactly floor(c^r ln n) and one part of
     size floor(t_target) + 1; smaller sizes are certified by monotonicity.
-    No eigenvalue is involved: the hypothesis is exact integer arithmetic
-    against a float threshold.
+    No eigenvalue is involved: the hypothesis compares the integer k_r with
+    c n^r as an exact rational (the reported count_threshold is its float).
     """
     _require_domain("fact2", g, r, 2, c)
     n = g.n
     kr = count_cliques(g, r)
     s_target, t_target, precondition = _part_targets(c, 1, r, n)
     count_threshold = _scaled_power(c, float(n), r)
-    hyp_count = kr >= count_threshold - EPS
+    # kr > 0 forces r <= n, so the power stays small
+    hyp_count = kr > 0 and kr >= Fraction(c) * n ** r
     params = {"n": n, "r": r, "c": c}
     quantities = {
         "count_threshold": count_threshold,

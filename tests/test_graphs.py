@@ -300,15 +300,6 @@ def test_gnp_seed_sensitivity():
 
 def test_edge_count_and_degree_examples():
     assert complete_graph(5).edge_count() == 10
-    assert complete_multipartite((3, 2)).degree_sequence() == (3, 3, 2, 2, 2)
-
-
-def test_complement_examples():
-    # complement of T_2(4) = K_{2,2} is two disjoint edges
-    c = turan_graph(4, 2).complement()
-    assert sorted(c.edges()) == [(0, 1), (2, 3)]
-    for g in [turan_graph(7, 3), gnp(15, 0.4, 3), Graph.empty(4)]:
-        assert g.complement().complement() == g
 
 
 def test_degree_sum_is_twice_edges():

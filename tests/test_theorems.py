@@ -101,6 +101,20 @@ def test_fact1_domain():
         fact1_check(complete_graph(3), 1)
 
 
+def test_fact1_is_decided_in_exact_rationals(monkeypatch):
+    # K4 at r = 3: rhs(L) = 8 L/9 - 64/27 is exactly 4 = k_3 at L = 43/6; the
+    # float 43/6 lies above it, so its exact rhs exceeds k_3 by 2.6e-16 while
+    # the float rhs rounds to 3.999999999999999; one ulp lower it falls below 4
+    def stub(mu):
+        monkeypatch.setattr(theorems, "spectral_radius", lambda g: SpectralEstimate(mu, 0.0, 1, True))
+        return fact1_check(complete_graph(4), 3)
+
+    rep = stub(43 / 6)
+    assert rep.quantities["rhs_low"] < rep.kr == 4
+    assert rep.verdict is Verdict.VIOLATION
+    assert stub(math.nextafter(43 / 6, 1)).verdict is Verdict.CONFIRMED
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf])
 def test_non_finite_c_is_rejected(c):
     g = complete_graph(5)
@@ -238,6 +252,18 @@ def test_proof_chain_never_violates_on_complete_graphs():
             assert rep.hypothesis_satisfied
 
 
+def test_proof_chain_bounds_are_decided_in_exact_rationals(monkeypatch):
+    # K9 at r = 3 meets the hypothesis; both bounds are 27 c, and a stubbed
+    # k_3 = 10 must exceed it: 27 c > 10 exactly one ulp above c = 10/27,
+    # and 27 c < 10 at the float 10/27, whose float bound rounds to 10.0
+    monkeypatch.setattr(theorems, "count_cliques", lambda g, r: 10)
+    rep = proof_chain_check(complete_graph(9), 3, math.nextafter(10 / 27, 1))
+    assert rep.hypothesis_satisfied and rep.verdict is Verdict.VIOLATION
+    rep = proof_chain_check(complete_graph(9), 3, 10 / 27)
+    assert rep.quantities["bound_strict"] == 10.0
+    assert rep.verdict is Verdict.CONFIRMED
+
+
 @pytest.mark.parametrize("check", [proof_chain_check, theorem1_check])
 def test_spectral_hypothesis_is_decided_exactly(check):
     # mu(K10) = 9 exactly, below the threshold (1/2 + c) * 10 = 9.0000000005;
@@ -271,6 +297,14 @@ def test_fact2_vacuous_paths():
     rep = fact2_check(complete_graph(30), 3, 1 / 6)
     assert rep.verdict is Verdict.VACUOUS
     assert "precondition" in rep.notes
+
+
+def test_fact2_hypothesis_is_decided_exactly():
+    # k_2 = 4900 < c * 100^2 exactly one ulp above c = 0.49; a 1e-9 slack on
+    # the float threshold let the hypothesis pass
+    rep = fact2_check(k100_minus_50_edges(), 2, math.nextafter(0.49, 1))
+    assert (rep.hypothesis_satisfied, rep.verdict) == (False, Verdict.VACUOUS)
+    assert rep.notes.startswith("k_r = 4900 below c n^r")
 
 
 def test_fact2_huge_r_saturates_and_is_vacuous():
@@ -521,7 +555,7 @@ def test_spex_n7_pins_parent_values():
     assert res.maximal_graphs == 1743
     assert res.mu.lower <= math.sqrt(12) <= res.mu.upper
     # K_{3,4}: the triangle-free graph on 7 vertices with the most edges
-    assert res.witness.degree_sequence() == (4, 4, 4, 3, 3, 3, 3)
+    assert sorted(map(res.witness.degree, range(7))) == [3, 3, 3, 3, 4, 4, 4]
     assert not contains_subgraph(res.witness, complete_graph(3))
 
 
