@@ -44,7 +44,9 @@ class MultipartiteWitness:
 
 
 def verify_witness(g: Graph, witness: MultipartiteWitness) -> bool:
-    """True iff parts are disjoint, in range, and all cross pairs are edges."""
+    """True iff the parts are disjoint and every cross pair is an edge.
+
+    Raises ValueError for a vertex outside range(g.n)."""
     seen = 0
     for p in witness.parts:
         for v in p:

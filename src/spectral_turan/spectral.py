@@ -2,9 +2,11 @@
 once per connected component of an adjacency matrix.
 
 A run may be given a ``ceiling``: it then stops, unconverged, as soon as its
-certified upper end falls below it.  ``theorems.spex_scan`` passes the best
-leaf's upper end, so a losing leaf costs a few iterations, not a full 1e-10
-bracket; without one (the default) every run is as before.
+certified upper end falls below it, since it can no longer raise a maximum
+that is known to reach the ceiling.  ``spectral_radius`` passes the largest
+lower end of the components solved so far, and ``theorems.spex_scan`` the
+best leaf's upper end, so a component or leaf that cannot win costs a few
+iterations, not a full 1e-10 bracket.
 
 Each component with an edge, or the whole graph when it is connected or
 edgeless, is one block whose matvec, ``_block_matvec``, is a dense float64
@@ -38,11 +40,12 @@ class SpectralEstimate:
     """Certified enclosure [value - residual, value + residual] of the Perron root.
 
     The float ends enclose it, rounding included, whether or not the
-    iteration converged; ``converged`` means every component's half-width
-    reached 1e-10 per vertex within the iteration cap, and ``iterations``
-    counts matrix-vector products.  ``converged=False`` also means "stopped
-    below the ceiling": every component's upper end fell below a ceiling
-    passed to ``spectral_radius`` before its bracket settled.
+    iteration converged; ``iterations`` counts matrix-vector products.
+    ``converged`` means every component's run either settled to a
+    half-width of 1e-10 per vertex or stopped below the upper end of one
+    that did, so the enclosure is no wider than a settled bracket.  It is
+    False only if a run hit the iteration cap or the whole graph stayed
+    below the ceiling passed to ``spectral_radius``.
     """
 
     value: float
@@ -57,6 +60,17 @@ class SpectralEstimate:
     @property
     def upper(self) -> float:
         return self.value + self.residual
+
+    @classmethod
+    def enclosing(cls, lower: float, upper: float, iterations: int,
+                  converged: bool) -> SpectralEstimate:
+        """The midpoint of [lower, upper] with its half-width rounded up until
+        the float ends enclose both."""
+        value = 0.5 * (lower + upper)
+        residual = max(value - lower, upper - value)
+        while value - residual > lower or value + residual < upper:
+            residual = math.nextafter(residual, math.inf)
+        return cls(value, residual, iterations, converged)
 
 
 def _perron(scaled, m: int, ceiling: float = -math.inf) -> tuple[float, float, int, bool]:
@@ -156,26 +170,23 @@ def spectral_radius(g: Graph, ceiling: float = -math.inf) -> SpectralEstimate:
     components with an edge, or over the whole graph as one block if it is
     connected or edgeless.
 
-    Each component's run stops once its upper end is below ``ceiling``.  If
-    every one did, mu(G) < ceiling and the enclosure is returned unconverged.
-    Otherwise the stopped components are solved again without the ceiling,
-    so the estimate is bit for bit the one without a ceiling.
+    The components run once each, densest first: a component's average
+    degree 2e/m is a lower bound on its mu, so the likely maximum comes
+    first.  Each runs under the larger of ``ceiling`` and the largest lower
+    end so far, and a run stopped under the latter can move neither end of
+    the enclosure.  The enclosure is converged when every run either
+    settled or stopped below the upper end of one that did; so it is
+    unconverged only if a run hit the iteration cap or if mu(G) < ceiling.
     """
     if g.n < 1:
         raise ValueError("spectral_radius requires n >= 1")
-    blocks = _components(g) or [range(g.n)]
-
-    def solve(c, top):
-        return _perron(partial(_block_matvec, g, c), len(c), top)
-
-    brackets = [solve(c, ceiling) for c in blocks]
-    if max(b[1] for b in brackets) >= ceiling:  # mu(G) may reach it: undo every stop
-        brackets = [b if b[3] or b[1] >= ceiling else solve(c, -math.inf)
-                    for c, b in zip(blocks, brackets)]
-    lowers, uppers, iterations, converged = zip(*brackets)
-    lower, upper = max(lowers), max(uppers)
-    value = 0.5 * (lower + upper)
-    residual = max(value - lower, upper - value)
-    while value - residual > lower or value + residual < upper:  # round the half-width up
-        residual = math.nextafter(residual, math.inf)
-    return SpectralEstimate(value, residual, sum(iterations), all(converged))
+    blocks = sorted(_components(g), key=lambda c: -sum(map(g.degree, c)) / len(c)) or [range(g.n)]
+    runs, lower = [], -math.inf
+    for c in blocks:
+        runs.append(_perron(partial(_block_matvec, g, c), len(c), max(ceiling, lower)))
+        lower = max(lower, runs[-1][0])
+    _, uppers, iterations, converged = zip(*runs)
+    settled = max((hi for hi, done in zip(uppers, converged) if done), default=-math.inf)
+    return SpectralEstimate.enclosing(
+        lower, max(uppers), sum(iterations),
+        all(done or hi < settled for hi, done in zip(uppers, converged)))

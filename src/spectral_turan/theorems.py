@@ -311,7 +311,7 @@ def fact2_check(
     if not (hyp_count and precondition):
         notes = []
         if not hyp_count:
-            notes.append(f"k_r = {kr} below c n^r = {count_threshold:.6g}")
+            notes.append(f"k_r = {kr} below c n^r = {count_threshold!r}")
         if not precondition:
             notes.append("precondition c^r ln n >= 1 fails")
         return TheoremReport(
@@ -392,7 +392,10 @@ def _colorable(f: Graph, order: list[int], k: int) -> bool:
 
 @dataclass(frozen=True)
 class SpexResult:
-    """Maximum spectral radius over F-free graphs of a given order."""
+    """Maximum spectral radius over F-free graphs of a given order: ``mu``
+    encloses it, and ``witness`` is a maximal F-free graph whose mu is at
+    least ``mu.lower``.  ``mu.iterations`` and ``mu.converged`` are the
+    witness's solve."""
 
     mu: SpectralEstimate
     witness: Graph
@@ -436,12 +439,12 @@ def spex_scan(
     order and every reported number stay as above.
 
     A leaf replaces the best so far only when its certified lower end is
-    above the best's upper end.  Isomorphic copies share mu, so none
-    replaces another: unless two classes' intervals overlap, the witness is
-    the first copy of its class in leaf order.  That upper end is each
-    later leaf's ceiling.  A run stopped under it (lower <= upper < ceiling)
-    could not have won; one that can win never stops, as each upper end it
-    reports is >= mu >= its final lower end > ceiling.
+    above the best's upper end, which is each later leaf's ceiling.
+    Isomorphic copies share mu, so none replaces another: unless two
+    classes' intervals overlap, the witness is the first copy of its class
+    in leaf order.  The reported interval is [the witness's lower end, the
+    largest upper end over all leaves], which encloses the maximum; a leaf
+    stopped under the ceiling can move neither end.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -463,16 +466,18 @@ def spex_scan(
     everything = (1 << last) - 1
     after = [everything >> i + 1 << i + 1 for i in range(last)]  # the pairs after i
     best: tuple[SpectralEstimate, Graph] | None = None
+    top = -math.inf  # the largest upper end over the leaves
     maximal = 0
 
     def decide(i: int, edges: int, blocked: int, open_: int) -> None:
-        nonlocal best, maximal
+        nonlocal best, top, maximal
         if i == last:
             if edges | blocked != everything:
                 return  # an edge is still addable: dominated by a supergraph
             maximal += 1
             g = Graph.from_edges(n, (pairs[k] for k in iter_bits(edges)))
             est = spectral_radius(g, -math.inf if best is None else best[0].upper)
+            top = max(top, est.upper)
             if best is None or est.lower > best[0].upper:
                 best = (est, g)
             return
@@ -500,7 +505,10 @@ def spex_scan(
         decide(i + 1, edges, blocked, open_)
 
     decide(0, 0, sum(m for m in copies if m & (m - 1) == 0), 0)
-    return SpexResult(*best, maximal)
+    est, witness = best
+    if top > est.upper:  # another leaf's interval reaches above the witness's
+        est = SpectralEstimate.enclosing(est.lower, top, est.iterations, est.converged)
+    return SpexResult(est, witness, maximal)
 
 
 def _turan_root(n: int, k: int) -> tuple[int, int]:

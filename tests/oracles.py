@@ -17,6 +17,7 @@ precomputed F-copies.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import combinations
@@ -384,8 +385,9 @@ def oracle_spex_scan(n: int, f: Graph) -> SpexResult:
     the grown graph, and each excluded pair is rechecked at the leaf.  The
     tree, the leaf order, the eigenvalue calls and the rule that a leaf
     replaces the best only when its interval lies wholly above the best's
-    are those of the scan, so the results must be identical, not merely
-    close.  Every solve here runs without a ceiling."""
+    are those of the scan, and so is the widening of the best's interval to
+    the largest upper end over the leaves, so the results must be identical,
+    not merely close.  Every solve here runs without a ceiling."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > SPEX_MAX_N:
@@ -395,19 +397,21 @@ def oracle_spex_scan(n: int, f: Graph) -> SpexResult:
     pairs = list(combinations(range(n), 2))
     rows = [0] * n
     best: tuple[SpectralEstimate, Graph] | None = None
+    top = -math.inf
     maximal = 0
 
     def current() -> Graph:
         return Graph(n, list(rows), validate=False)
 
     def leaf(excluded: list[tuple[int, int]]) -> None:
-        nonlocal best, maximal
+        nonlocal best, top, maximal
         g = current()
         for u, v in excluded:
             if not contains_subgraph(g.add_edge(u, v), f):
                 return  # an edge is still addable: dominated by a supergraph
         maximal += 1
         est = spectral_radius(g)
+        top = max(top, est.upper)
         if best is None or est.lower > best[0].upper:  # provably larger mu
             best = (est, g)
 
@@ -433,7 +437,10 @@ def oracle_spex_scan(n: int, f: Graph) -> SpexResult:
             excluded.pop()
 
     decide(0, [])
-    return SpexResult(*best, maximal)
+    est, witness = best
+    if top > est.upper:
+        est = SpectralEstimate.enclosing(est.lower, top, est.iterations, est.converged)
+    return SpexResult(est, witness, maximal)
 
 
 def partitions_upto(nmax: int) -> list[tuple[int, ...]]:

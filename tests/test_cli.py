@@ -569,7 +569,7 @@ GOLDEN = {
     "fact2-strict": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --budget 1 --strict", 3,
         "81059625dcc6c16495e7699bda80e441abcefeb5c702ce7bc41e9bef3505fd81"),
     "fact2-vacuous": ("verify fact2 --gnp 12,0.5 --r 2,3 --c 0.3", 0,
-        "c13546af4a1602e2498c02123767d2b07acec45597c7dbb9eaf84bb5e1574bf8"),
+        "b44438bdd0903b8baecdb776814d26ef2702064a5a1b7deaff301785201fec5c"),
     "fact3": ("verify fact3 --n-max 12 --r-max 4", 0,
         "36133d32c7691767783d8fdb89d3203fd8532b02f19338f278ee822eee64df0a"),
     "theorem1": ("verify theorem1 --gnp 20,0.6 --count 2 --r 3 --c 0.3,2", 0,

@@ -208,7 +208,7 @@ def test_perron_vector_past_the_float_range_is_rescaled(g):
 # a change in the order of the loop's float operations would move them
 @pytest.mark.parametrize("g, value, residual, iterations", [
     (gnp(80, 0.8, 1), "0x1.f8a7c543641a9p+5", "0x1.3c46400000000p-28", 10),  # dense
-    (gnp(1000, 0.002, 1), "0x1.b3f335d1ad552p+1", "0x1.48def0a000000p-24", 862),  # components
+    (gnp(1000, 0.002, 1), "0x1.b3f335d1ad552p+1", "0x1.48def0a000000p-24", 730),  # components
     (_union(complete_graph(5), Graph.empty(2), complete_graph(4)),
      "0x1.0000000000000p+2", "0x1.4000000000000p-48", 2),  # dense component blocks
     (gnp(2100, 0.002, 5), "0x1.5bb4fab832aafp+2", "0x1.b7abdec000000p-23", 89),  # > _DENSE_LIMIT
@@ -294,22 +294,37 @@ def test_the_ceilings_stop_some_runs_and_not_others(g):
     assert not spectral_radius(g, _ceilings(g)[0] + 5.0).converged
 
 
-def test_a_stopped_component_is_solved_again_when_another_reaches_the_ceiling(monkeypatch):
-    # K4 (mu = 3) settles at once; the P5 beside it (mu = sqrt 3) stops below
-    # 2.9 and must then run again without the ceiling
-    g = _union(complete_graph(4), Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+def test_a_dominated_component_runs_once(monkeypatch):
+    # the P5 (mu = sqrt 3) comes first in vertex order, but K4 (mu = 3) is
+    # denser, so it runs first and settles at once; the path then runs once,
+    # under K4's lower end, and stops below it
+    g = _union(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), complete_graph(4))
     runs, perron = [], spectral._perron
 
     def counted(scaled, m, ceiling=-math.inf):
         bracket = perron(scaled, m, ceiling)
-        runs.append((m, ceiling, bracket[3]))
+        runs.append((m, ceiling, bracket))
         return bracket
 
     monkeypatch.setattr(spectral, "_perron", counted)
     est = spectral_radius(g, 2.9)
-    assert runs == [(4, 2.9, True), (5, 2.9, False), (5, -math.inf, True)]
+    assert [(m, ceiling, bracket[3]) for m, ceiling, bracket in runs] == [
+        (4, 2.9, True), (5, runs[0][2][0], False)]
+    assert runs[1][2][1] < runs[0][2][0]  # the path's upper end, K4's lower end
     monkeypatch.undo()
     assert est == spectral_radius(g)
+    assert est.converged
+
+
+def test_a_dominated_component_settles_under_the_iteration_cap(monkeypatch):
+    # a long path converges slowly, but its first upper end (2) is already
+    # below K4's lower end, so it stops there and the cap is never reached
+    monkeypatch.setattr(spectral, "_MAX_ITER", 5)
+    g = _union(complete_graph(4), Graph.from_edges(60, [(i, i + 1) for i in range(59)]))
+    est = spectral_radius(g)
+    assert est.converged
+    assert est.iterations == 2
+    assert est.lower <= 3.0 <= est.upper
 
 
 def test_edgeless_graph_runs_once_on_its_zero_matrix():

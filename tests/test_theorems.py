@@ -20,6 +20,7 @@ from spectral_turan import (
     gnp,
     parse_graph6,
     proof_chain_check,
+    spectral_radius,
     spex_scan,
     theorem1_check,
     theorem1_params,
@@ -32,6 +33,7 @@ from spectral_turan import (
 from spectral_turan import SpectralEstimate, SpexResult, spectral, theorems
 
 from oracles import (
+    all_graphs,
     brute_contains_injection,
     brute_spex,
     contains_subgraph,
@@ -304,7 +306,7 @@ def test_fact2_hypothesis_is_decided_exactly():
     # the float threshold let the hypothesis pass
     rep = fact2_check(k100_minus_50_edges(), 2, math.nextafter(0.49, 1))
     assert (rep.hypothesis_satisfied, rep.verdict) == (False, Verdict.VACUOUS)
-    assert rep.notes.startswith("k_r = 4900 below c n^r")
+    assert rep.notes == "k_r = 4900 below c n^r = 4900.000000000001"
 
 
 def test_fact2_huge_r_saturates_and_is_vacuous():
@@ -479,6 +481,11 @@ def test_spex_domain_from_the_copy_set(n):
             assert res.maximal_graphs == 1
 
 
+# the gap-spex patterns: K3, K4, C5, the wheel W4 and the diamond
+GAP_PATTERNS = [complete_graph(3), complete_graph(4), cycle_graph(5),
+                parse_graph6("D|s"), parse_graph6("Cz")]
+
+
 def test_spex_scan_matches_decision_tree_oracle():
     nx = pytest.importorskip("networkx")
     # every pattern on 2..5 vertices with an edge, at every order up to 5
@@ -488,10 +495,7 @@ def test_spex_scan_matches_decision_tree_oracle():
         if 2 <= h.number_of_nodes() <= 5 and h.number_of_edges() >= 1
     ]
     cases = [(n, f) for f in atlas for n in range(1, 6)]
-    # the gap-spex patterns: K3, K4, C5, the wheel W4 and the diamond
-    gap_patterns = [complete_graph(3), complete_graph(4), cycle_graph(5),
-                    parse_graph6("D|s"), parse_graph6("Cz")]
-    cases += [(6, f) for f in gap_patterns]
+    cases += [(6, f) for f in GAP_PATTERNS]
     for n, f in cases:
         got, want = spex_scan(n, f), oracle_spex_scan(n, f)
         assert got.maximal_graphs == want.maximal_graphs, (n, to_graph6(f))
@@ -499,6 +503,27 @@ def test_spex_scan_matches_decision_tree_oracle():
         # the whole estimate, iterations and converged included: the winner's
         # solve is never cut short by the ceiling
         assert got.mu == want.mu, (n, to_graph6(f))
+
+
+def _maximal_free_graphs(n: int, f: Graph) -> list[Graph]:
+    """Every maximal F-free graph on n labeled vertices, by brute force over
+    the edge masks of ``all_graphs``."""
+    graphs = list(all_graphs(n))
+    free = [not contains_subgraph(g, f) for g in graphs]
+    pairs = range(n * (n - 1) // 2)
+    return [g for mask, g in enumerate(graphs)
+            if free[mask] and not any(free[mask | 1 << i] for i in pairs if not mask >> i & 1)]
+
+
+@pytest.mark.parametrize("n, f", [(5, f) for f in GAP_PATTERNS]
+                         + [(6, cycle_graph(5)), (6, parse_graph6("D|s"))])
+def test_spex_interval_encloses_every_maximal_graph(n, f):
+    # ties between copies, or between unions of cycles, put some leaves'
+    # upper ends above the witness's; the reported interval must reach them
+    res = spex_scan(n, f)
+    for g in _maximal_free_graphs(n, f):
+        assert spectral_radius(g).upper <= res.mu.upper, to_graph6(g)
+    assert res.mu.lower <= spectral_radius(res.witness).lower
 
 
 # K2 and an edge plus three isolated vertices: every pair completes a copy on its own
