@@ -452,10 +452,23 @@ def _add_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base seed (instance i uses seed + i)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every float literal, -inf included, as a value: argparse alone
+    takes only plain negative numbers such as -1 for values, so ``--c -inf``
+    would name a missing flag instead of reaching the checker's c > 0 test."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
     # each flag is taken by its full name only, so that a flag of another
     # command (--c) is never read as a prefix of this one's (--count)
-    exact = partial(argparse.ArgumentParser, allow_abbrev=False)
+    exact = partial(_Parser, allow_abbrev=False)
     parser = exact(
         prog="spectral-turan",
         description="Verify the spectral radius / clique count / multipartite subgraph chain on exact graph corpora.",

@@ -8,6 +8,14 @@ lower end of the components solved so far, and ``theorems.spex_scan`` the
 best leaf's upper end, so a component or leaf that cannot win costs a few
 iterations, not a full 1e-10 bracket.
 
+On a graph of at most _EXACT_MAX_N vertices with a finite, positive
+ceiling, ``spectral_radius`` first tries an exact stop, ``_exact_stop``: the
+Collatz–Wielandt bounds of the integer walk counts w = (A + I)^(k-1) 1 for
+k = 1, ..., _EXACT_STEPS, in Python ints, with no numpy call.  It answers
+only when every ratio (Aw)_v/w_v is below the ceiling by more than a
+settled bracket's width, 2e-10 n, so wherever it answers the float runs
+would also have ended below the ceiling; otherwise they run as before.
+
 Each component with an edge, or the whole graph when it is connected or
 edgeless, is one block whose matvec, ``_block_matvec``, is a dense float64
 matrix when the block has m <= _DENSE_LIMIT vertices and is at least 1/16
@@ -33,6 +41,12 @@ _MAX_ITER = 10**6
 _DENSE_LIMIT = 2048
 # matrix entries unpacked at a time when building a block's matvec
 _SPARSE_BLOCK = 1 << 20
+# integer walks beat numpy's per-call dispatch only on tiny graphs (spex's n <= 8);
+# 2,006 of the 2,071 spex leaves at n = 6 that stop below their ceiling
+# do so within 3 iterations
+_EXACT_MAX_N = 8
+_EXACT_STEPS = 3
+_NEIGHBORS = tuple(tuple(iter_bits(row)) for row in range(1 << _EXACT_MAX_N))
 
 
 @dataclass(frozen=True)
@@ -40,7 +54,8 @@ class SpectralEstimate:
     """Certified enclosure [value - residual, value + residual] of the Perron root.
 
     The float ends enclose it, rounding included, whether or not the
-    iteration converged; ``iterations`` counts matrix-vector products.
+    iteration converged; ``iterations`` counts matrix-vector products,
+    float or, on the exact stop, integer.
     ``converged`` means every component's run either settled to a
     half-width of 1e-10 per vertex or stopped below the upper end of one
     that did, so the enclosure is no wider than a settled bracket.  It is
@@ -121,6 +136,48 @@ def _perron(scaled, m: int, ceiling: float = -math.inf) -> tuple[float, float, i
     return lower, upper, _MAX_ITER, False
 
 
+def _outward(p: int, q: int, toward: float) -> float:
+    """p/q for ints p >= 0, q > 0, rounded to the float next to it on the
+    side of ``toward``."""
+    x = p / q  # int true division rounds correctly
+    xp, xq = x.as_integer_ratio()
+    off = xp * q - p * xq  # the sign of x - p/q
+    return math.nextafter(x, toward) if off and (off > 0) == (toward < x) else x
+
+
+def _exact_stop(g: Graph, ceiling: float) -> SpectralEstimate | None:
+    """An unconverged estimate [min (Aw)_v/w_v, max (Aw)_v/w_v], rounded
+    outward, at the first k <= _EXACT_STEPS whose w = (A + I)^(k-1) 1 has
+    every ratio below ceiling - 2e-10 n, with ``iterations = k``; None if
+    no k has.
+
+    w is positive and integral, so the Collatz–Wielandt bounds are exact
+    rationals, decided by cross-multiplying with the ceiling's
+    ``as_integer_ratio()``.  The margin is the widest settled bracket: a
+    float run that settles within it could reach the ceiling, so the exact
+    stop leaves it to that run.
+    """
+    a, b = (ceiling - 2e-10 * g.n).as_integer_ratio()
+    rows = [_NEIGHBORS[g.row(v)] for v in range(g.n)]
+    w, aw = [1] * g.n, [len(row) for row in rows]
+    for k in range(1, _EXACT_STEPS + 1):
+        for p, q in zip(aw, w):
+            if p * b >= a * q:
+                break
+        else:  # every ratio is below the margin
+            lo = hi = (aw[0], w[0])
+            for p, q in zip(aw, w):
+                if p * lo[1] < lo[0] * q:
+                    lo = (p, q)
+                if p * hi[1] > hi[0] * q:
+                    hi = (p, q)
+            return SpectralEstimate.enclosing(
+                _outward(*lo, -math.inf), _outward(*hi, math.inf), k, False)
+        w = [p + q for p, q in zip(aw, w)]
+        aw = [sum(map(w.__getitem__, row)) for row in rows]
+    return None
+
+
 def _block_matvec(g: Graph, c: Sequence[int], e: np.ndarray | None = None):
     """x -> B @ x for B = A, or for diag(2^-e) A diag(2^e) when e is given,
     where A is g's adjacency matrix on the ascending vertex list c, which no
@@ -177,9 +234,19 @@ def spectral_radius(g: Graph, ceiling: float = -math.inf) -> SpectralEstimate:
     the enclosure.  The enclosure is converged when every run either
     settled or stopped below the upper end of one that did; so it is
     unconverged only if a run hit the iteration cap or if mu(G) < ceiling.
+
+    A graph of at most _EXACT_MAX_N vertices under a finite, positive
+    ceiling first tries ``_exact_stop``.  Its answer is unconverged, with
+    upper end below the ceiling, and its ``iterations`` counts the exact
+    products Aw, as a float run counts matrix-vector products; it answers
+    only where the float run would also have stopped below the ceiling.
     """
     if g.n < 1:
         raise ValueError("spectral_radius requires n >= 1")
+    if 0 < ceiling < math.inf and g.n <= _EXACT_MAX_N:
+        est = _exact_stop(g, ceiling)
+        if est is not None:
+            return est
     blocks = sorted(_components(g), key=lambda c: -sum(map(g.degree, c)) / len(c)) or [range(g.n)]
     runs, lower = [], -math.inf
     for c in blocks:

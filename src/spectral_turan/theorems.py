@@ -415,13 +415,18 @@ def spex_scan(
 
     Graphs are masks over the pair indices.  Every labeled copy of F in K_n
     is listed once, as the mask of the pairs it uses, and filed under each
-    of its pairs.  Along the search path the scan keeps the edge mask and a
-    ``blocked`` mask: the pairs whose addition would complete a copy.  When
-    a pair becomes an edge, a copy through it with exactly one pair still
-    missing blocks that pair; a copy of a one-edge pattern is blocked from
-    the start.  Since the graph stays F-free, G + e contains F exactly when
-    e is blocked.  So a blocked pair is excluded without branching, and a
-    leaf is maximal exactly when every non-edge is blocked.  These are the
+    of its pairs.  The copies filed under a pair are also sliced by pair:
+    for each other pair p, the bitset of those copies that use p.  Along the
+    search path the scan keeps the edge mask and a ``blocked`` mask: the
+    pairs whose addition would complete a copy.  When a pair becomes an
+    edge, a copy through it with exactly one pair still missing blocks that
+    pair; two bitsets, "missing one or more" and "missing two or more",
+    built by OR-ing the slices of the missing pairs, find those copies all
+    at once.  A copy of a one-edge pattern is blocked from the start.  Since
+    the graph stays F-free, G + e contains F exactly when e is blocked.  So
+    a blocked pair, or a run of them, is excluded without branching, and a
+    leaf is maximal exactly when every non-edge is blocked; its adjacency
+    rows are read straight off the edge mask.  These are the
     answers subgraph embedding gives for the same questions, so the tree,
     the order of the maximal leaves and the single spectral_radius call per
     leaf are those of the embedding-driven scan, and with them the witness
@@ -435,8 +440,11 @@ def spex_scan(
     the current edges and the unblocked pairs after i (blocked pairs never
     become edges).  Before excluding pair i the scan looks for such a copy
     through i and through every open pair, and skips the branch if one has
-    none.  Only non-maximal leaves are cut, so the maximal leaves, their
-    order and every reported number stay as above.
+    none.  It first re-checks the copy that last fit the pair; only if that
+    one no longer fits does it OR the slices of the pairs that can no longer
+    become edges, which leaves the copies that still fit.  Only non-maximal
+    leaves are cut, so the maximal leaves, their order and every reported
+    number stay as above.
 
     A leaf replaces the best so far only when its certified lower end is
     above the best's upper end, which is each later leaf's ceiling.
@@ -460,9 +468,20 @@ def spex_scan(
     copies = {sum(bit[p[u]][p[v]] for u, v in f_edges) for p in permutations(range(n), f.n)}
     if 0 in copies:
         raise ValueError("pattern is contained in every graph of this order")
-    # through[i]: the other pairs of each copy that uses pair i
-    through = [[m ^ 1 << i for m in copies if m >> i & 1] for i in range(len(pairs))]
     last = len(pairs)
+    # through[i]: the other pairs of each copy that uses pair i
+    through = [[m ^ 1 << i for m in copies if m >> i & 1] for i in range(last)]
+    # sliced[i]: (1 << p, the copies of through[i] that use p, as a bitset
+    # over their positions there) for each pair p that one of them uses
+    sliced = []
+    for rests in through:
+        users: dict[int, int] = {}
+        for j, rest in enumerate(rests):
+            for p in iter_bits(rest):
+                users[p] = users.get(p, 0) | 1 << j
+        sliced.append([(1 << p, users[p]) for p in sorted(users)])
+    fits = [-1] * last  # the copy of through[x] that last fit pair x; -1 fits nothing
+    ends = [(u, v, 1 << u, 1 << v) for u, v in pairs]
     everything = (1 << last) - 1
     after = [everything >> i + 1 << i + 1 for i in range(last)]  # the pairs after i
     best: tuple[SpectralEstimate, Graph] | None = None
@@ -471,37 +490,56 @@ def spex_scan(
 
     def decide(i: int, edges: int, blocked: int, open_: int) -> None:
         nonlocal best, top, maximal
+        while i < last and blocked >> i & 1:
+            i += 1
         if i == last:
             if edges | blocked != everything:
                 return  # an edge is still addable: dominated by a supergraph
             maximal += 1
-            g = Graph.from_edges(n, (pairs[k] for k in iter_bits(edges)))
+            rows = [0] * n
+            m = edges
+            while m:
+                u, v, bu, bv = ends[(m & -m).bit_length() - 1]
+                rows[u] |= bv
+                rows[v] |= bu
+                m &= m - 1
+            g = Graph(n, rows, validate=False)
             est = spectral_radius(g, -math.inf if best is None else best[0].upper)
             top = max(top, est.upper)
             if best is None or est.lower > best[0].upper:
                 best = (est, g)
             return
-        if blocked >> i & 1:
-            decide(i + 1, edges, blocked, open_)
-            return
+        # with pair i: a copy through it with exactly one pair still absent
+        # blocks that pair; count absent pairs per copy in two bit slices
         grown = edges | 1 << i
-        absent = ~grown
+        ones = twos = 0
+        for pb, users in sliced[i]:
+            if not pb & grown:
+                twos |= ones & users
+                ones |= users
+        one = ones & ~twos
         now_blocked = blocked
-        for rest in through[i]:
-            missing = rest & absent
-            if missing & (missing - 1) == 0:
-                now_blocked |= missing
+        while one:
+            now_blocked |= through[i][(one & -one).bit_length() - 1] & ~grown
+            one &= one - 1
         decide(i + 1, grown, now_blocked, open_)
         # without pair i: every excluded, unblocked pair still needs a copy
         # of F through it inside the pairs that can yet become edges
         open_ = (open_ | 1 << i) & ~blocked
         gone = ~(edges | after[i] & ~blocked)
-        for x in iter_bits(open_):
-            for rest in through[x]:
-                if not rest & gone:
-                    break
-            else:
-                return  # x stays addable below: no maximal leaf
+        m = open_
+        while m:
+            x = (m & -m).bit_length() - 1
+            m &= m - 1
+            if fits[x] & gone:
+                dead = 0
+                for pb, users in sliced[x]:
+                    if pb & gone:
+                        dead |= users
+                alive = ~dead & (1 << len(through[x])) - 1
+                if not alive:
+                    return  # x stays addable below: no maximal leaf
+                fits[x] = through[x][(alive & -alive).bit_length() - 1]
         decide(i + 1, edges, blocked, open_)
 
     decide(0, 0, sum(m for m in copies if m & (m - 1) == 0), 0)

@@ -258,6 +258,10 @@ def test_threads_and_budget_below_one_are_usage_errors(argv, flag, capsys):
     ("verify fact2 --turan 8,3 --r 2 --c nan", "error: fact2 requires a finite c\n"),
     ("verify chain --turan 8,3 --r 3 --c inf", "error: proof chain requires a finite c\n"),
     ("verify theorem1 --turan 8,3 --r 3 --c=-inf", "error: theorem1 requires c > 0\n"),
+    # a float literal after a flag is its value, not another flag
+    ("verify chain --turan 8,3 --r 3 --c -inf", "error: proof chain requires c > 0\n"),
+    ("verify theorem1 --turan 8,3 --r 3 --c -inf", "error: theorem1 requires c > 0\n"),
+    ("verify fact2 --turan 8,3 --r 2 --c -inf", "error: fact2 requires c > 0\n"),
     # an empty sweep is refused, as an empty corpus is
     ("verify fact3 --n-max -1 --r-max 3", "error: --n-max must be >= 0 and --r-max >= 1\n"),
     ("verify fact3 --n-max 5 --r-max 0", "error: --n-max must be >= 0 and --r-max >= 1\n"),

@@ -294,6 +294,52 @@ def test_the_ceilings_stop_some_runs_and_not_others(g):
     assert not spectral_radius(g, _ceilings(g)[0] + 5.0).converged
 
 
+def test_a_tie_within_the_margin_is_left_to_the_float_run():
+    # C4 and K3 share mu = 2, and C4's exact ratios (2) are below K3's upper
+    # end; but a settled bracket could still reach that end, so the exact
+    # stop must not answer, or C4 could no longer raise a spex maximum
+    ceiling = spectral_radius(complete_graph(3)).upper
+    assert spectral_radius(cycle_graph(4), ceiling) == spectral_radius(cycle_graph(4))
+
+
+def _at_least_every_root(polys: list[list[int]], x: Fraction) -> bool:
+    """x >= the largest root of a real-rooted monic polynomial: p(x + t) has
+    only nonnegative Taylor coefficients at x, so no root lies above x."""
+    for p in polys:
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * x + c
+        if acc < 0:
+            return False
+    return True
+
+
+# ceilings from well below mu to well above it, around the no-ceiling
+# value; its upper end is added as a ceiling too, the one a spex tie meets
+EXACT_OFFSETS = [-1.0, -1e-9, 0.0, 1e-9, 1e-6, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_exact_stop_encloses_and_answers_only_below_every_reach(n):
+    answered = fell_through = 0
+    for g in all_graphs(n):
+        polys = poly_derivatives(charpoly(g))
+        full = spectral_radius(g)
+        for ceiling in [full.value + d for d in EXACT_OFFSETS] + [full.upper]:
+            est = spectral_radius(g, ceiling)
+            assert not exceeds_all_roots(polys, Fraction(est.lower)), (g, ceiling)
+            assert _at_least_every_root(polys, Fraction(est.upper)), (g, ceiling)
+            assert est.converged or est.upper < ceiling, (g, ceiling)
+            exact = spectral._exact_stop(g, ceiling) if ceiling > 0 else None
+            if exact is not None:
+                assert est == exact
+                assert full.upper < ceiling, (g, ceiling)
+            answered += exact is not None
+            fell_through += exact is None and ceiling > 0
+    # the one-vertex graph has mu = 0, below every positive ceiling's margin
+    assert answered and (fell_through or n == 1)
+
+
 def test_a_dominated_component_runs_once(monkeypatch):
     # the P5 (mu = sqrt 3) comes first in vertex order, but K4 (mu = 3) is
     # denser, so it runs first and settles at once; the path then runs once,
