@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import ROW_BLOCK, Graph
 
 COUNT_BITS = 128
 _COUNT_LIMIT = 1 << COUNT_BITS
@@ -55,8 +55,6 @@ _BLAS_MIN_EDGES = 64
 _BLAS_EDGES_PER_VERTEX = 4
 # rows of Y per GEMM in the 4-clique base case
 _EDGE_CHUNK = 256
-# matrix entries masked per block when orienting the adjacency matrix
-_ORIENT_BLOCK = 1 << 20
 
 
 class CliqueCountOverflowError(OverflowError):
@@ -66,7 +64,7 @@ class CliqueCountOverflowError(OverflowError):
 def _oriented_bits(g: Graph, pos: np.ndarray) -> np.ndarray:
     """Boolean n x n matrix with [u, v] set iff uv is an edge and pos[u] < pos[v]."""
     bits = g.to_bits()
-    step = max(1, _ORIENT_BLOCK // g.n)
+    step = max(1, ROW_BLOCK // g.n)
     for lo in range(0, g.n, step):
         bits[lo:lo + step] &= pos[lo:lo + step, None] < pos
     return bits

@@ -25,8 +25,9 @@ GRAPH6_MAX_N = 62  # single-byte size; v1 encoder limit
 _MASK64 = (1 << 64) - 1
 # pairs per gnp chunk: bounds each uint64 temporary to 512 KiB at any n
 _GNP_CHUNK = 1 << 16
-# matrix entries per block of from_bits' symmetry check (1 MiB of bools)
-_SYMMETRY_BLOCK = 1 << 20
+# matrix entries (1 MiB of bools) per block wherever an n x n matrix is
+# scanned or built a block of rows at a time
+ROW_BLOCK = 1 << 20
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -114,7 +115,7 @@ class Graph:
         if loops.size:
             raise ValueError(f"loop at vertex {loops[0]}")
         # one block of rows at a time, so the check's temporaries stay small
-        step = max(1, _SYMMETRY_BLOCK // max(n, 1))
+        step = max(1, ROW_BLOCK // max(n, 1))
         for lo in range(0, n, step):
             bad = a[lo:lo + step] & ~a[:, lo:lo + step].T
             if bad.any():

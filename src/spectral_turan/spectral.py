@@ -1,5 +1,7 @@
 """One certified Perron routine, ``_perron``, which ``spectral_radius`` runs
-once per connected component of an adjacency matrix.
+once per connected component of an adjacency matrix.  Every answer is a
+``SpectralEstimate`` holding the two float ends of a proved bracket; its
+``value`` and ``residual`` are derived from them for reports only.
 
 A run may be given a ``ceiling``: it then stops, unconverged, as soon as its
 certified upper end falls below it, since it can no longer raise a maximum
@@ -13,8 +15,8 @@ ceiling, ``spectral_radius`` first tries an exact stop, ``_exact_stop``: the
 Collatz–Wielandt bounds of the integer walk counts w = (A + I)^(k-1) 1 for
 k = 1, ..., _EXACT_STEPS, in Python ints, with no numpy call.  It answers
 only when every ratio (Aw)_v/w_v is below the ceiling by more than a
-settled bracket's width, 2e-10 n, so wherever it answers the float runs
-would also have ended below the ceiling; otherwise they run as before.
+settled bracket's width, _SETTLED_WIDTH n, so wherever it answers the float
+runs would also have ended below the ceiling; otherwise they run as before.
 
 Each component with an edge, or the whole graph when it is connected or
 edgeless, is one block whose matvec, ``_block_matvec``, is a dense float64
@@ -33,14 +35,14 @@ from functools import partial
 
 import numpy as np
 
-from .graphs import Graph, iter_bits
+from .graphs import ROW_BLOCK, Graph, iter_bits
 
 _MAX_ITER = 10**6
 
+# a bracket has settled once its width is at most this per vertex
+_SETTLED_WIDTH = 2e-10
 # a dense block above this order would not fit desk memory budgets
 _DENSE_LIMIT = 2048
-# matrix entries unpacked at a time when building a block's matvec
-_SPARSE_BLOCK = 1 << 20
 # integer walks beat numpy's per-call dispatch only on tiny graphs (spex's n <= 8);
 # 2,006 of the 2,071 spex leaves at n = 6 that stop below their ceiling
 # do so within 3 iterations
@@ -51,11 +53,13 @@ _NEIGHBORS = tuple(tuple(iter_bits(row)) for row in range(1 << _EXACT_MAX_N))
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Certified enclosure [value - residual, value + residual] of the Perron root.
+    """Certified enclosure [lower, upper] of the Perron root.
 
-    The float ends enclose it, rounding included, whether or not the
-    iteration converged; ``iterations`` counts matrix-vector products,
-    float or, on the exact stop, integer.
+    The float ends ``lower`` and ``upper`` are the proved ends themselves,
+    rounding included, whether or not the iteration converged, and every
+    verdict reads them; reports print the interval as ``value`` ±
+    ``residual``, derived from them.  ``iterations`` counts matrix-vector
+    products, float or, on the exact stop, integer.
     ``converged`` means every component's run either settled to a
     half-width of 1e-10 per vertex or stopped below the upper end of one
     that did, so the enclosure is no wider than a settled bracket.  It is
@@ -63,34 +67,30 @@ class SpectralEstimate:
     below the ceiling passed to ``spectral_radius``.
     """
 
-    value: float
-    residual: float
+    lower: float
+    upper: float
     iterations: int
     converged: bool
 
     @property
-    def lower(self) -> float:
-        return self.value - self.residual
+    def value(self) -> float:
+        """The midpoint of [lower, upper]."""
+        return 0.5 * (self.lower + self.upper)
 
     @property
-    def upper(self) -> float:
-        return self.value + self.residual
-
-    @classmethod
-    def enclosing(cls, lower: float, upper: float, iterations: int,
-                  converged: bool) -> SpectralEstimate:
-        """The midpoint of [lower, upper] with its half-width rounded up until
-        the float ends enclose both."""
-        value = 0.5 * (lower + upper)
-        residual = max(value - lower, upper - value)
-        while value - residual > lower or value + residual < upper:
+    def residual(self) -> float:
+        """The half-width about ``value``, rounded up until value ∓ residual
+        encloses [lower, upper]."""
+        value = self.value
+        residual = max(value - self.lower, self.upper - value)
+        while value - residual > self.lower or value + residual < self.upper:
             residual = math.nextafter(residual, math.inf)
-        return cls(value, residual, iterations, converged)
+        return residual
 
 
-def _perron(scaled, m: int, ceiling: float = -math.inf) -> tuple[float, float, int, bool]:
-    """(lower, upper, iterations, converged): a certified bracket on the Perron
-    root of the adjacency matrix A of an m-vertex block, whose scaled
+def _perron(scaled, m: int, ceiling: float = -math.inf) -> SpectralEstimate:
+    """A certified bracket [lower, upper] on the Perron root of the
+    adjacency matrix A of an m-vertex block, whose scaled
     diag(2^-e) A diag(2^e) has the matvec ``scaled(e)`` (A itself at None).
 
     Power iteration on A + I from the all-ones vector keeps the iterate x
@@ -111,7 +111,7 @@ def _perron(scaled, m: int, ceiling: float = -math.inf) -> tuple[float, float, i
     ku = (m + 5) * math.ulp(1.0) / 2  # (m + 5) u, u = 2^-53
     slack = ku / (1.0 - ku)
     # loop invariants bound once: the loop is most of a tiny graph's cost
-    down, up, width = 1.0 - slack, 1.0 + slack, 2e-10 * m
+    down, up, width = 1.0 - slack, 1.0 + slack, _SETTLED_WIDTH * m
     least, most = np.minimum.reduce, np.maximum.reduce
     e, matvec = 0, scaled(None)
     x = np.ones(m)
@@ -122,9 +122,9 @@ def _perron(scaled, m: int, ceiling: float = -math.inf) -> tuple[float, float, i
         lo, hi = float(least(ratios)), float(most(ratios))
         lower, upper = lo * down, hi * up
         if upper - lower <= width:
-            return lower, upper, iterations, True
+            return SpectralEstimate(lower, upper, iterations, True)
         if upper < ceiling:
-            return lower, upper, iterations, False
+            return SpectralEstimate(lower, upper, iterations, False)
         y += x  # shift by +1; entry i scales by (r_i + 1) / (hi + 1)
         y /= hi + 1.0
         x = y
@@ -133,7 +133,7 @@ def _perron(scaled, m: int, ceiling: float = -math.inf) -> tuple[float, float, i
             x, shift = np.frexp(x)  # x = mantissas in [0.5, 1) times 2^shift
             e = e + shift
             matvec, floor = scaled(e), 0.5
-    return lower, upper, _MAX_ITER, False
+    return SpectralEstimate(lower, upper, _MAX_ITER, False)
 
 
 def _outward(p: int, q: int, toward: float) -> float:
@@ -148,8 +148,8 @@ def _outward(p: int, q: int, toward: float) -> float:
 def _exact_stop(g: Graph, ceiling: float) -> SpectralEstimate | None:
     """An unconverged estimate [min (Aw)_v/w_v, max (Aw)_v/w_v], rounded
     outward, at the first k <= _EXACT_STEPS whose w = (A + I)^(k-1) 1 has
-    every ratio below ceiling - 2e-10 n, with ``iterations = k``; None if
-    no k has.
+    every ratio below ceiling - _SETTLED_WIDTH n, with ``iterations = k``;
+    None if no k has.
 
     w is positive and integral, so the Collatz–Wielandt bounds are exact
     rationals, decided by cross-multiplying with the ceiling's
@@ -157,7 +157,7 @@ def _exact_stop(g: Graph, ceiling: float) -> SpectralEstimate | None:
     float run that settles within it could reach the ceiling, so the exact
     stop leaves it to that run.
     """
-    a, b = (ceiling - 2e-10 * g.n).as_integer_ratio()
+    a, b = (ceiling - _SETTLED_WIDTH * g.n).as_integer_ratio()
     rows = [_NEIGHBORS[g.row(v)] for v in range(g.n)]
     w, aw = [1] * g.n, [len(row) for row in rows]
     for k in range(1, _EXACT_STEPS + 1):
@@ -171,8 +171,7 @@ def _exact_stop(g: Graph, ceiling: float) -> SpectralEstimate | None:
                     lo = (p, q)
                 if p * hi[1] > hi[0] * q:
                     hi = (p, q)
-            return SpectralEstimate.enclosing(
-                _outward(*lo, -math.inf), _outward(*hi, math.inf), k, False)
+            return SpectralEstimate(_outward(*lo, -math.inf), _outward(*hi, math.inf), k, False)
         w = [p + q for p, q in zip(aw, w)]
         aw = [sum(map(w.__getitem__, row)) for row in rows]
     return None
@@ -181,9 +180,9 @@ def _exact_stop(g: Graph, ceiling: float) -> SpectralEstimate | None:
 def _block_matvec(g: Graph, c: Sequence[int], e: np.ndarray | None = None):
     """x -> B @ x for B = A, or for diag(2^-e) A diag(2^e) when e is given,
     where A is g's adjacency matrix on the ascending vertex list c, which no
-    edge leaves; the rows of c are unpacked _SPARSE_BLOCK entries at a time."""
+    edge leaves; the rows of c are unpacked ROW_BLOCK entries at a time."""
     m = len(c)
-    step = max(1, _SPARSE_BLOCK // g.n)
+    step = max(1, ROW_BLOCK // g.n)
     # below 1/16 full, np.bincount beats the dense product (measured at m >= 700)
     if m <= _DENSE_LIMIT and 16 * sum(map(g.degree, c)) >= m * m:
         a = np.empty((m, m))  # C order: BLAS picks its kernel, so its rounding, by layout
@@ -251,9 +250,8 @@ def spectral_radius(g: Graph, ceiling: float = -math.inf) -> SpectralEstimate:
     runs, lower = [], -math.inf
     for c in blocks:
         runs.append(_perron(partial(_block_matvec, g, c), len(c), max(ceiling, lower)))
-        lower = max(lower, runs[-1][0])
-    _, uppers, iterations, converged = zip(*runs)
-    settled = max((hi for hi, done in zip(uppers, converged) if done), default=-math.inf)
-    return SpectralEstimate.enclosing(
-        lower, max(uppers), sum(iterations),
-        all(done or hi < settled for hi, done in zip(uppers, converged)))
+        lower = max(lower, runs[-1].lower)
+    settled = max((run.upper for run in runs if run.converged), default=-math.inf)
+    return SpectralEstimate(
+        lower, max(run.upper for run in runs), sum(run.iterations for run in runs),
+        all(run.converged or run.upper < settled for run in runs))

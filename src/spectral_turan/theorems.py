@@ -545,7 +545,7 @@ def spex_scan(
     decide(0, 0, sum(m for m in copies if m & (m - 1) == 0), 0)
     est, witness = best
     if top > est.upper:  # another leaf's interval reaches above the witness's
-        est = SpectralEstimate.enclosing(est.lower, top, est.iterations, est.converged)
+        est = SpectralEstimate(est.lower, top, est.iterations, est.converged)
     return SpexResult(est, witness, maximal)
 
 

@@ -439,7 +439,7 @@ def oracle_spex_scan(n: int, f: Graph) -> SpexResult:
     decide(0, [])
     est, witness = best
     if top > est.upper:
-        est = SpectralEstimate.enclosing(est.lower, top, est.iterations, est.converged)
+        est = SpectralEstimate(est.lower, top, est.iterations, est.converged)
     return SpexResult(est, witness, maximal)
 
 

@@ -348,7 +348,7 @@ def test_from_bits_validation(monkeypatch):
         with pytest.raises(ValueError) as scan:
             Graph(n, rows)
         for block in (1 << 20, 1, 97):
-            monkeypatch.setattr(graphs, "_SYMMETRY_BLOCK", block)
+            monkeypatch.setattr(graphs, "ROW_BLOCK", block)
             with pytest.raises(ValueError) as bits:
                 Graph.from_bits(a)
             assert str(bits.value) == str(scan.value), block

@@ -354,9 +354,9 @@ def test_a_dominated_component_runs_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "_perron", counted)
     est = spectral_radius(g, 2.9)
-    assert [(m, ceiling, bracket[3]) for m, ceiling, bracket in runs] == [
-        (4, 2.9, True), (5, runs[0][2][0], False)]
-    assert runs[1][2][1] < runs[0][2][0]  # the path's upper end, K4's lower end
+    assert [(m, ceiling, bracket.converged) for m, ceiling, bracket in runs] == [
+        (4, 2.9, True), (5, runs[0][2].lower, False)]
+    assert runs[1][2].upper < runs[0][2].lower  # the path's upper end, K4's lower end
     monkeypatch.undo()
     assert est == spectral_radius(g)
     assert est.converged

@@ -108,7 +108,7 @@ def test_fact1_is_decided_in_exact_rationals(monkeypatch):
     # float 43/6 lies above it, so its exact rhs exceeds k_3 by 2.6e-16 while
     # the float rhs rounds to 3.999999999999999; one ulp lower it falls below 4
     def stub(mu):
-        monkeypatch.setattr(theorems, "spectral_radius", lambda g: SpectralEstimate(mu, 0.0, 1, True))
+        monkeypatch.setattr(theorems, "spectral_radius", lambda g: SpectralEstimate(mu, mu, 1, True))
         return fact1_check(complete_graph(4), 3)
 
     rep = stub(43 / 6)
@@ -516,14 +516,15 @@ def _maximal_free_graphs(n: int, f: Graph) -> list[Graph]:
 
 
 @pytest.mark.parametrize("n, f", [(5, f) for f in GAP_PATTERNS]
-                         + [(6, cycle_graph(5)), (6, parse_graph6("D|s"))])
+                         + [(6, cycle_graph(5)), (6, parse_graph6("D|s")), (6, cycle_graph(6))])
 def test_spex_interval_encloses_every_maximal_graph(n, f):
     # ties between copies, or between unions of cycles, put some leaves'
-    # upper ends above the witness's; the reported interval must reach them
+    # upper ends above the witness's; the reported interval must reach them,
+    # and widening it must keep the witness's proved lower end bit for bit
     res = spex_scan(n, f)
     for g in _maximal_free_graphs(n, f):
         assert spectral_radius(g).upper <= res.mu.upper, to_graph6(g)
-    assert res.mu.lower <= spectral_radius(res.witness).lower
+    assert res.mu.lower == spectral_radius(res.witness).lower
 
 
 # K2 and an edge plus three isolated vertices: every pair completes a copy on its own
@@ -611,7 +612,7 @@ def test_theorem2_gap_examples():
 
 
 def _spex_with_upper(upper: float):
-    return lambda n, f: SpexResult(SpectralEstimate(upper, 0.0, 1, True), complete_graph(n), 1)
+    return lambda n, f: SpexResult(SpectralEstimate(upper, upper, 1, True), complete_graph(n), 1)
 
 
 def test_gap_sandwich_is_decided_without_tolerance(monkeypatch):
