@@ -6,7 +6,6 @@ from .cliques import CliqueCountOverflowError, count_cliques
 from .graphs import (
     Graph,
     Graph6Error,
-    UnsupportedSizeError,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -56,7 +55,6 @@ __all__ = [
     "SpectralEstimate",
     "SpexResult",
     "TheoremReport",
-    "UnsupportedSizeError",
     "Verdict",
     "chromatic_number",
     "complete_graph",

@@ -23,8 +23,6 @@ from . import __version__
 from .cliques import CliqueCountOverflowError, count_cliques
 from .graphs import (
     Graph,
-    Graph6Error,
-    GRAPH6_MAX_N,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -59,6 +57,11 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
+
+# reports carry graph6 only up to this order (graph6's one-byte size field):
+# the writer takes n <= 10^4, but at ~1-6 ms per graph for n = 500..1000 it
+# would add 20-40% to a campaign over such graphs, so they get a note instead
+REPORT_GRAPH6_MAX_N = 62
 
 
 class UsageError(Exception):
@@ -98,16 +101,21 @@ def _count(text: str) -> int:
     return count
 
 
+def _built(make, arg, source: str) -> Graph:
+    """``make(arg)``; its ValueError becomes a UsageError that names ``source``."""
+    try:
+        return make(arg)
+    except ValueError as exc:
+        raise UsageError(f"{source}: {exc}") from None
+
+
 def named_graph(spec: str) -> Graph:
     """Pattern graph from 'K<n>', 'C<n>', or a graph6 literal."""
     s = spec.strip()
+    usage = "--f expects 'K<n>', 'C<n>' or graph6"
     if len(s) >= 2 and s[0] in "KC" and s[1:].isdigit():
-        k = int(s[1:])
-        return complete_graph(k) if s[0] == "K" else cycle_graph(k)
-    try:
-        return parse_graph6(s)
-    except Graph6Error as exc:
-        raise UsageError(f"--f expects 'K<n>', 'C<n>' or graph6: {exc}") from None
+        return _built(complete_graph if s[0] == "K" else cycle_graph, int(s[1:]), usage)
+    return _built(parse_graph6, s, usage)
 
 
 def _gather_instances(args) -> list[tuple[str, Graph]]:
@@ -119,10 +127,12 @@ def _gather_instances(args) -> list[tuple[str, Graph]]:
             text = fh.read()
         name = os.path.basename(path)
         if args.in_format == "edgelist":
-            instances.append((f"{name}#0", parse_edge_list(text)))
+            instances.append((f"{name}#0", _built(parse_edge_list, text, f"--in {path}")))
         else:
-            for i, line in enumerate(ln for ln in text.splitlines() if ln.strip()):
-                instances.append((f"{name}#{i}", parse_graph6(line)))
+            lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+            for i, (k, line) in enumerate(lines):
+                g = _built(parse_graph6, line, f"--in {path} line {k}")
+                instances.append((f"{name}#{i}", g))
     if args.turan:
         usage = "--turan expects 'n,r'"
         values = _parse_list(args.turan, usage)
@@ -158,14 +168,15 @@ def _config_echo(args) -> dict:
     return cfg
 
 
-def _report_dict(tr: TheoremReport, g: Graph | None, config: dict) -> dict:
-    """The JSONL report: the checker's fields plus version, config and graph6.
+def _report_dict(iid: str, tr: TheoremReport, g: Graph | None, config: dict) -> dict:
+    """The JSONL report: the task's id, the checker's fields, version, config
+    and graph6.
 
-    Graphs above the graph6 writer limit are omitted, and a note saying so
+    Graphs above ``REPORT_GRAPH6_MAX_N`` are omitted, and a note saying so
     precedes the checker's own note.
     """
     rep = {
-        "id": tr.instance_id,
+        "id": iid,
         "subcommand": config["subcommand"],
         "params": {key: tr.params.get(key) for key in ("n", "r", "c")},
         "mu": None if tr.mu is None else {"value": tr.mu.value, "residual": tr.mu.residual},
@@ -180,10 +191,10 @@ def _report_dict(tr: TheoremReport, g: Graph | None, config: dict) -> dict:
         rep["witness"] = tr.witness.to_lists()
     if tr.quantities:
         rep["quantities"] = tr.quantities
-    if g is not None and g.n <= GRAPH6_MAX_N:
+    if g is not None and g.n <= REPORT_GRAPH6_MAX_N:
         rep["graph6"] = to_graph6(g)
     elif g is not None:
-        omitted = f"graph omitted: n = {g.n} > {GRAPH6_MAX_N}"
+        omitted = f"graph omitted: n = {g.n} > {REPORT_GRAPH6_MAX_N}"
         rep["notes"] = f"{omitted}; {tr.notes}" if tr.notes else omitted
     return rep
 
@@ -291,7 +302,7 @@ def _cmd_gen(args) -> int:
 
 
 def run_campaign(items, task, args) -> int:
-    """Run task(item) -> (TheoremReport, graph or None) over items, in order.
+    """Run task(item) -> (id, TheoremReport, graph or None) over items, in order.
 
     Writes one report per item and returns the campaign's exit code.
     """
@@ -308,12 +319,12 @@ def _cmd_mu(args) -> int:
         iid, g = item
         est = spectral_radius(g)
         tr = TheoremReport(
-            iid, {"n": g.n}, True,
+            {"n": g.n}, True,
             Verdict.CONFIRMED if est.converged else Verdict.INDETERMINATE, mu=est,
             quantities={"iterations": est.iterations, "converged": est.converged},
             notes="" if est.converged else "eigenvalue iteration did not converge",
         )
-        return tr, g
+        return iid, tr, g
 
     return run_campaign(_gather_instances(args), task, args)
 
@@ -322,8 +333,8 @@ def _cmd_cliques(args) -> int:
     def task(item):
         iid, g = item
         kr = count_cliques(g, args.r)
-        tr = TheoremReport(iid, {"n": g.n, "r": args.r}, True, Verdict.CONFIRMED, kr=kr)
-        return tr, g
+        tr = TheoremReport({"n": g.n, "r": args.r}, True, Verdict.CONFIRMED, kr=kr)
+        return iid, tr, g
 
     return run_campaign(_gather_instances(args), task, args)
 
@@ -333,15 +344,15 @@ def _cmd_find_kpartite(args) -> int:
 
     def task(item):
         iid, g = item
-        tr = TheoremReport(iid, {"n": g.n}, True, Verdict.CONFIRMED)
+        tr = TheoremReport({"n": g.n}, True, Verdict.CONFIRMED)
         try:
             tr.witness = find_complete_multipartite(g, sizes, budget=args.budget)
         except SearchBudgetExceeded:
             tr.verdict, tr.notes = Verdict.INDETERMINATE, "search budget exhausted"
-            return tr, g
+            return iid, tr, g
         if tr.witness is None:
             tr.verdict, tr.notes = Verdict.VACUOUS, "exhaustive search: no witness exists"
-        return tr, g
+        return iid, tr, g
 
     return run_campaign(_gather_instances(args), task, args)
 
@@ -353,7 +364,7 @@ def _cmd_fact3(args) -> int:
 
     def task(item):
         n, r = item
-        return fact3_check(n, r, instance_id=f"fact3-n{n}-r{r}"), None
+        return f"fact3-n{n}-r{r}", fact3_check(n, r), None
 
     return run_campaign(sweep, task, args)
 
@@ -369,11 +380,11 @@ def _cmd_verify(args) -> int:
         (iid, g), r, c = item
         iid += f"-r{r}" + (f"-c{c}" if c is not None else "")
         if args.check == "fact1":
-            return fact1_check(g, r, instance_id=iid), g
+            return iid, fact1_check(g, r), g
         if args.check == "chain":
-            return proof_chain_check(g, r, c, instance_id=iid), g
+            return iid, proof_chain_check(g, r, c), g
         check = fact2_check if args.check == "fact2" else theorem1_check
-        return check(g, r, c, budget=args.budget, instance_id=iid), g
+        return iid, check(g, r, c, budget=args.budget), g
 
     items = [(inst, r, c) for inst in _gather_instances(args) for r in r_values for c in c_values]
     return run_campaign(items, task, args)
@@ -383,19 +394,15 @@ def _cmd_spex(args) -> int:
     def task(f):
         res = spex_scan(args.n, f)
         quantities = {"max_mu": res.mu.value, "maximal_graphs": res.maximal_graphs}
-        tr = TheoremReport(
-            f"spex-n{args.n}-f{args.f}", {"n": args.n}, True, Verdict.CONFIRMED,
-            mu=res.mu, quantities=quantities,
-        )
-        return tr, res.witness
+        tr = TheoremReport({"n": args.n}, True, Verdict.CONFIRMED, mu=res.mu, quantities=quantities)
+        return f"spex-n{args.n}-f{args.f}", tr, res.witness
 
     return run_campaign([named_graph(args.f)], task, args)
 
 
 def _cmd_gap(args) -> int:
     def task(f):
-        iid = f"gap-n{args.n}-f{args.f}"
-        return theorem2_gap(args.n, f, instance_id=iid), None
+        return f"gap-n{args.n}-f{args.f}", theorem2_gap(args.n, f), None
 
     return run_campaign([named_graph(args.f)], task, args)
 
@@ -406,15 +413,14 @@ def _cmd_biclique_scan(args) -> int:
         res = max_balanced_biclique(g, budget=args.budget)
         alarm = 4.0 * math.log(g.n)  # g.n >= 2 once the search ran
         tr = TheoremReport(
-            f"biclique-n{args.n}-p{args.p}-seed{seed}", {"n": g.n}, True,
-            Verdict.CONFIRMED, witness=res.witness,
+            {"n": g.n}, True, Verdict.CONFIRMED, witness=res.witness,
             quantities={"side": res.side, "exact": res.exact, "alarm_threshold": alarm},
         )
         if not res.exact:
             tr.verdict, tr.notes = Verdict.INDETERMINATE, "budget exhausted: side is a lower bound"
         elif res.side > alarm:
             tr.notes = f"alarm: side {res.side} exceeds 4 ln n = {alarm:.3f}"
-        return tr, g
+        return f"biclique-n{args.n}-p{args.p}-seed{seed}", tr, g
 
     return run_campaign(_parse_seeds(args.seeds), task, args)
 
@@ -551,7 +557,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, Graph6Error, ValueError, OSError, CliqueCountOverflowError) as exc:
+    except (UsageError, ValueError, OSError, CliqueCountOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

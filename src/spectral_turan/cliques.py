@@ -7,17 +7,18 @@ exactly once, at its earliest vertex.  The top level loops over vertices, so
 every candidate set is a forward neighbourhood.  The k forward neighbours of
 v each have degree >= deg v >= k and all degrees sum to 2m, so a set holds
 at most min(deg v, sqrt(2m)) vertices (Chiba & Nishizeki, SIAM J. Comput.
-1985).  A set that needs 2 more vertices counts its edges, one popcount per
-vertex.
+1985).  One recursion serves every r: a set that needs k >= 3 more vertices
+recurses into the forward sets inside it at need k - 1, and need 2 is the
+walk's one base case, where a set counts its edges, one popcount per vertex.
 
 A set that still needs 3 or 4 vertices can finish in numpy instead of one
 Python call per clique.  Both base cases run on U, the set's block of the
 oriented adjacency matrix in float64 (the whole graph's boolean matrix is
 built once, on first use):
 
-- ``need == 3``: the set's triangles number ``sum((U @ U) * U)``, one per
+- need 3: the set's triangles number ``sum((U @ U) * U)``, one per
   oriented path a -> b -> c closed by a -> c.
-- ``need == 4``: for each oriented edge j -> k of the set, the row
+- need 4: for each oriented edge j -> k of the set, the row
   ``Y = U[j] * U[k]`` marks their common forward neighbours, and the set's
   4-cliques number ``sum((Y @ U) * Y)``, one per edge c -> d inside a row.
   With the set in orientation order U is strictly upper triangular, so a row
@@ -29,8 +30,8 @@ The GEMM has a fixed cost, and the 4-clique one grows with the edge count,
 so a set switches only when it has ``_BLAS_MIN_EDGES`` edges and, at need 4,
 ``_BLAS_EDGES_PER_VERTEX`` per vertex.  Counting a set's edges costs a pass
 over it, so the graph's edge density times C(size, 2) must first promise
-that many.  Other sets stay in the bitset walk: r = 3 never leaves it, and
-sparse graphs keep it too.
+that many.  Other sets stay in the bitset walk: need 2 is decided before
+the switch, so r = 3 never leaves it, and sparse graphs keep it too.
 
 Exactness: both sums add non-negative integers, and their totals are at most
 C(d, 3) and C(d, 4) for a set of d vertices; every product entry is at most
@@ -136,7 +137,9 @@ def count_cliques(g: Graph, r: int) -> int:
         return _blas_count(oriented.take(idx, 0).take(idx, 1), need)
 
     def extend(cand: int, need: int) -> int:
-        """Number of need-cliques inside cand, for need >= 3."""
+        """Number of need-cliques inside cand, for need >= 2."""
+        if need == 2:
+            return edges(cand)
         size = cand.bit_count()
         if size < need:
             return 0
@@ -148,24 +151,13 @@ def count_cliques(g: Graph, r: int) -> int:
                 return blas(cand, need)
         total = 0
         m = cand
-        if need == 3:
-            while m:
-                b = m & -m
-                m ^= b
-                sub = forward[b.bit_length() - 1] & cand
-                if sub & (sub - 1):  # at least two vertices
-                    total += edges(sub)
-            return total
         while m:
             b = m & -m
             m ^= b
             total += extend(forward[b.bit_length() - 1] & cand, need - 1)
         return total
 
-    if r == 3:
-        total = sum(map(edges, forward))
-    else:
-        total = sum(extend(cand, r - 1) for cand in forward)
+    total = sum(extend(cand, r - 1) for cand in forward)
     if total >= _COUNT_LIMIT:
         raise CliqueCountOverflowError(
             f"clique count exceeds {COUNT_BITS}-bit limit"

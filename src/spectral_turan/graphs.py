@@ -9,8 +9,7 @@ an n x n boolean numpy matrix into the int rows and ``Graph.to_bits(rows)``
 unpacks them again, all of them or only the listed ones.  The G(n, p)
 generator, the graph6 codec and the spectral matvec are vectorised on top
 of it, so none of them walks pairs one at a time in Python.  The graph6
-reader accepts n <= MAX_VERTICES; the writer stays limited to n <= 62
-(single-byte size field).
+reader and writer take n <= MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 MAX_VERTICES = 10_000
-GRAPH6_MAX_N = 62  # single-byte size; v1 encoder limit
 
 _MASK64 = (1 << 64) - 1
 # pairs per gnp chunk: bounds each uint64 temporary to 512 KiB at any n
@@ -28,6 +26,12 @@ _GNP_CHUNK = 1 << 16
 # matrix entries (1 MiB of bools) per block wherever an n x n matrix is
 # scanned or built a block of rows at a time
 ROW_BLOCK = 1 << 20
+
+
+def _require_order(n: int) -> None:
+    """Raise ValueError unless 0 <= n <= MAX_VERTICES, before any n-sized work."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -51,10 +55,6 @@ class Graph6Error(ValueError):
         return f"{message} (byte offset {offset})"
 
 
-class UnsupportedSizeError(ValueError):
-    """Graph too large for the requested encoding."""
-
-
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
@@ -65,8 +65,7 @@ class Graph:
     __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, rows: Sequence[int], validate: bool = True):
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        _require_order(n)
         if len(rows) != n:
             raise ValueError("row count does not match n")
         full = (1 << n) - 1
@@ -85,6 +84,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _require_order(n)
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -109,8 +109,7 @@ class Graph:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
         n = a.shape[0]
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        _require_order(n)
         loops = np.flatnonzero(a.diagonal())
         if loops.size:
             raise ValueError(f"loop at vertex {loops[0]}")
@@ -230,13 +229,15 @@ def turan_part_sizes(n: int, r: int) -> tuple[int, ...]:
 
 def turan_graph(n: int, r: int) -> Graph:
     """r-partite Turan graph: parts as equal as possible, ceil parts first."""
-    sizes = tuple(s for s in turan_part_sizes(n, r) if s > 0)
+    # parts past the n-th are empty, so r > n lists only n of them
+    sizes = tuple(s for s in turan_part_sizes(n, min(r, max(n, 1))) if s > 0)
     if len(sizes) <= 1:
         return Graph.empty(n)
     return complete_multipartite(sizes)
 
 
 def complete_graph(n: int) -> Graph:
+    _require_order(n)
     if n == 0:
         return Graph.empty(0)
     return complete_multipartite((1,) * n)
@@ -245,6 +246,7 @@ def complete_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs >= 3 vertices")
+    _require_order(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -285,8 +287,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+    _require_order(n)
     key = np.uint64(_splitmix64(seed & _MASK64))
     total = n * (n - 1) // 2
     adj = np.zeros((n, n), dtype=np.bool_)
@@ -378,11 +379,8 @@ def parse_graph6(text: str) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode to graph6; v1 supports n <= 62 (single-byte size)."""
-    if g.n > GRAPH6_MAX_N:
-        raise UnsupportedSizeError(
-            f"graph6 encoding limited to n <= {GRAPH6_MAX_N}, got {g.n}"
-        )
+    """Encode to graph6: one size byte for n <= 62, else ``~`` and three
+    (n <= MAX_VERTICES < 2^18, so the 8-byte form is never needed)."""
     adj = g.to_bits()
     nbits = g.n * (g.n - 1) // 2
     bits = np.zeros((nbits + 5) // 6 * 6, dtype=np.uint8)
@@ -390,7 +388,8 @@ def to_graph6(g: Graph) -> str:
         start = v * (v - 1) // 2
         bits[start:start + v] = adj[v, :v]
     groups = np.packbits(bits.reshape(-1, 6), axis=1).reshape(-1) >> 2
-    return chr(63 + g.n) + (groups + 63).tobytes().decode("ascii")
+    size = [g.n] if g.n <= 62 else [63, g.n >> 12, g.n >> 6 & 63, g.n & 63]
+    return "".join(chr(63 + b) for b in size) + (groups + 63).tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ class Verdict(str, Enum):
 class TheoremReport:
     """Outcome of one checker applied to one instance."""
 
-    instance_id: str
     params: dict
     hypothesis_satisfied: bool
     verdict: Verdict
@@ -112,11 +111,7 @@ def _scaled_power(coef: float, base: float, r: int) -> float:
         return math.copysign(math.exp(log_value) if log_value < 709.0 else math.inf, coef)
 
 
-def fact1_check(
-    g: Graph,
-    r: int,
-    instance_id: str = "",
-) -> TheoremReport:
+def fact1_check(g: Graph, r: int) -> TheoremReport:
     """Check k_r >= clique lower bound at the spectral radius.
 
     The bound rises with mu, so it is decided in exact rationals at the
@@ -133,7 +128,7 @@ def fact1_check(
     ok = a <= 0 or kr >= a * Fraction(r * (r - 1), r + 1) * Fraction(g.n, r) ** r
     verdict = Verdict.CONFIRMED if ok else Verdict.VIOLATION
     return TheoremReport(
-        instance_id, {"n": g.n, "r": r}, True, verdict,
+        {"n": g.n, "r": r}, True, verdict,
         mu=mu, kr=kr, quantities={"rhs_low": rhs_lo, "rhs_high": rhs_hi},
     )
 
@@ -196,13 +191,7 @@ def _witness_verdict(
     return Verdict.CONFIRMED, witness, ""
 
 
-def theorem1_check(
-    g: Graph,
-    r: int,
-    c: float,
-    budget: int = DEFAULT_BUDGET,
-    instance_id: str = "",
-) -> TheoremReport:
+def theorem1_check(g: Graph, r: int, c: float, budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Full hypothesis-to-witness check: a large spectral radius forces a
     large complete r-partite subgraph.
 
@@ -212,7 +201,7 @@ def theorem1_check(
     floor(t_target) + 1.
     """
     _require_domain("theorem1", g, r, 3, c)
-    s_target, t_target, precondition = theorem1_params(r, c, g.n)
+    s_target, t_target, precondition = _part_targets(c, r, r, g.n)
     mu, threshold, hyp, notes = _spectral_hypothesis(g, r, c)
     params = {"n": g.n, "r": r, "c": c}
     quantities = {
@@ -225,22 +214,17 @@ def theorem1_check(
         if not precondition:
             notes.append("precondition (c/r^r)^r ln n >= 1 fails")
         return TheoremReport(
-            instance_id, params, hyp, Verdict.VACUOUS,
+            params, hyp, Verdict.VACUOUS,
             mu=mu, quantities=quantities, notes="; ".join(notes),
         )
     verdict, witness, note = _witness_verdict(g, r, s_target, t_target, quantities, budget)
     return TheoremReport(
-        instance_id, params, True, verdict, mu=mu, quantities=quantities,
+        params, True, verdict, mu=mu, quantities=quantities,
         witness=witness, notes="; ".join(notes + [note] if note else notes),
     )
 
 
-def proof_chain_check(
-    g: Graph,
-    r: int,
-    c: float,
-    instance_id: str = "",
-) -> TheoremReport:
+def proof_chain_check(g: Graph, r: int, c: float) -> TheoremReport:
     """Clique-count inequalities linking the spectral hypothesis to the
     multipartite conclusion.
 
@@ -254,7 +238,7 @@ def proof_chain_check(
     params = {"n": n, "r": r, "c": c}
     if not hyp:
         return TheoremReport(
-            instance_id, params, False, Verdict.VACUOUS,
+            params, False, Verdict.VACUOUS,
             mu=mu, quantities={"threshold": threshold}, notes="; ".join(notes),
         )
     kr = count_cliques(g, r)
@@ -264,9 +248,7 @@ def proof_chain_check(
     w = Fraction(c) * Fraction(n, r) ** r
     ok = kr > (r - 2) * w and kr >= w
     return TheoremReport(
-        instance_id, params, True,
-        Verdict.CONFIRMED if ok else Verdict.VIOLATION,
-        mu=mu, kr=kr,
+        params, True, Verdict.CONFIRMED if ok else Verdict.VIOLATION, mu=mu, kr=kr,
         quantities={
             "threshold": threshold,
             "bound_strict": bound_strict,
@@ -280,13 +262,7 @@ def proof_chain_check(
 # clique density forces a large complete r-partite subgraph
 # ---------------------------------------------------------------------------
 
-def fact2_check(
-    g: Graph,
-    r: int,
-    c: float,
-    budget: int = DEFAULT_BUDGET,
-    instance_id: str = "",
-) -> TheoremReport:
+def fact2_check(g: Graph, r: int, c: float, budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Check: k_r >= c n^r (with c^r ln n >= 1) forces K_r(s,..,s,t).
 
     Searches for r-1 parts of size exactly floor(c^r ln n) and one part of
@@ -315,12 +291,12 @@ def fact2_check(
         if not precondition:
             notes.append("precondition c^r ln n >= 1 fails")
         return TheoremReport(
-            instance_id, params, False, Verdict.VACUOUS,
+            params, False, Verdict.VACUOUS,
             kr=kr, quantities=quantities, notes="; ".join(notes),
         )
     verdict, witness, note = _witness_verdict(g, r, s_target, t_target, quantities, budget)
     return TheoremReport(
-        instance_id, params, True, verdict,
+        params, True, verdict,
         kr=kr, quantities=quantities, witness=witness, notes=note,
     )
 
@@ -329,7 +305,7 @@ def fact2_check(
 # Turan graph edge bound, exact integer arithmetic
 # ---------------------------------------------------------------------------
 
-def fact3_check(n: int, r: int, instance_id: str = "") -> TheoremReport:
+def fact3_check(n: int, r: int) -> TheoremReport:
     """Check 2 e(T_r(n)) >= (1 - 1/r) n^2 - r/4 exactly.
 
     Cleared of denominators (multiply by 4r):
@@ -344,7 +320,7 @@ def fact3_check(n: int, r: int, instance_id: str = "") -> TheoremReport:
     rhs = 4 * (r - 1) * n * n - r * r
     verdict = Verdict.CONFIRMED if lhs >= rhs else Verdict.VIOLATION
     return TheoremReport(
-        instance_id, {"n": n, "r": r}, True, verdict,
+        {"n": n, "r": r}, True, verdict,
         quantities={"edges": e, "lhs_8re": lhs, "rhs_4r1nn_rr": rhs},
     )
 
@@ -562,11 +538,7 @@ def _turan_root(n: int, k: int) -> tuple[int, int]:
     return b, b * b + 4 * (k - 1) * p * q
 
 
-def theorem2_gap(
-    n: int,
-    f: Graph,
-    instance_id: str = "",
-) -> TheoremReport:
+def theorem2_gap(n: int, f: Graph) -> TheoremReport:
     """Finite-n sandwich around the spectral extremal limit 1 - 1/(r-1).
 
     lower = mu(T_{r-1}(n))/n, a root in closed form; upper = spex(n, F)/n
@@ -597,7 +569,7 @@ def theorem2_gap(
     if not floor_ok:
         notes.append("Turan root fell below its guaranteed floor")
     return TheoremReport(
-        instance_id, {"n": n, "r": r}, True, verdict,
+        {"n": n, "r": r}, True, verdict,
         quantities={
             "lower": (b + math.sqrt(disc)) / 2 / n,
             "upper": upper,

@@ -253,6 +253,9 @@ def test_threads_and_budget_below_one_are_usage_errors(argv, flag, capsys):
      "error: --f expects 'K<n>', 'C<n>' or graph6: body length 1 != expected 11 (byte offset 1)\n"),
     ("gap --n 6 --f ~",
      "error: --f expects 'K<n>', 'C<n>' or graph6: truncated multi-byte size (byte offset 1)\n"),
+    ("spex --n 5 --f C2", "error: --f expects 'K<n>', 'C<n>' or graph6: cycle needs >= 3 vertices\n"),
+    ("spex --n 5 --f K10001",
+     "error: --f expects 'K<n>', 'C<n>' or graph6: vertex count 10001 outside [0, 10000]\n"),
     # a non-finite c would write NaN or Infinity, which is not JSON
     ("verify theorem1 --turan 8,3 --r 3 --c nan", "error: theorem1 requires a finite c\n"),
     ("verify fact2 --turan 8,3 --r 2 --c nan", "error: fact2 requires a finite c\n"),
@@ -270,6 +273,22 @@ def test_input_errors_name_the_flag_or_the_bound(argv, message, capsys):
     code = cli_main(argv.split())
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", message)
+
+
+@pytest.mark.parametrize("name, text, in_format, source, defect", [
+    # the line number counts physical lines, the blank one included
+    ("corpus.g6", "D??\n\nAx\n", "graph6", "line 3", "nonzero padding bits (byte offset 1)"),
+    ("corpus.g6", "D??\nG\n", "graph6", "line 2", "body length 0 != expected 5 (byte offset 1)"),
+    ("edges.txt", "5 2\n0 1\n3 1\n", "edgelist", None, "edge (3, 1) violates 0 <= u < v < n"),
+    ("edges.txt", "10001 0\n", "edgelist", None, "vertex count 10001 outside [0, 10000]"),
+], ids=["graph6-after-blank", "graph6-line-2", "edgelist-edge", "edgelist-order"])
+def test_input_file_errors_name_the_file_and_line(name, text, in_format, source, defect, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    code = cli_main(["mu", "--in", str(path), "--in-format", in_format])
+    captured = capsys.readouterr()
+    where = f"--in {path}" + (f" {source}" if source else "")
+    assert (code, captured.out, captured.err) == (2, "", f"error: {where}: {defect}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -395,8 +414,8 @@ def test_main_exit_codes(threads, monkeypatch, capsys):
     def crash(g):
         raise RuntimeError("planted crash")
 
-    def violation(g, r, instance_id):
-        return TheoremReport(instance_id, {"n": g.n, "r": r}, True, Verdict.VIOLATION)
+    def violation(g, r):
+        return TheoremReport({"n": g.n, "r": r}, True, Verdict.VIOLATION)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "spectral_radius", crash)

@@ -194,6 +194,10 @@ def test_sparse_sets_keep_the_bitset_walk(monkeypatch):
     assert blocks == []
     assert count_cliques(complete_multipartite((25, 25)), 4) == 0
     assert blocks == []
+    # every forward set of K40 would qualify for a block at need 3, but r = 3
+    # needs 2 below the top level, and need 2 is the walk's own base case
+    assert count_cliques(complete_graph(40), 3) == math.comb(40, 3)
+    assert blocks == []
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 256])

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,6 @@ import spectral_turan.graphs as graphs
 from spectral_turan import (
     Graph,
     Graph6Error,
-    UnsupportedSizeError,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -177,9 +179,12 @@ def test_graph6_nonzero_padding_bits():
     assert exc.value.offset == 1
 
 
-def test_graph6_encode_rejects_large_n():
-    with pytest.raises(UnsupportedSizeError):
-        to_graph6(Graph.empty(63))
+@pytest.mark.parametrize("n", [63, 64, 70, 300])
+def test_graph6_encode_large_n_round_trips(n):
+    # from n = 63 on the size field is '~' and three bytes, as McKay's
+    g = gnp(n, 0.3, n)
+    assert to_graph6(g) == graph6_large(g)
+    assert parse_graph6(to_graph6(g)) == g
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +287,33 @@ def test_parse_graph6_memory_peak():
         tracemalloc.stop()
     assert peak <= 1.65 * n * n
     assert h == g
+
+
+def test_order_is_checked_before_n_sized_work():
+    # under a 2 GiB address-space cap, building a list of n (or r) entries
+    # first would end in MemoryError instead of the bound's ValueError; one
+    # BLAS thread keeps numpy's own reservation small at any core count
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+        "from spectral_turan import complete_graph, cycle_graph, parse_edge_list, turan_graph\n"
+        "for make, arg in ((complete_graph, 10**9), (cycle_graph, 10**9),\n"
+        "                  (parse_edge_list, '10000000000 0')):\n"
+        "    try:\n"
+        "        make(arg)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "print(turan_graph(10, 10**9) == complete_graph(10))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout.splitlines()) == (0, [
+        "vertex count 1000000000 outside [0, 10000]",
+        "vertex count 1000000000 outside [0, 10000]",
+        "vertex count 10000000000 outside [0, 10000]",
+        "True",
+    ])
 
 
 def test_gnp_rejects_vertex_count_before_generating():
