@@ -39,7 +39,6 @@ from .theorems import (
     proof_chain_check,
     spex_scan,
     theorem1_check,
-    theorem1_params,
     theorem2_gap,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "spectral_radius",
     "spex_scan",
     "theorem1_check",
-    "theorem1_params",
     "theorem2_gap",
     "to_edge_list",
     "to_graph6",

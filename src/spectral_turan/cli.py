@@ -139,11 +139,12 @@ def _gather_instances(args) -> list[tuple[str, Graph]]:
         if len(values) != 2:
             raise UsageError(usage)
         n, r = values
-        instances.append((f"turan-n{n}-r{r}", turan_graph(n, r)))
+        instances.append((f"turan-n{n}-r{r}", _built(partial(turan_graph, n), r, usage)))
     if args.multipartite:
-        sizes = _parse_list(args.multipartite, "--multipartite expects part sizes 'S1,S2,...'")
+        usage = "--multipartite expects part sizes 'S1,S2,...'"
+        sizes = _parse_list(args.multipartite, usage)
         label = "x".join(str(s) for s in sizes)
-        instances.append((f"kpartite-{label}", complete_multipartite(sizes)))
+        instances.append((f"kpartite-{label}", _built(complete_multipartite, sizes, usage)))
     if args.gnp:
         usage = "--gnp expects 'n,p'"
         parts = args.gnp.split(",")
@@ -152,7 +153,8 @@ def _gather_instances(args) -> list[tuple[str, Graph]]:
         n, p = _number(parts[0], usage), _number(parts[1], usage, float)
         seed = args.seed
         for i in range(args.count):
-            instances.append((f"gnp-n{n}-p{p}-seed{seed}-i{i:04d}", gnp(n, p, seed + i)))
+            g = _built(partial(gnp, n, p), seed + i, usage)
+            instances.append((f"gnp-n{n}-p{p}-seed{seed}-i{i:04d}", g))
     if not instances:
         raise UsageError("no input graphs: use --in, --turan, --multipartite or --gnp")
     return instances

@@ -204,8 +204,7 @@ def complete_multipartite(sizes: Iterable[int]) -> Graph:
     """
     szs = part_sizes(sizes)
     n = sum(szs)
-    if n > MAX_VERTICES:
-        raise ValueError(f"total size {n} exceeds {MAX_VERTICES}")
+    _require_order(n)
     full = (1 << n) - 1
     rows = []
     start = 0

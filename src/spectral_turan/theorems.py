@@ -153,74 +153,60 @@ def _part_targets(c: float, root: int, r: int, n: int) -> tuple[int | float, flo
     return s_target, t_target, product >= 1.0
 
 
-def theorem1_params(r: int, c: float, n: int) -> tuple[int | float, float, bool]:
-    """Parameter arithmetic: (s_target, t_target, precondition_met).
+def _multipartite_conclusion(
+    g: Graph, r: int, c: float, root: int, hyp: bool, notes: list[str], quantities: dict,
+    budget: int, mu: SpectralEstimate | None = None, kr: int | None = None,
+) -> TheoremReport:
+    """Fact 2's conclusion at base c/root^r, shared by theorem1 and fact2.
 
-    s_target = floor((c/r^r)^r * ln n); t_target = n^(1 - c^(r-1));
-    precondition_met iff (c/r^r)^r * ln n >= 1.
+    Records s_target, t_target and precondition_met in quantities.  Vacuous
+    unless the checker's hypothesis ``hyp`` holds and base^r ln n >= 1;
+    otherwise searches g for r-1 parts of size s_target plus one of size
+    floor(t_target) + 1, recorded as quantities["t_part"].  A witness that
+    fails the edge-by-edge check raises.
     """
-    if r < 3 or c <= 0 or n < 1:
-        raise ValueError("need r >= 3, c > 0, n >= 1")
-    if not math.isfinite(c):
-        raise ValueError("need a finite c")
-    return _part_targets(c, r, r, n)
+    s_target, t_target, precondition = _part_targets(c, root, r, g.n)
+    quantities.update(s_target=s_target, t_target=t_target, precondition_met=precondition)
+    if not precondition:
+        notes.append(f"precondition {'c^r' if root == 1 else '(c/r^r)^r'} ln n >= 1 fails")
 
+    def report(verdict: Verdict, note: str = "", witness: MultipartiteWitness | None = None):
+        return TheoremReport(
+            {"n": g.n, "r": r, "c": c}, hyp, verdict, mu=mu, kr=kr, quantities=quantities,
+            witness=witness, notes="; ".join(notes + [note] if note else notes),
+        )
 
-def _witness_verdict(
-    g: Graph, r: int, s_target: int, t_target: float, quantities: dict, budget: int
-) -> tuple[Verdict, MultipartiteWitness | None, str]:
-    """Search g for r-1 parts of size s_target plus one of size floor(t_target) + 1.
-
-    Shared conclusion of theorem1 and fact2 once their hypotheses hold:
-    returns (verdict, witness, note) and records the searched part size as
-    quantities["t_part"].  A witness that fails the edge-by-edge check raises.
-    """
+    if not (hyp and precondition):
+        return report(Verdict.VACUOUS)
     t_part = math.floor(t_target) + 1
     quantities["t_part"] = t_part
     sizes = part_sizes((s_target,) * (r - 1) + (t_part,))
     if sum(sizes) > g.n:
-        return Verdict.VIOLATION, None, "required subgraph larger than host"
+        return report(Verdict.VIOLATION, "required subgraph larger than host")
     try:
         witness = find_complete_multipartite(g, sizes, budget=budget)
     except SearchBudgetExceeded:
-        return Verdict.INDETERMINATE, None, "witness search budget exhausted"
+        return report(Verdict.INDETERMINATE, "witness search budget exhausted")
     if witness is None:
-        return Verdict.VIOLATION, None, "exhaustive search found no witness"
+        return report(Verdict.VIOLATION, "exhaustive search found no witness")
     if not verify_witness(g, witness):
         raise RuntimeError(f"search returned an invalid witness {witness.to_lists()}")
-    return Verdict.CONFIRMED, witness, ""
+    return report(Verdict.CONFIRMED, witness=witness)
 
 
 def theorem1_check(g: Graph, r: int, c: float, budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Full hypothesis-to-witness check: a large spectral radius forces a
     large complete r-partite subgraph.
 
-    Vacuous unless mu(G) >= (1 - 1/(r-1) + c) n holds at the certified lower
-    interval end and the (c/r^r)^r ln n >= 1 precondition is met; otherwise
-    searches for r-1 parts of size s_target plus one part of size
-    floor(t_target) + 1.
+    The spectral hypothesis mu(G) >= (1 - 1/(r-1) + c) n, decided at the
+    certified lower interval end, gives k_r >= (c/r^r) n^r (fact1 and the
+    proof chain), so the conclusion is fact2's at base c/r^r: vacuous unless
+    the (c/r^r)^r ln n >= 1 precondition is met as well.
     """
     _require_domain("theorem1", g, r, 3, c)
-    s_target, t_target, precondition = _part_targets(c, r, r, g.n)
     mu, threshold, hyp, notes = _spectral_hypothesis(g, r, c)
-    params = {"n": g.n, "r": r, "c": c}
-    quantities = {
-        "threshold": threshold,
-        "s_target": s_target,
-        "t_target": t_target,
-        "precondition_met": precondition,
-    }
-    if not hyp or not precondition:
-        if not precondition:
-            notes.append("precondition (c/r^r)^r ln n >= 1 fails")
-        return TheoremReport(
-            params, hyp, Verdict.VACUOUS,
-            mu=mu, quantities=quantities, notes="; ".join(notes),
-        )
-    verdict, witness, note = _witness_verdict(g, r, s_target, t_target, quantities, budget)
-    return TheoremReport(
-        params, True, verdict, mu=mu, quantities=quantities,
-        witness=witness, notes="; ".join(notes + [note] if note else notes),
+    return _multipartite_conclusion(
+        g, r, c, r, hyp, notes, {"threshold": threshold}, budget, mu=mu,
     )
 
 
@@ -273,31 +259,12 @@ def fact2_check(g: Graph, r: int, c: float, budget: int = DEFAULT_BUDGET) -> The
     _require_domain("fact2", g, r, 2, c)
     n = g.n
     kr = count_cliques(g, r)
-    s_target, t_target, precondition = _part_targets(c, 1, r, n)
     count_threshold = _scaled_power(c, float(n), r)
     # kr > 0 forces r <= n, so the power stays small
-    hyp_count = kr > 0 and kr >= Fraction(c) * n ** r
-    params = {"n": n, "r": r, "c": c}
-    quantities = {
-        "count_threshold": count_threshold,
-        "s_target": s_target,
-        "t_target": t_target,
-        "precondition_met": precondition,
-    }
-    if not (hyp_count and precondition):
-        notes = []
-        if not hyp_count:
-            notes.append(f"k_r = {kr} below c n^r = {count_threshold!r}")
-        if not precondition:
-            notes.append("precondition c^r ln n >= 1 fails")
-        return TheoremReport(
-            params, False, Verdict.VACUOUS,
-            kr=kr, quantities=quantities, notes="; ".join(notes),
-        )
-    verdict, witness, note = _witness_verdict(g, r, s_target, t_target, quantities, budget)
-    return TheoremReport(
-        params, True, verdict,
-        kr=kr, quantities=quantities, witness=witness, notes=note,
+    hyp = kr > 0 and kr >= Fraction(c) * n ** r
+    notes = [] if hyp else [f"k_r = {kr} below c n^r = {count_threshold!r}"]
+    return _multipartite_conclusion(
+        g, r, c, 1, hyp, notes, {"count_threshold": count_threshold}, budget, kr=kr,
     )
 
 

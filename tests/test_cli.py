@@ -265,6 +265,11 @@ def test_threads_and_budget_below_one_are_usage_errors(argv, flag, capsys):
     ("verify chain --turan 8,3 --r 3 --c -inf", "error: proof chain requires c > 0\n"),
     ("verify theorem1 --turan 8,3 --r 3 --c -inf", "error: theorem1 requires c > 0\n"),
     ("verify fact2 --turan 8,3 --r 2 --c -inf", "error: fact2 requires c > 0\n"),
+    # a generator's bound names the corpus flag it came from
+    ("gen --gnp 10,1.5", "error: --gnp expects 'n,p': p must lie in [0, 1]\n"),
+    ("gen --turan 5,0", "error: --turan expects 'n,r': r must be >= 1\n"),
+    ("gen --multipartite 5001,5000",
+     "error: --multipartite expects part sizes 'S1,S2,...': vertex count 10001 outside [0, 10000]\n"),
     # an empty sweep is refused, as an empty corpus is
     ("verify fact3 --n-max -1 --r-max 3", "error: --n-max must be >= 0 and --r-max >= 1\n"),
     ("verify fact3 --n-max 5 --r-max 0", "error: --n-max must be >= 0 and --r-max >= 1\n"),

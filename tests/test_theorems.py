@@ -23,11 +23,11 @@ from spectral_turan import (
     spectral_radius,
     spex_scan,
     theorem1_check,
-    theorem1_params,
     theorem2_gap,
     to_graph6,
     turan_graph,
     turan_part_sizes,
+    verify_witness,
 )
 
 from spectral_turan import SpectralEstimate, SpexResult, spectral, theorems
@@ -124,13 +124,9 @@ def test_non_finite_c_is_rejected(c):
                         (fact2_check, "fact2")]:
         with pytest.raises(ValueError, match=f"^{name} requires a finite c$"):
             check(g, 3, c)
-    with pytest.raises(ValueError, match="^need a finite c$"):
-        theorem1_params(3, c, 10)
     # c <= 0, -inf included, keeps its own message
     with pytest.raises(ValueError, match="^fact2 requires c > 0$"):
         fact2_check(g, 2, -math.inf)
-    with pytest.raises(ValueError, match="^need r >= 3, c > 0, n >= 1$"):
-        theorem1_params(3, -math.inf, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +134,10 @@ def test_non_finite_c_is_rejected(c):
 # ---------------------------------------------------------------------------
 
 def test_theorem1_params_examples():
-    s, t, pre = theorem1_params(3, 0.3, 10**6)
+    s, t, pre = theorems._part_targets(0.3, 3, 3, 10**6)
     assert s == 0 and not pre
 
-    _, t, _ = theorem1_params(3, 0.3, 100)
+    _, t, _ = theorems._part_targets(0.3, 3, 3, 100)
     assert abs(t - 100**0.91) <= 1e-9 * 100**0.91
 
 
@@ -149,9 +145,9 @@ def test_theorem1_params_precondition_boundary_huge_n():
     # (c/r^r)^r = 1/729 at r=3, c=3, so the precondition flips at ln n = 729
     n_above = 2**1052  # ln = 729.15...
     n_below = 2**1051  # ln = 728.46...
-    s, _, pre = theorem1_params(3, 3.0, n_above)
+    s, _, pre = theorems._part_targets(3.0, 3, 3, n_above)
     assert pre and s == 1
-    s, _, pre = theorem1_params(3, 3.0, n_below)
+    s, _, pre = theorems._part_targets(3.0, 3, 3, n_below)
     assert not pre and s == 0
 
 
@@ -160,36 +156,36 @@ def test_theorem1_params_monotone():
     n = 2**1060
     prev = -1
     for c in [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]:
-        s, _, _ = theorem1_params(3, c, n)
+        s, _, _ = theorems._part_targets(c, 3, 3, n)
         assert s >= prev
         prev = s
     # s_target nondecreasing in n
     prev = -1
     for k in [1040, 1051, 1052, 1100, 1500]:
-        s, _, _ = theorem1_params(3, 3.0, 2**k)
+        s, _, _ = theorems._part_targets(3.0, 3, 3, 2**k)
         assert s >= prev
         prev = s
     # t_target decreasing in c
     prev = math.inf
     for c in [0.1, 0.3, 0.5, 0.7, 0.9]:
-        _, t, _ = theorem1_params(3, c, 100)
+        _, t, _ = theorems._part_targets(c, 3, 3, 100)
         assert t < prev
         prev = t
 
 
 def test_theorem1_params_floor_positive_when_precondition_holds():
     for c, n in [(3.0, 2**1052), (2.0, 2**3000), (1.0, 2**30000)]:
-        s, _, pre = theorem1_params(3, c, n)
+        s, _, pre = theorems._part_targets(c, 3, 3, n)
         if pre:
             assert s >= 1
 
 
 def test_theorem1_params_decide_huge_powers_by_their_logarithm():
     # c^(r-1) = 1e390 is past the float range, so n^(1 - c^(r-1)) is 0
-    assert theorem1_params(40, 1e10, 10) == (0, 0.0, False)
-    assert theorem1_params(40, 1e10, 1) == (0, 1.0, False)
+    assert theorems._part_targets(1e10, 40, 40, 10) == (0, 0.0, False)
+    assert theorems._part_targets(1e10, 40, 40, 1) == (0, 1.0, False)
     # r^r at r = 2000 is past it too; (c/r^r)^r ln n is then 0
-    assert theorem1_params(2000, 2.0, 10) == (0, 0.0, False)
+    assert theorems._part_targets(2.0, 2000, 2000, 10) == (0, 0.0, False)
 
 
 def test_theorem1_huge_r_is_vacuous():
@@ -214,6 +210,32 @@ def test_theorem1_check_vacuous_paths():
     rep = theorem1_check(complete_graph(9), 3, 0.9)
     assert rep.verdict is Verdict.VACUOUS
     assert "outside" in rep.notes
+
+
+@pytest.mark.parametrize("targets, budget, verdict, note", [
+    ((2, 2.0, True), theorems.DEFAULT_BUDGET, Verdict.CONFIRMED, ""),
+    ((2, 2.0, True), 1, Verdict.INDETERMINATE, "witness search budget exhausted"),
+    ((4, 4.0, True), theorems.DEFAULT_BUDGET, Verdict.VIOLATION, "required subgraph larger than host"),
+], ids=["confirmed", "budget", "larger-than-host"])
+def test_theorem1_conclusion_searches_once_the_precondition_holds(
+    targets, budget, verdict, note, monkeypatch
+):
+    # the precondition needs ln n >= 157,464 at r = 3, so stub the targets
+    # to reach the witness search on K9, which meets the hypothesis at c = 0.3
+    def stub(c, root, r, n):
+        assert (c, root, r, n) == (0.3, 3, 3, 9)
+        return targets
+
+    monkeypatch.setattr(theorems, "_part_targets", stub)
+    g = complete_graph(9)
+    rep = theorem1_check(g, 3, 0.3, budget=budget)
+    assert (rep.verdict, rep.hypothesis_satisfied, rep.notes) == (verdict, True, note)
+    assert rep.quantities["t_part"] == targets[1] + 1
+    if verdict is Verdict.CONFIRMED:
+        assert sorted(rep.witness.sizes()) == [2, 2, 3]
+        assert verify_witness(g, rep.witness)
+    else:
+        assert rep.witness is None
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +321,11 @@ def test_fact2_vacuous_paths():
     rep = fact2_check(complete_graph(30), 3, 1 / 6)
     assert rep.verdict is Verdict.VACUOUS
     assert "precondition" in rep.notes
+
+    # the count hypothesis holds (k_2 = 435 >= 270) and is reported as such
+    rep = fact2_check(complete_graph(30), 2, 0.3)
+    assert (rep.verdict, rep.hypothesis_satisfied, rep.notes) == (
+        Verdict.VACUOUS, True, "precondition c^r ln n >= 1 fails")
 
 
 def test_fact2_hypothesis_is_decided_exactly():
