@@ -461,14 +461,13 @@ def _add_inputs(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads every float literal, -inf included, as a value: argparse alone
-    takes only plain negative numbers such as -1 for values, so ``--c -inf``
-    would name a missing flag instead of reaching the checker's c > 0 test."""
+    """Reads a token as a value unless its part before ``=`` names one of
+    the command's flags: argparse alone takes only plain negative numbers
+    such as -1 for values, so ``--c -inf`` or ``--turan -1,2`` would name a
+    missing value instead of reaching the checker's or generator's bound."""
 
     def _parse_optional(self, arg_string):
-        try:
-            float(arg_string)
-        except ValueError:
+        if arg_string.split("=", 1)[0] in self._option_string_actions:
             return super()._parse_optional(arg_string)
         return None
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import ROW_BLOCK, Graph
+from .graphs import Graph, unpack_rows
 
 COUNT_BITS = 128
 _COUNT_LIMIT = 1 << COUNT_BITS
@@ -60,15 +60,6 @@ _EDGE_CHUNK = 256
 
 class CliqueCountOverflowError(OverflowError):
     """Clique count exceeds the 128-bit counter contract."""
-
-
-def _oriented_bits(g: Graph, pos: np.ndarray) -> np.ndarray:
-    """Boolean n x n matrix with [u, v] set iff uv is an edge and pos[u] < pos[v]."""
-    bits = g.to_bits()
-    step = max(1, ROW_BLOCK // g.n)
-    for lo in range(0, g.n, step):
-        bits[lo:lo + step] &= pos[lo:lo + step, None] < pos
-    return bits
 
 
 def _blas_count(block: np.ndarray, need: int) -> int:
@@ -128,7 +119,7 @@ def count_cliques(g: Graph, r: int) -> int:
         if oriented is None:
             pos = np.empty(n, dtype=np.intp)
             pos[order] = np.arange(n)
-            oriented = _oriented_bits(g, pos)
+            oriented = unpack_rows(forward, n)
         idx = np.flatnonzero(np.unpackbits(
             np.frombuffer(cand.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
             count=n, bitorder="little"))

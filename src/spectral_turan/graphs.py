@@ -6,7 +6,8 @@ operations regardless of n.  Graphs are immutable after construction.
 
 Bulk conversions go through one bit-matrix layer: ``Graph.from_bits`` packs
 an n x n boolean numpy matrix into the int rows and ``Graph.to_bits(rows)``
-unpacks them again, all of them or only the listed ones.  The G(n, p)
+unpacks them again, all of them or only the listed ones, through
+``unpack_rows``, which takes any list of row masks.  The G(n, p)
 generator, the graph6 codec and the spectral matvec are vectorised on top
 of it, so none of them walks pairs one at a time in Python.  The graph6
 reader and writer take n <= MAX_VERTICES.
@@ -40,6 +41,15 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+def unpack_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """Bitmasks over range(n) as the rows of a boolean (len(masks), n)
+    matrix: bit u of masks[i] is entry [i, u]."""
+    nbytes = (n + 7) // 8
+    chunks = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(chunks, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(np.bool_)
 
 
 class Graph6Error(ValueError):
@@ -134,12 +144,7 @@ class Graph:
 
         ``Graph.from_bits(g.to_bits()) == g``.
         """
-        nbytes = (self.n + 7) // 8
-        chunks = [self._rows[v].to_bytes(nbytes, "little")
-                  for v in (range(self.n) if rows is None else rows)]
-        packed = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(chunks), nbytes)
-        bits = np.unpackbits(packed, axis=1, count=self.n, bitorder="little")
-        return bits.view(np.bool_)
+        return unpack_rows(self._rows if rows is None else [self._rows[v] for v in rows], self.n)
 
     def row(self, v: int) -> int:
         """Neighbor bitmask of v."""

@@ -8,7 +8,8 @@ bit-matrix layer (G(n, p), graph6 decoding) is checked against scalar
 pair-by-pair loops, clique counting against pure bitset extension along a
 degeneracy order (not a degree order) without numpy base cases, the
 multipartite search against a version that rebuilds every part's cross mask
-per step and against the least family an itertools walk meets, and the
+per step and against the least family an itertools walk meets (for every
+graph at n <= 6 at once: the table oracle ``least_family_table``), and the
 spectral extremal scan against its decision tree driven by subgraph
 embedding (the backtracking embedder ``contains_subgraph``) instead of
 precomputed F-copies.
@@ -174,16 +175,6 @@ def quotient_mu_multipartite(sizes: Iterable[int]) -> float:
 # brute-force enumerators
 # ---------------------------------------------------------------------------
 
-_COMBOS: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-
-def _combos(n: int, s: int) -> list[tuple[int, ...]]:
-    key = (n, s)
-    if key not in _COMBOS:
-        _COMBOS[key] = list(itertools.combinations(range(n), s))
-    return _COMBOS[key]
-
-
 def brute_multipartite_exists(g: Graph, sizes: tuple[int, ...]) -> bool:
     """Enumerate ordered set families and probe every cross pair."""
     adj = [set() for _ in range(g.n)]
@@ -198,7 +189,7 @@ def brute_multipartite_exists(g: Graph, sizes: tuple[int, ...]) -> bool:
         used = {v for p in parts for v in p}
         # equal-size parts ascend by first element: same witness either way
         prev_min = parts[-1][0] if idx > 0 and sizes[idx - 1] == s else -1
-        for combo in _combos(g.n, s):
+        for combo in combinations(range(g.n), s):
             if combo[0] <= prev_min:
                 continue
             if any(v in used for v in combo):
@@ -235,6 +226,24 @@ def ordered_families(n: int, sizes, rows=None):
                 yield from walk(prefix + (part,), rest, common)
 
     return walk((), list(range(n)), (1 << n) - 1)
+
+
+def least_family_table(n: int, sizes) -> list[MultipartiteWitness | None]:
+    """``brute_least_witness`` of every graph of ``all_graphs(n)`` (edge mask
+    i is the i-th): each family, in reverse, labels the masks that hold its
+    cross pairs, so the least family that fits has the last word."""
+    index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
+    masks = np.arange(1 << len(index))
+    families = list(ordered_families(n, sizes))
+    least = np.full(len(masks), -1)
+    for i in reversed(range(len(families))):
+        cross = 0
+        for pa, pb in combinations(families[i], 2):
+            for u, v in itertools.product(pa, pb):
+                cross |= 1 << index[min(u, v), max(u, v)]
+        least[masks & cross == cross] = i
+    witnesses = [MultipartiteWitness(f) for f in families] + [None]
+    return [witnesses[i] for i in least]
 
 
 def brute_least_witness(g: Graph, sizes) -> MultipartiteWitness | None:

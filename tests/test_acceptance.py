@@ -33,10 +33,10 @@ from spectral_turan.cli import cli_main
 
 from oracles import (
     all_graphs,
-    brute_multipartite_exists,
     brute_spex,
     certify_largest_root,
     k100_minus_50_edges,
+    least_family_table,
     oracle_count_cliques,
     partitions_upto,
     quotient_mu_multipartite,
@@ -175,24 +175,18 @@ def test_criterion_7_multipartite_completeness():
     t0 = time.time()
     checked = 0
     for n in range(1, 7):
-        tuples = [t for t in partitions_upto(n) if sum(t) <= n]
-        for g in all_graphs(n):
-            absent: set[tuple[int, ...]] = set()
-            for sizes in tuples:
-                if sizes[:-1] in absent:
-                    # a witness would restrict to a witness of the absent prefix
-                    exists = False
-                else:
-                    exists = brute_multipartite_exists(g, sizes)
-                if not exists:
-                    absent.add(sizes)
+        graphs = list(all_graphs(n))
+        for sizes in partitions_upto(n):
+            for g, want in zip(graphs, least_family_table(n, sizes)):
                 w = find_complete_multipartite(g, sizes)
-                assert (w is not None) == exists, (n, to_graph6(g), sizes)
+                assert (w is not None) == (want is not None), (n, to_graph6(g), sizes)
+                assert w == want, (n, to_graph6(g), sizes)
                 if w is not None:
                     assert verify_witness(g, w)
                 checked += 1
+    assert checked == 969_463
     assert find_complete_multipartite(cycle_graph(5), (2, 2)) is None
-    _line(7, True, f"search = brute-force existence on {checked} (graph, sizes) cases ({time.time()-t0:.1f}s)")
+    _line(7, True, f"search = least family on {checked} (graph, sizes) cases ({time.time()-t0:.1f}s)")
 
 
 def test_criterion_8_spex_finite_values_and_gap():

