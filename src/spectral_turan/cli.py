@@ -3,16 +3,18 @@
 Each command parses only the flags it reads; ``gen`` writes the graphs of
 the corpus flags the campaigns read.  Output is JSON lines (one report
 object per line) or a CSV summary.  ``--threads`` sets the number of worker
-processes (fork; serial for one task or without fork).  Reports are
-buffered and written in instance order, so ``--threads`` never changes
-output bytes.  Exit codes: 0 all confirmed/vacuous, 1 any VIOLATION, 2 usage
-or input error, 3 indeterminate results present under --strict, 4 internal
-error (an uncaught exception, whose traceback goes to stderr).
+processes (fork; serial for one task or without fork).  Each report is
+written as it is made, in instance order, so ``--threads`` never changes
+output bytes, and reports written before an error stay.  Exit codes: 0 all
+confirmed/vacuous, 1 any VIOLATION, 2 usage or input error, 3 indeterminate
+results under --strict, 4 internal error (an uncaught exception, whose
+traceback goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -81,12 +83,12 @@ def _parse_list(text: str, usage: str, kind: type = int) -> list:
     return [_number(tok, usage, kind) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_seeds(text: str) -> list[int] | range:
     """Seed spec: '7', '1,2,5', or a range '1..20'; never empty."""
     usage = "--seeds expects '7', '1,2,5' or '1..20'"
     lo, dots, hi = text.partition("..")
     if dots:
-        seeds = list(range(_number(lo, usage), _number(hi, usage) + 1))
+        seeds = range(_number(lo, usage), _number(hi, usage) + 1)
     else:
         seeds = _parse_list(text, usage)
     if not seeds:
@@ -124,7 +126,7 @@ def _gather_instances(args) -> list[tuple[str, Graph]]:
     if args.infile:
         path = args.infile
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            text = _built(fh.read, -1, f"--in {path}")  # a decode error names the file
         name = os.path.basename(path)
         if args.in_format == "edgelist":
             instances.append((f"{name}#0", _built(parse_edge_list, text, f"--in {path}")))
@@ -201,29 +203,30 @@ def _report_dict(iid: str, tr: TheoremReport, g: Graph | None, config: dict) -> 
     return rep
 
 
-# the campaign's task closures, set in each worker process by _init_worker
-_worker_tasks: list | None = None
+# the campaign's task and items, set in each worker process by _init_worker
+_worker_job: tuple | None = None
 
 
-def _init_worker(tasks) -> None:
-    global _worker_tasks
-    _worker_tasks = tasks
+def _init_worker(fn, items) -> None:
+    global _worker_job
+    _worker_job = fn, items
 
 
-def _run_worker_task(i: int) -> dict:
-    return _worker_tasks[i]()
+def _run_worker_item(i: int):
+    fn, items = _worker_job
+    return fn(items[i])
 
 
-def _run_parallel(tasks, threads: int) -> list[dict]:
-    """Evaluate tasks (callables) in order, in up to ``threads`` worker processes.
+def _run_parallel(fn, items, threads: int):
+    """Yield ``fn(item)`` over ``items`` in order, from up to ``threads`` worker processes.
 
-    There is at most one worker per task and per core.  Workers are forked,
-    so they inherit the task closures instead of unpickling them; only task
-    indices, report dicts and exceptions cross the process boundary.  One
-    worker, or a platform without fork, runs the tasks in this process.  The
+    There is at most one worker per item and per core.  Workers are forked,
+    so they inherit ``fn`` and ``items`` instead of unpickling them; only
+    item indices, results and exceptions cross the process boundary.  One
+    worker, or a platform without fork, runs ``fn`` in this process.  The
     worker count never changes the result.
     """
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    workers = min(threads, len(items), os.cpu_count() or 1)
     if workers > 1:
         # imported here, not at module level: they cost ~15% of the CLI's
         # start-up time, which serial campaigns would pay for nothing
@@ -235,21 +238,30 @@ def _run_parallel(tasks, threads: int) -> list[dict]:
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
-                initargs=(tasks,),
+                initargs=(fn, items),
             ) as pool:
-                chunksize = max(1, len(tasks) // (4 * workers))
-                return list(pool.map(_run_worker_task, range(len(tasks)), chunksize=chunksize))
-    return [t() for t in tasks]
+                chunksize = max(1, len(items) // (4 * workers))
+                yield from pool.map(_run_worker_item, range(len(items)), chunksize=chunksize)
+            return
+    for item in items:
+        yield fn(item)
 
 
 # the first of these quantities a report has fills the csv "rhs" column
 _CSV_RHS_KEYS = ("rhs_low", "bound_strict", "count_threshold", "threshold", "rhs_4r1nn_rr")
 
 
-def _write_reports(reports: list[dict], args) -> None:
-    if args.format == "csv":
-        lines = ["id,verdict,mu_low,mu_high,kr,rhs,s_target,t_target"]
+def _write_reports(reports, args) -> set[str]:
+    """Write each report as it arrives; return the set of their verdicts."""
+    verdicts = set()
+    with _output(args.out) as out:
+        if args.format == "csv":
+            out.write("id,verdict,mu_low,mu_high,kr,rhs,s_target,t_target\n")
         for rep in reports:
+            verdicts.add(rep["verdict"])
+            if args.format == "jsonl":
+                out.write(json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n")
+                continue
             mu, q = rep["mu"], rep.get("quantities", {})
             cells = [
                 None if mu is None else mu["value"] - mu["residual"],
@@ -260,27 +272,16 @@ def _write_reports(reports: list[dict], args) -> None:
                 q.get("t_target"),
             ]
             row = [rep["id"], rep["verdict"]] + ["" if x is None else repr(x) for x in cells]
-            lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = "".join(
-            json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n"
-            for rep in reports
-        )
-    _emit(text, args.out)
+            out.write(",".join(row) + "\n")
+    return verdicts
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write text to the --out path, or to stdout without one."""
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(out: str | None):
+    """The --out path opened for writing, or stdout without one, as a context."""
+    return open(out, "w", encoding="utf-8", newline="") if out else contextlib.nullcontext(sys.stdout)
 
 
-def _exit_code(reports: list[dict], strict: bool) -> int:
-    verdicts = {rep["verdict"] for rep in reports}
+def _exit_code(verdicts: set[str], strict: bool) -> int:
     if Verdict.VIOLATION.value in verdicts:
         return EXIT_VIOLATION
     if strict and Verdict.INDETERMINATE.value in verdicts:
@@ -294,26 +295,25 @@ def _exit_code(reports: list[dict], strict: bool) -> int:
 
 def _cmd_gen(args) -> int:
     graphs = [g for _, g in _gather_instances(args)]
-    if args.format == "edgelist":
-        if len(graphs) > 1:
-            raise UsageError("edgelist output supports a single graph")
-        _emit(to_edge_list(graphs[0]), args.out)
-    else:
-        _emit("".join(to_graph6(g) + "\n" for g in graphs), args.out)
+    if args.format == "edgelist" and len(graphs) > 1:
+        raise UsageError("edgelist output supports a single graph")
+    with _output(args.out) as out:
+        if args.format == "edgelist":
+            out.write(to_edge_list(graphs[0]))
+        else:
+            out.writelines(to_graph6(g) + "\n" for g in graphs)
     return EXIT_OK
 
 
 def run_campaign(items, task, args) -> int:
     """Run task(item) -> (id, TheoremReport, graph or None) over items, in order.
 
-    Writes one report per item and returns the campaign's exit code.
+    Writes each report as it is made, keeps only the set of verdicts, and
+    returns the campaign's exit code.
     """
     config = _config_echo(args)
-    reports = _run_parallel(
-        [lambda it=it: _report_dict(*task(it), config) for it in items], args.threads
-    )
-    _write_reports(reports, args)
-    return _exit_code(reports, getattr(args, "strict", False))
+    reports = _run_parallel(lambda item: _report_dict(*task(item), config), items, args.threads)
+    return _exit_code(_write_reports(reports, args), getattr(args, "strict", False))
 
 
 def _cmd_mu(args) -> int:
@@ -360,15 +360,14 @@ def _cmd_find_kpartite(args) -> int:
 
 
 def _cmd_fact3(args) -> int:
-    sweep = [(n, r) for r in range(1, args.r_max + 1) for n in range(args.n_max + 1)]
-    if not sweep:
+    if args.n_max < 0 or args.r_max < 1:
         raise UsageError("--n-max must be >= 0 and --r-max >= 1")
 
-    def task(item):
-        n, r = item
-        return f"fact3-n{n}-r{r}", fact3_check(n, r), None
+    def task(i):
+        r, n = divmod(i, args.n_max + 1)  # r - 1, n: n runs fastest
+        return f"fact3-n{n}-r{r + 1}", fact3_check(n, r + 1), None
 
-    return run_campaign(sweep, task, args)
+    return run_campaign(range((args.n_max + 1) * args.r_max), task, args)
 
 
 def _cmd_verify(args) -> int:

@@ -5,7 +5,9 @@ import json
 import multiprocessing
 import os
 import pickle
+import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -290,10 +292,15 @@ def test_input_errors_name_the_flag_or_the_bound(argv, message, capsys):
     ("corpus.g6", "D??\nG\n", "graph6", "line 2", "body length 0 != expected 5 (byte offset 1)"),
     ("edges.txt", "5 2\n0 1\n3 1\n", "edgelist", None, "edge (3, 1) violates 0 <= u < v < n"),
     ("edges.txt", "10001 0\n", "edgelist", None, "vertex count 10001 outside [0, 10000]"),
-], ids=["graph6-after-blank", "graph6-line-2", "edgelist-edge", "edgelist-order"])
+    ("bad.g6", b"\xff\xfe", "graph6", None,
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["graph6-after-blank", "graph6-line-2", "edgelist-edge", "edgelist-order", "not-utf-8"])
 def test_input_file_errors_name_the_file_and_line(name, text, in_format, source, defect, tmp_path, capsys):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     code = cli_main(["mu", "--in", str(path), "--in-format", in_format])
     captured = capsys.readouterr()
     where = f"--in {path}" + (f" {source}" if source else "")
@@ -394,19 +401,73 @@ def test_csv_format(capsys):
     assert all(",confirmed," in line for line in lines[1:])
 
 
-def test_threads_determinism(tmp_path):
+def _outputs_at_three_thread_counts(fmt, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     outputs = []
     for threads in (1, 4, 8):
-        path = tmp_path / f"t{threads}.jsonl"
+        path = tmp_path / f"t{threads}.{fmt}"
         code = cli_main(
             [
                 "verify", "fact1", "--gnp", "20,0.5", "--count", "24", "--seed", "11",
-                "--r", "2,3", "--threads", str(threads), "--out", str(path),
+                "--r", "2,3", "--threads", str(threads), "--out", str(path), "--format", fmt,
             ]
         )
         assert code == 0
         outputs.append(path.read_bytes())
+    return outputs
+
+
+def test_threads_determinism(tmp_path, monkeypatch):
+    outputs = _outputs_at_three_thread_counts("jsonl", tmp_path, monkeypatch)
     assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count(b"\n") == 48
+
+
+def test_threads_determinism_csv(tmp_path, monkeypatch):
+    # the csv header is written to the open --out file before the workers fork
+    outputs = _outputs_at_three_thread_counts("csv", tmp_path, monkeypatch)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count(b"\n") == 48 + 1
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_threads_determinism_on_a_stdout_pipe(fmt):
+    # forked workers share the parent's stdout; none of them may write to it
+    script = "import os; os.cpu_count = lambda: 2; import spectral_turan.cli as cli; cli.main()"
+    argv = ["biclique-scan", "--n", "18", "--p", "0.5", "--seeds", "1..6", "--format", fmt]
+    outputs = [
+        subprocess.run([sys.executable, "-c", script, *argv, "--threads", threads],
+                       capture_output=True, check=True, timeout=120).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 6 + (fmt == "csv")
+
+
+def test_a_long_campaign_keeps_no_per_report_state(tmp_path):
+    # 15,000 reports: a writer that buffers them peaks near 25 MB, a streaming one below 0.5 MB
+    argv = ["verify", "fact3", "--n-max", "149", "--r-max", "100", "--out", str(tmp_path / "f3.jsonl")]
+    tracemalloc.start()
+    try:
+        code = cli_main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (tmp_path / "f3.jsonl").read_bytes().count(b"\n") == 15_000
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_reports_written_before_an_error_stay(threads, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _, alone = run_cli(["verify", "fact1", "--turan", "6,2", "--r", "3"], capsys)
+    code = cli_main(["verify", "fact1", "--turan", "6,2", "--r", "3,1", "--threads", threads])
+    captured = capsys.readouterr()
+    # the config echo names the --r flag as given
+    assert alone.count('"r":"3"') == 1
+    expected = alone.replace('"r":"3"', '"r":"3,1"')
+    assert (code, captured.out, captured.err) == (2, expected, "error: fact1 requires r >= 2\n")
 
 
 def test_repeated_run_byte_identical(tmp_path):
@@ -482,7 +543,7 @@ def test_worker_count_is_bounded(threads, cpus, methods, requested, monkeypatch,
     # _run_parallel imports the pool class and multiprocessing when it needs them
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    monkeypatch.setattr(cli, "_worker_tasks", None)
+    monkeypatch.setattr(cli, "_worker_job", None)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     argv = ["biclique-scan", "--n", "18", "--p", "0.5", "--seeds", "1..3"]
     code, out = run_cli(argv + ["--threads", str(threads)], capsys)
@@ -494,7 +555,7 @@ def test_worker_count_is_bounded(threads, cpus, methods, requested, monkeypatch,
 
 def test_parallel_tasks_run_in_worker_processes(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    results = cli._run_parallel([lambda i=i: (i, os.getpid()) for i in range(9)], 2)
+    results = list(cli._run_parallel(lambda i: (i, os.getpid()), range(9), 2))
     assert [i for i, _ in results] == list(range(9))
     assert os.getpid() not in {pid for _, pid in results}
 
@@ -541,12 +602,12 @@ def test_errors_survive_pickling(exc, attrs):
 def test_exit_code_mapping():
     from spectral_turan.cli import _exit_code
 
-    assert _exit_code([{"verdict": "confirmed"}, {"verdict": "vacuous"}], strict=False) == 0
-    assert _exit_code([{"verdict": "confirmed"}, {"verdict": "VIOLATION"}], strict=False) == 1
-    assert _exit_code([{"verdict": "indeterminate"}], strict=False) == 0
-    assert _exit_code([{"verdict": "indeterminate"}], strict=True) == 3
+    assert _exit_code({"confirmed", "vacuous"}, strict=False) == 0
+    assert _exit_code({"confirmed", "VIOLATION"}, strict=False) == 1
+    assert _exit_code({"indeterminate"}, strict=False) == 0
+    assert _exit_code({"indeterminate"}, strict=True) == 3
     # violation outranks strict indeterminate
-    assert _exit_code([{"verdict": "indeterminate"}, {"verdict": "VIOLATION"}], strict=True) == 1
+    assert _exit_code({"indeterminate", "VIOLATION"}, strict=True) == 1
 
 
 def test_in_file_graph6_lines(tmp_path, capsys):
