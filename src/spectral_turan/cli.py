@@ -3,12 +3,14 @@
 Each command parses only the flags it reads; ``gen`` writes the graphs of
 the corpus flags the campaigns read.  Output is JSON lines (one report
 object per line) or a CSV summary.  ``--threads`` sets the number of worker
-processes (fork; serial for one task or without fork).  Each report is
-written as it is made, in instance order, so ``--threads`` never changes
-output bytes, and reports written before an error stay.  Exit codes: 0 all
-confirmed/vacuous, 1 any VIOLATION, 2 usage or input error, 3 indeterminate
-results under --strict, 4 internal error (an uncaught exception, whose
-traceback goes to stderr).
+processes (fork; serial for one task or without fork).  Each task renders its
+own report to its finished line; workers return those lines in fixed-size
+chunks, of which only a bounded window is in flight, and this process only
+writes them, in instance order.  So ``--threads`` never changes output bytes,
+memory does not grow with the number of reports, and the reports before an
+error stay.  Exit codes: 0 all confirmed/vacuous, 1 any VIOLATION, 2 usage or
+input error, 3 indeterminate results under --strict, 4 internal error (an
+uncaught exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from functools import partial
+from itertools import islice
 
 from . import __version__
 from .cliques import CliqueCountOverflowError, count_cliques
 from .graphs import (
     Graph,
+    _require_order,
+    _require_probability,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -89,6 +95,8 @@ def _parse_seeds(text: str) -> list[int] | range:
     lo, dots, hi = text.partition("..")
     if dots:
         seeds = range(_number(lo, usage), _number(hi, usage) + 1)
+        if seeds.stop - seeds.start > sys.maxsize:  # len() could not count them
+            raise UsageError(f"--seeds {text!r} names more than {sys.maxsize} seeds")
     else:
         seeds = _parse_list(text, usage)
     if not seeds:
@@ -206,15 +214,33 @@ def _report_dict(iid: str, tr: TheoremReport, g: Graph | None, config: dict) -> 
 # the campaign's task and items, set in each worker process by _init_worker
 _worker_job: tuple | None = None
 
+# items per task sent to a worker: enough to amortize a round trip through
+# the pool, few enough that the last chunks still share out across workers
+_CHUNK = 16
+
 
 def _init_worker(fn, items) -> None:
     global _worker_job
     _worker_job = fn, items
 
 
-def _run_worker_item(i: int):
+def _run_worker_chunk(start: int):
+    """``fn`` over the chunk of items from ``start``: the results before the
+    first error, that error (or None) and its traceback text."""
     fn, items = _worker_job
-    return fn(items[i])
+    results = []
+    for item in items[start:start + _CHUNK]:
+        try:
+            results.append(fn(item))
+        except Exception as exc:
+            import traceback
+
+            return results, exc, traceback.format_exc()
+    return results, None, None
+
+
+class _WorkerTraceback(Exception):
+    """The traceback text of an error raised in a worker process."""
 
 
 def _run_parallel(fn, items, threads: int):
@@ -222,9 +248,13 @@ def _run_parallel(fn, items, threads: int):
 
     There is at most one worker per item and per core.  Workers are forked,
     so they inherit ``fn`` and ``items`` instead of unpickling them; only
-    item indices, results and exceptions cross the process boundary.  One
-    worker, or a platform without fork, runs ``fn`` in this process.  The
-    worker count never changes the result.
+    chunk starts, results and errors cross the process boundary.  At most
+    two chunks per worker are in flight: the next chunk is submitted once
+    this generator's reader has taken the oldest one, so results waiting here
+    stay bounded however many items there are.  A chunk stops at its first
+    error, which is raised after the results before it.  One worker, or a
+    platform without fork, runs ``fn`` in this process.  The worker count
+    never changes the result.
     """
     workers = min(threads, len(items), os.cpu_count() or 1)
     if workers > 1:
@@ -234,14 +264,25 @@ def _run_parallel(fn, items, threads: int):
         from concurrent.futures import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            with ProcessPoolExecutor(
+            pool = ProcessPoolExecutor(
                 workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
                 initargs=(fn, items),
-            ) as pool:
-                chunksize = max(1, len(items) // (4 * workers))
-                yield from pool.map(_run_worker_item, range(len(items)), chunksize=chunksize)
+            )
+            try:
+                # each chunk is submitted when the window pulls it in
+                chunks = (pool.submit(_run_worker_chunk, s) for s in range(0, len(items), _CHUNK))
+                window = deque(islice(chunks, 2 * workers))
+                while window:
+                    results, exc, tb = window.popleft().result()
+                    yield from results
+                    if exc is not None:
+                        raise exc from _WorkerTraceback(tb)
+                    window.extend(islice(chunks, 1))
+            finally:
+                # after an error the chunks still queued are not run
+                pool.shutdown(cancel_futures=True)
             return
     for item in items:
         yield fn(item)
@@ -249,30 +290,34 @@ def _run_parallel(fn, items, threads: int):
 
 # the first of these quantities a report has fills the csv "rhs" column
 _CSV_RHS_KEYS = ("rhs_low", "bound_strict", "count_threshold", "threshold", "rhs_4r1nn_rr")
+_CSV_HEADER = "id,verdict,mu_low,mu_high,kr,rhs,s_target,t_target\n"
 
 
-def _write_reports(reports, args) -> set[str]:
-    """Write each report as it arrives; return the set of their verdicts."""
+def _report_line(rep: dict, fmt: str) -> str:
+    """The report's JSONL line or CSV row, newline included."""
+    if fmt == "jsonl":
+        return json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n"
+    mu, q = rep["mu"], rep.get("quantities", {})
+    cells = [
+        None if mu is None else mu["value"] - mu["residual"],
+        None if mu is None else mu["value"] + mu["residual"],
+        rep["kr"],
+        next((q[key] for key in _CSV_RHS_KEYS if key in q), None),
+        q.get("s_target"),
+        q.get("t_target"),
+    ]
+    return ",".join([rep["id"], rep["verdict"]] + ["" if x is None else repr(x) for x in cells]) + "\n"
+
+
+def _write_reports(results, args) -> set[str]:
+    """Write each (verdict, line) result's line as it arrives; return the set of verdicts."""
     verdicts = set()
     with _output(args.out) as out:
         if args.format == "csv":
-            out.write("id,verdict,mu_low,mu_high,kr,rhs,s_target,t_target\n")
-        for rep in reports:
-            verdicts.add(rep["verdict"])
-            if args.format == "jsonl":
-                out.write(json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n")
-                continue
-            mu, q = rep["mu"], rep.get("quantities", {})
-            cells = [
-                None if mu is None else mu["value"] - mu["residual"],
-                None if mu is None else mu["value"] + mu["residual"],
-                rep["kr"],
-                next((q[key] for key in _CSV_RHS_KEYS if key in q), None),
-                q.get("s_target"),
-                q.get("t_target"),
-            ]
-            row = [rep["id"], rep["verdict"]] + ["" if x is None else repr(x) for x in cells]
-            out.write(",".join(row) + "\n")
+            out.write(_CSV_HEADER)
+        for verdict, line in results:
+            verdicts.add(verdict)
+            out.write(line)
     return verdicts
 
 
@@ -308,12 +353,18 @@ def _cmd_gen(args) -> int:
 def run_campaign(items, task, args) -> int:
     """Run task(item) -> (id, TheoremReport, graph or None) over items, in order.
 
-    Writes each report as it is made, keeps only the set of verdicts, and
-    returns the campaign's exit code.
+    Each task renders its report to its line, so workers return lines; each
+    line is written as it arrives, only the set of verdicts is kept, and the
+    campaign's exit code is returned.
     """
     config = _config_echo(args)
-    reports = _run_parallel(lambda item: _report_dict(*task(item), config), items, args.threads)
-    return _exit_code(_write_reports(reports, args), getattr(args, "strict", False))
+
+    def render(item):
+        rep = _report_dict(*task(item), config)
+        return rep["verdict"], _report_line(rep, args.format)
+
+    results = _run_parallel(render, items, args.threads)
+    return _exit_code(_write_reports(results, args), getattr(args, "strict", False))
 
 
 def _cmd_mu(args) -> int:
@@ -362,6 +413,8 @@ def _cmd_find_kpartite(args) -> int:
 def _cmd_fact3(args) -> int:
     if args.n_max < 0 or args.r_max < 1:
         raise UsageError("--n-max must be >= 0 and --r-max >= 1")
+    if (args.n_max + 1) * args.r_max > sys.maxsize:  # len() could not count them
+        raise UsageError(f"--n-max and --r-max make a sweep of more than {sys.maxsize} reports")
 
     def task(i):
         r, n = divmod(i, args.n_max + 1)  # r - 1, n: n runs fastest
@@ -409,6 +462,10 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_biclique_scan(args) -> int:
+    # gnp's bounds, checked once here so that their errors name the flag
+    _built(_require_order, args.n, "--n")
+    _built(_require_probability, args.p, "--p")
+
     def task(seed):
         g = gnp(args.n, args.p, seed)
         res = max_balanced_biclique(g, budget=args.budget)

@@ -35,6 +35,12 @@ def _require_order(n: int) -> None:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
 
 
+def _require_probability(p: float) -> None:
+    """Raise ValueError unless 0 <= p <= 1, so also for NaN."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of mask, in ascending order."""
     while mask:
@@ -289,8 +295,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     temporaries stay bounded; the boolean adjacency matrix, filled in both
     triangles, costs n^2 bytes.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _require_probability(p)
     _require_order(n)
     key = np.uint64(_splitmix64(seed & _MASK64))
     total = n * (n - 1) // 2

@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
 
@@ -279,6 +280,15 @@ def test_threads_and_budget_below_one_are_usage_errors(argv, flag, capsys):
     # an empty sweep is refused, as an empty corpus is
     ("verify fact3 --n-max -1 --r-max 3", "error: --n-max must be >= 0 and --r-max >= 1\n"),
     ("verify fact3 --n-max 5 --r-max 0", "error: --n-max must be >= 0 and --r-max >= 1\n"),
+    # a range too long for len() is refused before any report
+    ("biclique-scan --n 10 --p 0.5 --seeds 0..99999999999999999999",
+     f"error: --seeds '0..99999999999999999999' names more than {sys.maxsize} seeds\n"),
+    ("verify fact3 --n-max 99999999999 --r-max 99999999999",
+     f"error: --n-max and --r-max make a sweep of more than {sys.maxsize} reports\n"),
+    # gnp's bounds name the biclique-scan flag, once, before any worker starts
+    ("biclique-scan --n 10 --p 1.5 --seeds 1", "error: --p: p must lie in [0, 1]\n"),
+    ("biclique-scan --n 10001 --p 0.5 --seeds 1..4 --threads 2",
+     "error: --n: vertex count 10001 outside [0, 10000]\n"),
 ])
 def test_input_errors_name_the_flag_or_the_bound(argv, message, capsys):
     code = cli_main(argv.split())
@@ -444,18 +454,21 @@ def test_threads_determinism_on_a_stdout_pipe(fmt):
     assert outputs[0].count(b"\n") == 6 + (fmt == "csv")
 
 
-def test_a_long_campaign_keeps_no_per_report_state(tmp_path):
-    # 15,000 reports: a writer that buffers them peaks near 25 MB, a streaming one below 0.5 MB
+def test_a_long_campaign_keeps_no_per_report_state(tmp_path, monkeypatch):
+    # 15,000 reports: a writer that buffers them peaks near 25 MB, a streaming
+    # one below 0.5 MB; forked workers hand this process finished lines only
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["verify", "fact3", "--n-max", "149", "--r-max", "100", "--out", str(tmp_path / "f3.jsonl")]
-    tracemalloc.start()
-    try:
-        code = cli_main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert (tmp_path / "f3.jsonl").read_bytes().count(b"\n") == 15_000
-    assert peak < 2 * 2**20
+    for threads in ("1", "2"):
+        tracemalloc.start()
+        try:
+            code = cli_main(argv + ["--threads", threads])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "f3.jsonl").read_bytes().count(b"\n") == 15_000
+        assert peak < 2 * 2**20, threads
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -501,6 +514,8 @@ def test_main_exit_codes(threads, monkeypatch, capsys):
             assert captured.out == ""
             assert "Traceback" in captured.err
             assert "RuntimeError: planted crash" in captured.err
+            # a worker's error keeps the traceback of the frame that raised it
+            assert 'raise RuntimeError("planted crash")' in captured.err
         else:
             assert [r["verdict"] for r in load_jsonl(captured.out)] == ["VIOLATION"] * 3
             assert captured.err == ""
@@ -508,23 +523,29 @@ def test_main_exit_codes(threads, monkeypatch, capsys):
 
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records the worker count it was
-    asked for and runs the tasks in this process."""
+    asked for and the most chunks ever in flight (submitted, result not yet
+    read), and runs a chunk in this process when its result is read."""
 
     requested: list[int] = []
+    most_in_flight = 0
 
     def __init__(self, workers, mp_context, initializer, initargs):
         self.requested.append(workers)
+        self.in_flight = 0
         initializer(*initargs)
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, *args):
+        self.in_flight += 1
+        _InlinePool.most_in_flight = max(_InlinePool.most_in_flight, self.in_flight)
 
-    def __exit__(self, *exc):
-        return False
+        def result():
+            self.in_flight -= 1
+            return fn(*args)
 
-    def map(self, fn, items, chunksize):
-        assert chunksize >= 1
-        return map(fn, items)
+        return types.SimpleNamespace(result=result)
+
+    def shutdown(self, cancel_futures):
+        assert cancel_futures
 
 
 @pytest.mark.parametrize(
@@ -551,6 +572,19 @@ def test_worker_count_is_bounded(threads, cpus, methods, requested, monkeypatch,
     assert multiprocessing.active_children() == []
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
         0, GOLDEN["biclique-scan"][2])
+
+
+def test_chunks_in_flight_stay_within_the_window(monkeypatch):
+    # the parent holds at most two chunks per worker, however long the campaign
+    monkeypatch.setattr(_InlinePool, "requested", [])
+    monkeypatch.setattr(_InlinePool, "most_in_flight", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    monkeypatch.setattr(cli, "_worker_job", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    items = range(50 * cli._CHUNK + 1)
+    assert list(cli._run_parallel(lambda i: i * i, items, 8)) == [i * i for i in items]
+    assert (_InlinePool.requested, _InlinePool.most_in_flight) == ([3], 2 * 3)
 
 
 def test_parallel_tasks_run_in_worker_processes(monkeypatch):
