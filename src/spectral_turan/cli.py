@@ -3,10 +3,10 @@
 Each command parses only the flags it reads; ``gen`` writes the graphs of
 the corpus flags the campaigns read.  Output is JSON lines (one report
 object per line) or a CSV summary.  ``--threads`` sets the number of worker
-processes (fork; serial for one task or without fork).  Each task renders its
-own report to its finished line; workers return those lines in fixed-size
-chunks, of which only a bounded window is in flight, and this process only
-writes them, in instance order.  So ``--threads`` never changes output bytes,
+processes (fork; serial for one chunk or without fork).  Each task renders
+its own report to its finished line; each worker sends those lines in fixed
+chunks of tasks down its own pipe, which blocks it while full, and this
+process only writes them, in instance order.  So ``--threads`` never changes output bytes,
 memory does not grow with the number of reports, and the reports before an
 error stay.  Exit codes: 0 all confirmed/vacuous, 1 any VIOLATION, 2 usage or
 input error, 3 indeterminate results under --strict, 4 internal error (an
@@ -21,9 +21,7 @@ import json
 import math
 import os
 import sys
-from collections import deque
 from functools import partial
-from itertools import islice
 
 from . import __version__
 from .cliques import CliqueCountOverflowError, count_cliques
@@ -211,78 +209,80 @@ def _report_dict(iid: str, tr: TheoremReport, g: Graph | None, config: dict) -> 
     return rep
 
 
-# the campaign's task and items, set in each worker process by _init_worker
-_worker_job: tuple | None = None
-
-# items per task sent to a worker: enough to amortize a round trip through
-# the pool, few enough that the last chunks still share out across workers
+# items per chunk a worker sends: enough to amortize a round trip through a
+# pipe, few enough that short campaigns still share out across workers
 _CHUNK = 16
-
-
-def _init_worker(fn, items) -> None:
-    global _worker_job
-    _worker_job = fn, items
-
-
-def _run_worker_chunk(start: int):
-    """``fn`` over the chunk of items from ``start``: the results before the
-    first error, that error (or None) and its traceback text."""
-    fn, items = _worker_job
-    results = []
-    for item in items[start:start + _CHUNK]:
-        try:
-            results.append(fn(item))
-        except Exception as exc:
-            import traceback
-
-            return results, exc, traceback.format_exc()
-    return results, None, None
 
 
 class _WorkerTraceback(Exception):
     """The traceback text of an error raised in a worker process."""
 
 
+def _work(fn, items, starts: range, readers, writer) -> None:
+    """A forked worker: send ``fn`` over the chunk of ``items`` at each of
+    ``starts`` down ``writer``, as its results before the first error, that
+    error (or None) and its traceback text; an error is the last chunk."""
+    for reader in readers:  # one left open here would keep a full pipe from breaking
+        reader.close()
+    with contextlib.suppress(BrokenPipeError):  # the reader is gone: stop quietly
+        for start in starts:
+            results = []
+            try:
+                for item in items[start:start + _CHUNK]:
+                    results.append(fn(item))
+            except Exception as exc:
+                import traceback
+
+                writer.send((results, exc, traceback.format_exc()))
+                return
+            writer.send((results, None, None))
+
+
 def _run_parallel(fn, items, threads: int):
     """Yield ``fn(item)`` over ``items`` in order, from up to ``threads`` worker processes.
 
-    There is at most one worker per item and per core.  Workers are forked,
-    so they inherit ``fn`` and ``items`` instead of unpickling them; only
-    chunk starts, results and errors cross the process boundary.  At most
-    two chunks per worker are in flight: the next chunk is submitted once
-    this generator's reader has taken the oldest one, so results waiting here
-    stay bounded however many items there are.  A chunk stops at its first
-    error, which is raised after the results before it.  One worker, or a
-    platform without fork, runs ``fn`` in this process.  The worker count
-    never changes the result.
+    Items go in chunks of ``_CHUNK``, at most one worker per chunk and per
+    core.  Forked worker w inherits ``fn`` and ``items``, runs chunks w, w +
+    workers, ... and sends each down its own pipe, read here in chunk order;
+    a full pipe blocks its worker, so waiting results stay bounded.  A chunk
+    stops at its first error, raised after the results before it; a worker
+    that exits without sending its chunk is a RuntimeError.  One worker, or
+    a platform without fork, runs ``fn`` here.  The worker count never
+    changes the result.
     """
-    workers = min(threads, len(items), os.cpu_count() or 1)
+    chunks = range(0, len(items), _CHUNK)
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers > 1:
-        # imported here, not at module level: they cost ~15% of the CLI's
-        # start-up time, which serial campaigns would pay for nothing
+        # imported only here, so that serial campaigns skip its start-up cost
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(fn, items),
-            )
+            # a context Process, not a bare os.fork: it flushes stdout and
+            # stderr first, so no worker writes the parent's buffered bytes
+            ctx = multiprocessing.get_context("fork")
+            readers, children = [], []
             try:
-                # each chunk is submitted when the window pulls it in
-                chunks = (pool.submit(_run_worker_chunk, s) for s in range(0, len(items), _CHUNK))
-                window = deque(islice(chunks, 2 * workers))
-                while window:
-                    results, exc, tb = window.popleft().result()
+                for w in range(workers):
+                    # made just before its fork, so no other worker holds its writer
+                    reader, writer = ctx.Pipe(duplex=False)
+                    readers.append(reader)
+                    child = ctx.Process(target=_work, args=(fn, items, chunks[w::workers], readers, writer))
+                    child.start()
+                    children.append(child)
+                    writer.close()
+                for k in range(len(chunks)):
+                    try:
+                        results, exc, tb = readers[k % workers].recv()
+                    except EOFError:
+                        raise RuntimeError(f"worker {k % workers} exited without sending chunk {k}") from None
                     yield from results
                     if exc is not None:
                         raise exc from _WorkerTraceback(tb)
-                    window.extend(islice(chunks, 1))
             finally:
-                # after an error the chunks still queued are not run
-                pool.shutdown(cancel_futures=True)
+                for reader in readers:
+                    reader.close()
+                for child in children:
+                    child.join()
             return
     for item in items:
         yield fn(item)
@@ -499,7 +499,7 @@ def _add_common(p: argparse.ArgumentParser, search: bool = False, strict: bool =
         "--threads",
         type=_count,
         default=1,
-        help="worker processes (fork; serial for one task or without fork); "
+        help="worker processes (fork; serial for one chunk of 16 tasks or without fork); "
         "output bytes do not depend on it",
     )
     p.add_argument("--out", default=None, help="output path (default stdout)")

@@ -1,14 +1,15 @@
 import argparse
-import concurrent.futures
+import contextlib
 import hashlib
 import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
-import types
 
 import pytest
 
@@ -33,6 +34,34 @@ def run_cli(argv, capsys):
 
 def load_jsonl(text):
     return [json.loads(line) for line in text.strip().splitlines()]
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    # every campaign joins the workers it forked, whatever way it ends; a
+    # worker left behind fails the test, and is killed so the suite goes on
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    assert left == []
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail, rather than hang, if the block runs past ``seconds``."""
+    def expire(signum, frame):
+        # not a TimeoutError: that is an OSError, which a waiting join swallows
+        raise AssertionError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_gen_turan_graph6(capsys):
@@ -442,8 +471,9 @@ def test_threads_determinism_csv(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_threads_determinism_on_a_stdout_pipe(fmt):
-    # forked workers share the parent's stdout; none of them may write to it
-    script = "import os; os.cpu_count = lambda: 2; import spectral_turan.cli as cli; cli.main()"
+    # forked workers share the parent's stdout; none of them may write to it.
+    # Six seeds make one chunk of 16, so chunks of one reach the fork path.
+    script = "import os; os.cpu_count = lambda: 2; import spectral_turan.cli as cli; cli._CHUNK = 1; cli.main()"
     argv = ["biclique-scan", "--n", "18", "--p", "0.5", "--seeds", "1..6", "--format", fmt]
     outputs = [
         subprocess.run([sys.executable, "-c", script, *argv, "--threads", threads],
@@ -474,6 +504,7 @@ def test_a_long_campaign_keeps_no_per_report_state(tmp_path, monkeypatch):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_reports_written_before_an_error_stay(threads, monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_CHUNK", 1)  # two tasks, one per worker: --threads 2 forks
     _, alone = run_cli(["verify", "fact1", "--turan", "6,2", "--r", "3"], capsys)
     code = cli_main(["verify", "fact1", "--turan", "6,2", "--r", "3,1", "--threads", threads])
     captured = capsys.readouterr()
@@ -501,6 +532,7 @@ def test_main_exit_codes(threads, monkeypatch, capsys):
         return TheoremReport({"n": g.n, "r": r}, True, Verdict.VIOLATION)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_CHUNK", 1)  # three tasks, one per chunk: --threads 2 forks
     monkeypatch.setattr(cli, "spectral_radius", crash)
     monkeypatch.setattr(cli, "fact1_check", violation)
     corpus = ["--gnp", "10,0.5", "--count", "3", "--threads", threads]
@@ -521,82 +553,115 @@ def test_main_exit_codes(threads, monkeypatch, capsys):
             assert captured.err == ""
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the worker count it was
-    asked for and the most chunks ever in flight (submitted, result not yet
-    read), and runs a chunk in this process when its result is read."""
-
-    requested: list[int] = []
-    most_in_flight = 0
-
-    def __init__(self, workers, mp_context, initializer, initargs):
-        self.requested.append(workers)
-        self.in_flight = 0
-        initializer(*initargs)
-
-    def submit(self, fn, *args):
-        self.in_flight += 1
-        _InlinePool.most_in_flight = max(_InlinePool.most_in_flight, self.in_flight)
-
-        def result():
-            self.in_flight -= 1
-            return fn(*args)
-
-        return types.SimpleNamespace(result=result)
-
-    def shutdown(self, cancel_futures):
-        assert cancel_futures
-
-
 @pytest.mark.parametrize(
     "threads, cpus, methods, requested",
     [
-        (4096, 64, ["fork", "spawn"], [3]),  # bounded by the task count
-        (4096, 2, ["fork", "spawn"], [2]),  # bounded by the core count
-        (2, 64, ["fork", "spawn"], [2]),
+        (4096, 64, ["fork", "spawn"], [0, 1, 2]),  # bounded by the chunk count
+        (4096, 2, ["fork", "spawn"], [0, 1]),  # bounded by the core count
+        (2, 64, ["fork", "spawn"], [0, 1]),
         (1, 64, ["fork", "spawn"], []),  # one worker runs in process
         (4096, None, ["fork", "spawn"], []),  # core count unknown: one
         (4096, 64, ["spawn"], []),  # no fork: serial
     ],
 )
 def test_worker_count_is_bounded(threads, cpus, methods, requested, monkeypatch, capsys):
-    monkeypatch.setattr(_InlinePool, "requested", [])
-    # _run_parallel imports the pool class and multiprocessing when it needs them
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    # three seeds in chunks of one; ``requested`` is the first chunk of each
+    # worker forked, and worker w starts at chunk w
+    ctx = multiprocessing.get_context("fork")
+    forked = []
+
+    def process(target, args):
+        forked.append(args[2][0])
+        return multiprocessing.context.ForkProcess(target=target, args=args)
+
+    monkeypatch.setattr(ctx, "Process", process)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-    monkeypatch.setattr(cli, "_worker_job", None)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_CHUNK", 1)
     argv = ["biclique-scan", "--n", "18", "--p", "0.5", "--seeds", "1..3"]
     code, out = run_cli(argv + ["--threads", str(threads)], capsys)
-    assert _InlinePool.requested == requested
-    assert multiprocessing.active_children() == []
+    assert forked == requested
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
         0, GOLDEN["biclique-scan"][2])
 
 
-def test_chunks_in_flight_stay_within_the_window(monkeypatch):
-    # the parent holds at most two chunks per worker, however long the campaign
-    monkeypatch.setattr(_InlinePool, "requested", [])
-    monkeypatch.setattr(_InlinePool, "most_in_flight", 0)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
-    monkeypatch.setattr(cli, "_worker_job", None)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+@pytest.mark.parametrize("items, workers", [(16, 0), (17, 2), (33, 3)])
+def test_one_worker_per_chunk(items, workers, monkeypatch):
+    # 16 items are one chunk, run in this process; worker w runs chunk w first
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    pids = set(cli._run_parallel(lambda i: os.getpid(), range(items), 8))
+    assert len(pids - {os.getpid()}) == workers
+
+
+def test_a_full_pipe_blocks_its_worker(monkeypatch):
+    # a worker blocks on its full pipe until the reader takes its chunk, so
+    # results made but not yet read stay within a few chunks
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    made = multiprocessing.get_context("fork").Value("i", 0)
+
+    def task(i):
+        with made.get_lock():
+            made.value += 1
+        return bytes(200_000)  # a chunk of 16 is ~3 MB, far above a pipe's buffer
+
     items = range(50 * cli._CHUNK + 1)
-    assert list(cli._run_parallel(lambda i: i * i, items, 8)) == [i * i for i in items]
-    assert (_InlinePool.requested, _InlinePool.most_in_flight) == ([3], 2 * 3)
+    with within(60):
+        results = cli._run_parallel(task, items, 8)
+        assert len(next(results)) == 200_000
+        time.sleep(0.5)
+        # the chunk read, and the one chunk each worker blocks on sending
+        assert made.value <= 3 * cli._CHUNK
+        assert sum(len(r) == 200_000 for r in results) == len(items) - 1
+    assert made.value == len(items)
+
+
+def test_closing_early_stops_every_worker(monkeypatch):
+    # workers blocked on full pipes exit once the reader closes them; one
+    # that kept its own reader open would never see the pipe break
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    results = cli._run_parallel(lambda i: bytes(200_000), range(30 * cli._CHUNK), 3)
+    with within(20):
+        assert len(next(results)) == 200_000
+        results.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_is_an_internal_error(monkeypatch, capsys):
+    # a worker that exits without sending its chunk leaves EOF on its pipe:
+    # exit 4 names the worker and the chunk, after the reports before it
+    argv = ["verify", "fact3", "--n-max", "99", "--r-max", "1"]
+    _, alone = run_cli(argv, capsys)
+    real = cli.fact3_check
+
+    def die_at_20(n, r):
+        if n == 20:  # in chunk 1, run by worker 1
+            os._exit(1)
+        return real(n, r)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "fact3_check", die_at_20)
+    monkeypatch.setattr(sys, "argv", ["spectral-turan", *argv, "--threads", "2"])
+    with within(30), pytest.raises(SystemExit) as exc:
+        cli.main()
+    captured = capsys.readouterr()
+    assert exc.value.code == 4
+    assert captured.out == "".join(alone.splitlines(keepends=True)[:cli._CHUNK])
+    assert "RuntimeError: worker 1 exited without sending chunk 1" in captured.err
+    assert multiprocessing.active_children() == []
 
 
 def test_parallel_tasks_run_in_worker_processes(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    results = list(cli._run_parallel(lambda i: (i, os.getpid()), range(9), 2))
-    assert [i for i, _ in results] == list(range(9))
+    items = range(3 * cli._CHUNK)  # three chunks on two workers
+    results = list(cli._run_parallel(lambda i: (i, os.getpid()), items, 2))
+    assert [i for i, _ in results] == list(items)
     assert os.getpid() not in {pid for _, pid in results}
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_worker_error_becomes_usage_exit(threads, monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_CHUNK", 1)  # three tasks, one per chunk: --threads 2 forks
     argv = ["verify", "fact1", "--gnp", "10,0.5", "--count", "3", "--r", "1"]
     code = cli_main(argv + ["--threads", threads])
     captured = capsys.readouterr()
@@ -609,6 +674,7 @@ def test_clique_count_overflow_is_an_input_error(threads, monkeypatch, capsys):
     import spectral_turan.cliques as cl
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_CHUNK", 1)  # three tasks, one per chunk: --threads 2 forks
     monkeypatch.setattr(cl, "_COUNT_LIMIT", 5)
     code = cli_main(["cliques", "--r", "3", "--gnp", "10,0.9", "--count", "3", "--threads", threads])
     captured = capsys.readouterr()
