@@ -6,11 +6,12 @@ object per line) or a CSV summary.  ``--threads`` sets the number of worker
 processes (fork; serial for one chunk or without fork).  Each task renders
 its own report to its finished line; each worker sends those lines in fixed
 chunks of tasks down its own pipe, which blocks it while full, and this
-process only writes them, in instance order.  So ``--threads`` never changes output bytes,
-memory does not grow with the number of reports, and the reports before an
-error stay.  Exit codes: 0 all confirmed/vacuous, 1 any VIOLATION, 2 usage or
-input error, 3 indeterminate results under --strict, 4 internal error (an
-uncaught exception, whose traceback goes to stderr).
+process only writes them, in instance order.  So ``--threads`` never
+changes output bytes, memory does not grow with the number of reports
+written (the input corpus is built whole before the first one), and the
+reports before an error stay.  Exit codes: 0 all confirmed/vacuous, 1 any
+VIOLATION, 2 usage or input error, 3 indeterminate results under --strict,
+4 internal error (an uncaught exception, whose traceback goes to stderr).
 """
 
 from __future__ import annotations

@@ -396,7 +396,7 @@ def to_graph6(g: Graph) -> str:
     for v in range(1, g.n):
         start = v * (v - 1) // 2
         bits[start:start + v] = adj[v, :v]
-    groups = np.packbits(bits.reshape(-1, 6), axis=1).reshape(-1) >> 2
+    groups = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
     size = [g.n] if g.n <= 62 else [63, g.n >> 12, g.n >> 6 & 63, g.n & 63]
     return "".join(chr(63 + b) for b in size) + (groups + 63).tobytes().decode("ascii")
 

@@ -49,30 +49,35 @@ class TheoremReport:
     witness: MultipartiteWitness | None = None
     notes: str = ""
 
+    def note(self, text: str) -> None:
+        """Append text, if any, to the notes; notes are joined with "; "."""
+        self.notes = "; ".join(filter(None, (self.notes, text)))
 
-def _spectral_hypothesis(
-    g: Graph, r: int, c: float
-) -> tuple[SpectralEstimate, float, bool, list[str]]:
+
+def _spectral_hypothesis(g: Graph, r: int, c: float) -> TheoremReport:
     """The hypothesis mu(G) >= (1 - 1/(r-1) + c) n of theorem1 and the chain.
 
-    Returns (mu, threshold, hyp, notes) for r >= 3.  hyp holds when the
-    certified lower interval end, converged or not, reaches the threshold,
-    compared as exact rationals (the reported threshold is its float);
-    notes open with one on c outside (0, 1/(r-1)), then say when the
-    threshold is not reached.
+    Returns a vacuous report for r >= 3 with mu and quantities["threshold"].
+    The hypothesis holds when the certified lower interval end, converged or
+    not, reaches the threshold, compared as exact rationals (the reported
+    threshold is its float).  The notes open with one on c outside
+    (0, 1/(r-1)), then say when the threshold is not reached.
     """
     threshold = (1.0 - 1.0 / (r - 1) + c) * g.n
     mu = spectral_radius(g)
-    notes = []
+    hyp = Fraction(mu.lower) >= (1 - Fraction(1, r - 1) + Fraction(c)) * g.n
+    rep = TheoremReport(
+        {"n": g.n, "r": r, "c": c}, hyp, Verdict.VACUOUS,
+        mu=mu, quantities={"threshold": threshold},
+    )
     if not 0.0 < c < 1.0 / (r - 1):
-        notes.append(
+        rep.note(
             f"c={c} outside (0, 1/(r-1)) = (0, {1.0 / (r - 1):.6g}); "
             "spectral hypothesis unsatisfiable"
         )
-    hyp = Fraction(mu.lower) >= (1 - Fraction(1, r - 1) + Fraction(c)) * g.n
     if not hyp:
-        notes.append(f"hypothesis mu >= {threshold:.6g} not established")
-    return mu, threshold, hyp, notes
+        rep.note(f"hypothesis mu >= {threshold:.6g} not established")
+    return rep
 
 
 def _require_domain(check: str, g: Graph, r: int, r_min: int, c: float | None = None) -> None:
@@ -153,45 +158,40 @@ def _part_targets(c: float, root: int, r: int, n: int) -> tuple[int | float, flo
     return s_target, t_target, product >= 1.0
 
 
-def _multipartite_conclusion(
-    g: Graph, r: int, c: float, root: int, hyp: bool, notes: list[str], quantities: dict,
-    budget: int, mu: SpectralEstimate | None = None, kr: int | None = None,
-) -> TheoremReport:
+def _multipartite_conclusion(g: Graph, rep: TheoremReport, root: int, budget: int) -> TheoremReport:
     """Fact 2's conclusion at base c/root^r, shared by theorem1 and fact2.
 
-    Records s_target, t_target and precondition_met in quantities.  Vacuous
-    unless the checker's hypothesis ``hyp`` holds and base^r ln n >= 1;
-    otherwise searches g for r-1 parts of size s_target plus one of size
+    Completes the vacuous hypothesis report ``rep`` in place and returns it.
+    Records s_target, t_target and precondition_met in its quantities.  It
+    stays vacuous unless its hypothesis holds and base^r ln n >= 1;
+    otherwise g is searched for r-1 parts of size s_target plus one of size
     floor(t_target) + 1, recorded as quantities["t_part"].  A witness that
     fails the edge-by-edge check raises.
     """
+    r, c = rep.params["r"], rep.params["c"]
     s_target, t_target, precondition = _part_targets(c, root, r, g.n)
-    quantities.update(s_target=s_target, t_target=t_target, precondition_met=precondition)
+    rep.quantities.update(s_target=s_target, t_target=t_target, precondition_met=precondition)
     if not precondition:
-        notes.append(f"precondition {'c^r' if root == 1 else '(c/r^r)^r'} ln n >= 1 fails")
-
-    def report(verdict: Verdict, note: str = "", witness: MultipartiteWitness | None = None):
-        return TheoremReport(
-            {"n": g.n, "r": r, "c": c}, hyp, verdict, mu=mu, kr=kr, quantities=quantities,
-            witness=witness, notes="; ".join(notes + [note] if note else notes),
-        )
-
-    if not (hyp and precondition):
-        return report(Verdict.VACUOUS)
+        rep.note(f"precondition {'c^r' if root == 1 else '(c/r^r)^r'} ln n >= 1 fails")
+    if not (rep.hypothesis_satisfied and precondition):
+        return rep
     t_part = math.floor(t_target) + 1
-    quantities["t_part"] = t_part
+    rep.quantities["t_part"] = t_part
     sizes = part_sizes((s_target,) * (r - 1) + (t_part,))
     if sum(sizes) > g.n:
-        return report(Verdict.VIOLATION, "required subgraph larger than host")
-    try:
-        witness = find_complete_multipartite(g, sizes, budget=budget)
-    except SearchBudgetExceeded:
-        return report(Verdict.INDETERMINATE, "witness search budget exhausted")
-    if witness is None:
-        return report(Verdict.VIOLATION, "exhaustive search found no witness")
-    if not verify_witness(g, witness):
-        raise RuntimeError(f"search returned an invalid witness {witness.to_lists()}")
-    return report(Verdict.CONFIRMED, witness=witness)
+        rep.verdict, note = Verdict.VIOLATION, "required subgraph larger than host"
+    else:
+        try:
+            rep.witness = find_complete_multipartite(g, sizes, budget=budget)
+            rep.verdict, note = Verdict.VIOLATION, "exhaustive search found no witness"
+        except SearchBudgetExceeded:
+            rep.verdict, note = Verdict.INDETERMINATE, "witness search budget exhausted"
+    if rep.witness is not None:
+        if not verify_witness(g, rep.witness):
+            raise RuntimeError(f"search returned an invalid witness {rep.witness.to_lists()}")
+        rep.verdict, note = Verdict.CONFIRMED, ""
+    rep.note(note)
+    return rep
 
 
 def theorem1_check(g: Graph, r: int, c: float, budget: int = DEFAULT_BUDGET) -> TheoremReport:
@@ -204,10 +204,7 @@ def theorem1_check(g: Graph, r: int, c: float, budget: int = DEFAULT_BUDGET) -> 
     the (c/r^r)^r ln n >= 1 precondition is met as well.
     """
     _require_domain("theorem1", g, r, 3, c)
-    mu, threshold, hyp, notes = _spectral_hypothesis(g, r, c)
-    return _multipartite_conclusion(
-        g, r, c, r, hyp, notes, {"threshold": threshold}, budget, mu=mu,
-    )
+    return _multipartite_conclusion(g, _spectral_hypothesis(g, r, c), r, budget)
 
 
 def proof_chain_check(g: Graph, r: int, c: float) -> TheoremReport:
@@ -219,29 +216,17 @@ def proof_chain_check(g: Graph, r: int, c: float) -> TheoremReport:
     floats).  Desk-checkable at every n, unlike the full conclusion.
     """
     _require_domain("proof chain", g, r, 3, c)
-    n = g.n
-    mu, threshold, hyp, notes = _spectral_hypothesis(g, r, c)
-    params = {"n": n, "r": r, "c": c}
-    if not hyp:
-        return TheoremReport(
-            params, False, Verdict.VACUOUS,
-            mu=mu, quantities={"threshold": threshold}, notes="; ".join(notes),
-        )
-    kr = count_cliques(g, r)
-    bound_weak = _scaled_power(c, n / r, r)
-    bound_strict = (r - 2) * bound_weak
+    rep = _spectral_hypothesis(g, r, c)
+    if not rep.hypothesis_satisfied:
+        return rep
+    rep.kr = count_cliques(g, r)
+    bound_weak = _scaled_power(c, g.n / r, r)
+    rep.quantities.update(bound_strict=(r - 2) * bound_weak, bound_weak=bound_weak)
     # reached only under the hypothesis, which forces r <= n: the power stays small
-    w = Fraction(c) * Fraction(n, r) ** r
-    ok = kr > (r - 2) * w and kr >= w
-    return TheoremReport(
-        params, True, Verdict.CONFIRMED if ok else Verdict.VIOLATION, mu=mu, kr=kr,
-        quantities={
-            "threshold": threshold,
-            "bound_strict": bound_strict,
-            "bound_weak": bound_weak,
-        },
-        notes="; ".join(notes),
-    )
+    w = Fraction(c) * Fraction(g.n, r) ** r
+    ok = rep.kr > (r - 2) * w and rep.kr >= w
+    rep.verdict = Verdict.CONFIRMED if ok else Verdict.VIOLATION
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +247,12 @@ def fact2_check(g: Graph, r: int, c: float, budget: int = DEFAULT_BUDGET) -> The
     count_threshold = _scaled_power(c, float(n), r)
     # kr > 0 forces r <= n, so the power stays small
     hyp = kr > 0 and kr >= Fraction(c) * n ** r
-    notes = [] if hyp else [f"k_r = {kr} below c n^r = {count_threshold!r}"]
-    return _multipartite_conclusion(
-        g, r, c, 1, hyp, notes, {"count_threshold": count_threshold}, budget, kr=kr,
+    rep = TheoremReport(
+        {"n": n, "r": r, "c": c}, hyp, Verdict.VACUOUS,
+        kr=kr, quantities={"count_threshold": count_threshold},
+        notes="" if hyp else f"k_r = {kr} below c n^r = {count_threshold!r}",
     )
+    return _multipartite_conclusion(g, rep, 1, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +517,7 @@ def theorem2_gap(n: int, f: Graph) -> TheoremReport:
     sandwich_ok = t >= 0 and t * t >= disc
     floor_ok = u <= 0 or u * u <= disc
     verdict = Verdict.CONFIRMED if sandwich_ok and floor_ok else Verdict.VIOLATION
-    notes = []
-    if not sandwich_ok:
-        notes.append("lower bound exceeds the exhaustive maximum")
-    if not floor_ok:
-        notes.append("Turan root fell below its guaranteed floor")
-    return TheoremReport(
+    rep = TheoremReport(
         {"n": n, "r": r}, True, verdict,
         quantities={
             "lower": (b + math.sqrt(disc)) / 2 / n,
@@ -545,5 +527,9 @@ def theorem2_gap(n: int, f: Graph) -> TheoremReport:
             "turan_floor": limit - (r - 1) / (4.0 * n * n),
             "maximal_graphs": spex.maximal_graphs,
         },
-        notes="; ".join(notes),
     )
+    if not sandwich_ok:
+        rep.note("lower bound exceeds the exhaustive maximum")
+    if not floor_ok:
+        rep.note("Turan root fell below its guaranteed floor")
+    return rep

@@ -206,10 +206,14 @@ def test_theorem1_check_vacuous_paths():
     assert rep.verdict is Verdict.VACUOUS
     assert not rep.hypothesis_satisfied
 
-    # c outside (0, 1/(r-1)) is flagged, not rejected
+    # c outside (0, 1/(r-1)) is flagged, not rejected, in the hypothesis
+    # notes, which come before the conclusion's
     rep = theorem1_check(complete_graph(9), 3, 0.9)
     assert rep.verdict is Verdict.VACUOUS
-    assert "outside" in rep.notes
+    assert rep.notes == (
+        "c=0.9 outside (0, 1/(r-1)) = (0, 0.5); spectral hypothesis unsatisfiable; "
+        "hypothesis mu >= 12.6 not established; precondition (c/r^r)^r ln n >= 1 fails"
+    )
 
 
 @pytest.mark.parametrize("targets, budget, verdict, note", [
@@ -316,6 +320,7 @@ def test_fact2_desk_instance():
 def test_fact2_vacuous_paths():
     rep = fact2_check(cycle_graph(5), 2, 0.49)
     assert rep.verdict is Verdict.VACUOUS  # k_2 = 5 < 12.25
+    assert rep.notes == "k_r = 5 below c n^r = 12.25; precondition c^r ln n >= 1 fails"
 
     # r = 3 at desk scale: c <= 1/6 forces ln n >= 216
     rep = fact2_check(complete_graph(30), 3, 1 / 6)
