@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 from .cliques import CliqueCountOverflowError, count_cliques
@@ -606,10 +606,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help/--version
         return int(exc.code or 0)

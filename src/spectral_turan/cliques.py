@@ -1,23 +1,48 @@
-"""Exact r-clique counting by ordered bitset extension, with BLAS base cases.
+"""Exact r-clique counting: whole-graph GEMMs on dense graphs, ordered
+bitset extension with BLAS base cases elsewhere.
 
-``count_cliques`` orients every edge forward along the vertices sorted by
-degree (ties by label) and extends partial cliques through candidate sets,
-the bit-intersections of forward neighbourhoods, so each clique is generated
-exactly once, at its earliest vertex.  The top level loops over vertices, so
-every candidate set is a forward neighbourhood.  The k forward neighbours of
-v each have degree >= deg v >= k and all degrees sum to 2m, so a set holds
-at most min(deg v, sqrt(2m)) vertices (Chiba & Nishizeki, SIAM J. Comput.
-1985).  One recursion serves every r: a set that needs k >= 3 more vertices
-recurses into the forward sets inside it at need k - 1, and need 2 is the
-walk's one base case, where a set counts its edges, one popcount per vertex.
+Both paths orient every edge forward along the vertices sorted by degree
+(ties by label), so each clique has one earliest vertex and one vertex order.
+
+A graph that is at least half full (4m >= n(n - 1)) on at most
+``spectral._DENSE_LIMIT`` = 2048 vertices (the order up to which
+``spectral`` builds dense float64 matrices too, for the same memory reason)
+counts r = 3, 4 and 5 on U, its oriented adjacency matrix with rows and
+columns in orientation order, which is strictly upper triangular:
+
+- r = 3, 4 and 5: each clique is counted once, at its vertex k with
+  exactly two clique vertices after it (the first of three, the second of
+  four, the middle of five).  With B and F the backward and forward
+  neighbours of k, the rows of Z are the (r - 3)-cliques of B, each as the
+  vertices of F joined to its whole clique, and k's count is
+  ``sum((Z @ U[F][:, F]) * Z)``, one per edge c -> d of F inside a row.
+- r = 3: Z is one row of ones, so every k's count is a row of
+  ``sum((U @ U) * U)``, one per oriented path a -> b -> c closed by
+  a -> c, and one GEMM on the whole of U counts them all.
+- r = 4 and 5: Z = U[B][:, F] at r = 4, one row per vertex, and at r = 5 the
+  row U[a, F] * U[b, F] for each edge a -> b inside B, one GEMM per k.  A k
+  whose F spans no edge is skipped, so a bipartite graph runs none of them.
+  At r = 5 the rows go ``_Z_ENTRIES`` entries at a time: besides U the
+  kernel holds U[F][:, F] in float32 and the edge list of B (together under
+  4n^2 bytes), boolean blocks of U, and O(_Z_ENTRIES + n) for one chunk.
+
+Other graphs, and every r >= 6, extend partial cliques through candidate
+sets, the bit-intersections of forward neighbourhoods, so each clique is
+generated exactly once, at its earliest vertex.  The top level loops over
+vertices, so every candidate set is a forward neighbourhood.  The k forward
+neighbours of v each have degree >= deg v >= k and all degrees sum to 2m, so
+a set holds at most min(deg v, sqrt(2m)) vertices (Chiba & Nishizeki, SIAM
+J. Comput. 1985).  One recursion serves every r: a set that needs k >= 3
+more vertices recurses into the forward sets inside it at need k - 1, and
+need 2 is the walk's one base case, where a set counts its edges, one
+popcount per vertex.
 
 A set that still needs 3 or 4 vertices can finish in numpy instead of one
 Python call per clique.  Both base cases run on U, the set's block of the
 oriented adjacency matrix in float64 (the whole graph's boolean matrix is
 built once, on first use):
 
-- need 3: the set's triangles number ``sum((U @ U) * U)``, one per
-  oriented path a -> b -> c closed by a -> c.
+- need 3: the set's triangles number ``sum((U @ U) * U)``, as above.
 - need 4: for each oriented edge j -> k of the set, the row
   ``Y = U[j] * U[k]`` marks their common forward neighbours, and the set's
   4-cliques number ``sum((Y @ U) * Y)``, one per edge c -> d inside a row.
@@ -30,15 +55,20 @@ The GEMM has a fixed cost, and the 4-clique one grows with the edge count,
 so a set switches only when it has ``_BLAS_MIN_EDGES`` edges and, at need 4,
 ``_BLAS_EDGES_PER_VERTEX`` per vertex.  Counting a set's edges costs a pass
 over it, so the graph's edge density times C(size, 2) must first promise
-that many.  Other sets stay in the bitset walk: need 2 is decided before
-the switch, so r = 3 never leaves it, and sparse graphs keep it too.
+that many.  Other sets stay in the bitset walk: need 2 is decided before the
+switch, so a sparse graph at r = 3 never leaves it.
 
-Exactness: both sums add non-negative integers, and their totals are at most
-C(d, 3) and C(d, 4) for a set of d vertices; every product entry is at most
-d.  For d <= MAX_VERTICES = 10^4, C(d, 4) < 2^53, and a partial sum of
-non-negative terms never exceeds the total, so every float64 value is an
-exact integer in any BLAS summation order.  The per-set counts are summed
-as Python ints and checked against the 128-bit ``_COUNT_LIMIT``.
+Exactness: every sum adds non-negative integers, Z and U are 0/1, and every
+product entry is at most n.  On the dense path the GEMMs run in float32: a
+product entry, and a row's count of at most C(n, 2), stay below 2^24 for
+n <= 2048.  A chunk whose sum could reach 2^24 sums its rows in float64,
+and r = 3 sums at most C(n, 3), one vertex k's sum at r = 4 and 5 at most
+C(k, r - 3) * C(n - k - 1, 2), both < 2^53.  A set's sums are at most
+C(d, 3) and C(d, 4) for d vertices, and C(d, 4) < 2^53 for
+d <= MAX_VERTICES = 10^4.  A partial sum of non-negative terms never exceeds
+the total, so every float value is an exact integer in any summation order.
+The counts are summed as Python ints and checked against the 128-bit
+``_COUNT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -46,6 +76,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph, unpack_rows
+from .spectral import _DENSE_LIMIT
 
 COUNT_BITS = 128
 _COUNT_LIMIT = 1 << COUNT_BITS
@@ -56,6 +87,9 @@ _BLAS_MIN_EDGES = 64
 _BLAS_EDGES_PER_VERTEX = 4
 # rows of Y per GEMM in the 4-clique base case
 _EDGE_CHUNK = 256
+# entries of Z per GEMM in the 5-clique base case: 128 KiB of float32, so a
+# chunk and its product stay in cache
+_Z_ENTRIES = 1 << 15
 
 
 class CliqueCountOverflowError(OverflowError):
@@ -81,26 +115,63 @@ def _blas_count(block: np.ndarray, need: int) -> int:
     return total
 
 
-def count_cliques(g: Graph, r: int) -> int:
-    """Exact number of r-vertex cliques (see the module docstring)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    n = g.n
-    if r > n:
-        return 0
-    if r == 1:
-        return n
-    if r == 2:
-        return g.edge_count()
+def _pivot_count(u: np.ndarray, r: int) -> int:
+    """4-cliques (r = 4) or 5-cliques (r = 5) of a strictly upper triangular
+    boolean oriented matrix, each counted at its vertex k with two clique
+    vertices after it (see the module docstring)."""
+    return sum(_pivot_at(u, k, r) for k in range(r - 3, len(u) - 2))
 
+
+def _pivot_at(u: np.ndarray, k: int, r: int) -> int:
+    """The r-cliques counted at k; its temporaries go when it returns."""
+    fwd = u[k, k + 1:].nonzero()[0] + (k + 1)
+    back = u[:k, k].nonzero()[0]
+    if len(fwd) < 2 or len(back) < r - 3:
+        return 0
+    inner = u.take(fwd, 0).take(fwd, 1)
+    if not inner.any():
+        return 0
+    inner = inner.astype(np.float32)
+    rows = u.take(back, 0)
+    if r == 4:
+        # one row per a in B: at most n of them, so no chunks
+        return _edges_in_rows(rows.take(fwd, 1), inner)
+    # the edges a -> b inside B, by flat index a * |B| + b
+    edges = np.flatnonzero(rows.take(back, 1))
+    rows = rows.take(fwd, 1)
+    step = max(1, _Z_ENTRIES // len(fwd))
+    total = 0
+    for lo in range(0, len(edges), step):
+        a, b = np.divmod(edges[lo:lo + step], len(back))
+        total += _edges_in_rows(rows.take(a, 0) & rows.take(b, 0), inner)
+    return total
+
+
+def _edges_in_rows(z: np.ndarray, inner: np.ndarray) -> int:
+    """``sum((Z @ inner) * Z)`` for 0/1 rows Z: each row's count of
+    edges c -> d inside it.  A product entry is at most |F| and a row's count
+    at most C(|F|, 2), both below 2^24 for n <= 2048, so float32 holds every
+    one exactly, and the whole sum too while rows * C(|F|, 2) < 2^24; past
+    that, the rows are summed in float64."""
+    z = z.astype(np.float32, copy=False)
+    product = z @ inner
+    f = len(inner)
+    if len(z) * f * (f - 1) < 1 << 25:
+        return int(np.vdot(product, z))
+    return int(np.einsum("ij,ij->i", product, z).sum(dtype=np.float64))
+
+
+def _walk(g: Graph, r: int, order: list[int], m: int) -> int:
+    """r-cliques by bitset extension along ``order`` (see the module
+    docstring), for 3 <= r <= n."""
+    n = g.n
     # forward[v] = neighbors of v that come later in the orientation order
-    order = sorted(range(n), key=g.degree)
     forward = [0] * n
     later = 0
     for v in reversed(order):
         forward[v] = g.row(v) & later
         later |= 1 << v
-    density = 2 * g.edge_count() / (n * (n - 1))
+    density = 2 * m / (n * (n - 1))
     # orientation positions and the forward adjacency as a boolean matrix,
     # built on first use
     pos = oriented = None
@@ -149,6 +220,36 @@ def count_cliques(g: Graph, r: int) -> int:
         return total
 
     total = sum(extend(cand, r - 1) for cand in forward)
+    # extend refers to itself: break the cycle, or forward (and the matrix
+    # blas built) would stay allocated until the next garbage collection
+    del extend
+    return total
+
+
+def count_cliques(g: Graph, r: int) -> int:
+    """Exact number of r-vertex cliques (see the module docstring)."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    n = g.n
+    if r > n:
+        return 0
+    if r == 1:
+        return n
+    if r == 2:
+        return g.edge_count()
+
+    order = sorted(range(n), key=g.degree)
+    m = g.edge_count()
+    if r <= 5 and n <= _DENSE_LIMIT and 4 * m >= n * (n - 1):
+        u = np.triu(g.to_bits(order)[:, order], 1)
+        if r == 3:
+            # Z = U: one float32 copy serves as both factors
+            f = u.astype(np.float32)
+            total = _edges_in_rows(f, f)
+        else:
+            total = _pivot_count(u, r)
+    else:
+        total = _walk(g, r, order, m)
     if total >= _COUNT_LIMIT:
         raise CliqueCountOverflowError(
             f"clique count exceeds {COUNT_BITS}-bit limit"

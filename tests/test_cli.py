@@ -149,6 +149,23 @@ def test_verify_fact1_gnp_campaign(capsys):
     assert all(r["graph6"] for r in reports)
 
 
+def test_consecutive_calls_leak_no_flags(capsys):
+    # cli_main reuses one parser per process; each call still starts from
+    # the defaults, whatever ran before it
+    counts = []
+    for argv in ("verify fact1 --gnp 20,0.5 --count 3 --r 3",
+                 "cliques --r 4 --gnp 20,0.5 --count 2 --seed 5 --format csv",
+                 "verify fact1 --gnp 20,0.5 --r 3"):
+        code, out = run_cli(argv.split(), capsys)
+        assert code == 0
+        if argv.startswith("verify"):
+            reports = load_jsonl(out)
+            assert {(r["config"]["count"], r["config"]["seed"], r["config"]["format"]) for r in reports} == {
+                (len(reports), 0, "jsonl")}
+            counts.append(len(reports))
+    assert counts == [3, 1]
+
+
 def test_verify_fact3_sweep(capsys):
     code, out = run_cli(["verify", "fact3", "--n-max", "100", "--r-max", "6"], capsys)
     assert code == 0

@@ -1,7 +1,11 @@
+import functools
+import gc
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from spectral_turan import (
@@ -107,6 +111,19 @@ def test_turan_graph_counts():
             assert count_cliques(g, r) == want == oracle_count_cliques_bitset(g, r)
 
 
+def test_counting_leaves_no_reference_cycles():
+    # a cycle would hold the walk's bitsets and matrix until the collector
+    # ran, so a campaign's memory would grow with the time between runs
+    gc.collect()
+    gc.disable()
+    try:
+        for g, r in ((gnp(300, 0.2, 1), 4), (gnp(60, 0.8, 1), 6), (gnp(60, 0.8, 1), 5)):
+            count_cliques(g, r)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_oracle_domain_limit():
     with pytest.raises(ValueError):
         oracle_count_cliques(Graph.empty(17), 2)
@@ -172,18 +189,27 @@ def _record_blocks(monkeypatch):
     return blocks
 
 
+def _padded(g, isolated):
+    """g plus ``isolated`` vertices with no edges."""
+    return Graph.from_edges(g.n + isolated, list(g.edges()))
+
+
 @pytest.mark.parametrize("r", [4, 5])
 def test_blas_switch_at_threshold_vertices(r, monkeypatch):
-    # the forward sets of K_n are cliques of every size below n; one of
-    # t = 12 vertices, the least with C(t, 2) >= _BLAS_MIN_EDGES, has 66
-    # edges and switches, one of t - 1 vertices (55 edges) walks
-    t = next(t for t in itertools.count() if math.comb(t, 2) >= cl._BLAS_MIN_EDGES)
-    assert t == 12
+    # below half full the density promise decides the switch.  K_s plus s
+    # isolated vertices has density (s - 1) / (2(2s - 1)), and the forward
+    # set of its first vertex is a clique of s - 1 vertices; at need r - 1 it
+    # switches once density * (s - 1)(s - 2) reaches 2 * 64 (need 3) or
+    # 2 * 4(s - 1) (need 4).  t is the least such set, and one of t - 1
+    # vertices walks (at r = 5 its inner sets may still switch at need 3)
+    t = {4: 24, 5: 34}[r]
     blocks = _record_blocks(monkeypatch)
-    assert count_cliques(complete_graph(t), r) == math.comb(t, r)
-    assert blocks == []
-    assert count_cliques(complete_graph(t + 1), r) == math.comb(t + 1, r)
-    assert blocks == [(t, r - 1)]
+    for s, want in ((t, []), (t + 1, [(t, r - 1)])):
+        g = _padded(complete_graph(s), s)
+        assert 4 * g.edge_count() < g.n * (g.n - 1)
+        assert count_cliques(g, r) == math.comb(s, r)
+        assert [b for b in blocks if b[1] == r - 1] == want
+        blocks.clear()
 
 
 def test_sparse_sets_keep_the_bitset_walk(monkeypatch):
@@ -192,11 +218,18 @@ def test_sparse_sets_keep_the_bitset_walk(monkeypatch):
     blocks = _record_blocks(monkeypatch)
     count_cliques(gnp(700, 0.1, 3), 5)
     assert blocks == []
-    assert count_cliques(complete_multipartite((25, 25)), 4) == 0
+    # two isolated vertices put K_{25,25} below half full; its forward sets
+    # are big enough for the density promise, but independent
+    g = _padded(complete_multipartite((25, 25)), 2)
+    assert 4 * g.edge_count() < g.n * (g.n - 1)
+    assert count_cliques(g, 4) == 0
     assert blocks == []
-    # every forward set of K40 would qualify for a block at need 3, but r = 3
-    # needs 2 below the top level, and need 2 is the walk's own base case
-    assert count_cliques(complete_graph(40), 3) == math.comb(40, 3)
+    # below half full, every forward set of K40 would qualify for a block at
+    # need 3, but r = 3 needs 2 below the top level, and need 2 is the walk's
+    # own base case
+    g = _padded(complete_graph(40), 20)
+    assert 4 * g.edge_count() < g.n * (g.n - 1)
+    assert count_cliques(g, 3) == math.comb(40, 3)
     assert blocks == []
 
 
@@ -215,3 +248,117 @@ def test_every_set_through_blas(chunk, monkeypatch):
         for r in (4, 5, 6):
             assert count_cliques(g, r) == oracle_count_cliques_bitset(g, r)
     assert {need for _, need in blocks} == {3, 4}
+
+
+def _record_paths(monkeypatch):
+    """Spy on the whole-graph base cases and the walk: one name per call
+    from count_cliques; calls made inside them, such as the walk's to
+    ``_blas_count``, are not recorded."""
+    calls = []
+    active = []
+    for name in ("_edges_in_rows", "_pivot_count", "_walk", "_blas_count"):
+        def spy(*args, real=getattr(cl, name), name=name):
+            if not active:
+                calls.append(name)
+            active.append(name)
+            try:
+                return real(*args)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(cl, name, spy)
+    return calls
+
+
+def _dense_path(r):
+    return "_edges_in_rows" if r == 3 else "_pivot_count"
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_dense_path_from_half_full(r, monkeypatch):
+    # at n = 20, 4m = n(n - 1) is 95 edges: one edge less walks, and from
+    # there on the whole-graph base case counts
+    pairs = list(itertools.combinations(range(20), 2))
+    random.Random(5).shuffle(pairs)
+    calls = _record_paths(monkeypatch)
+    for m, path in ((94, "_walk"), (95, _dense_path(r)), (96, _dense_path(r))):
+        g = Graph.from_edges(20, pairs[:m])
+        assert 4 * g.edge_count() - g.n * (g.n - 1) == 4 * (m - 95)
+        want = oracle_count_cliques_bitset(g, r)
+        assert want > 0
+        assert count_cliques(g, r) == want
+        assert calls == [path]
+        calls.clear()
+
+
+@functools.cache
+def _dense_cases():
+    """(graph, {r: oracle count}) for graphs at least half full."""
+    graphs = [gnp(80, 0.8, seed) for seed in (1, 2, 3)]
+    graphs += [complete_graph(n) for n in range(1, 41)]
+    graphs += [turan_graph(60, 4), complete_multipartite((25, 25, 25)), _padded(gnp(40, 0.9, 2), 10)]
+    cases = [(g, {r: oracle_count_cliques_bitset(g, r) for r in range(3, 7)}) for g in graphs]
+    # r = 6 walks, and its oracle takes ~20 s here
+    g = gnp(150, 0.8, 1)
+    return cases + [(g, {r: oracle_count_cliques_bitset(g, r) for r in range(3, 6)})]
+
+
+# Z entries per chunk: one row, a few rows (7 at |F| = 40), the default
+@pytest.mark.parametrize("entries", [1, 280, cl._Z_ENTRIES])
+def test_dense_path_matches_the_bitset_oracle(entries, monkeypatch):
+    monkeypatch.setattr(cl, "_Z_ENTRIES", entries)
+    calls = _record_paths(monkeypatch)
+    for g, want in _dense_cases():
+        assert 4 * g.edge_count() >= g.n * (g.n - 1)
+        for r, count in want.items():
+            assert count_cliques(g, r) == count, (g, r)
+            assert calls == ([] if r > g.n else ["_walk"] if r == 6 else [_dense_path(r)])
+            calls.clear()
+    assert count_cliques(turan_graph(60, 4), 5) == 0  # T(60, 4) is K5-free
+
+
+def test_above_the_dense_cap_the_walk_counts(monkeypatch):
+    g = gnp(80, 0.8, 1)
+    calls = _record_paths(monkeypatch)
+    for cap, path in ((g.n - 1, "_walk"), (g.n, None)):
+        monkeypatch.setattr(cl, "_DENSE_LIMIT", cap)
+        for r in (3, 4, 5):
+            assert count_cliques(g, r) == oracle_count_cliques_bitset(g, r)
+            assert calls == [path or _dense_path(r)]
+            calls.clear()
+
+
+def test_float32_rows_are_exact_at_the_cap():
+    # at n = 2048 a forward set has at most 2047 vertices: its product
+    # entries reach 2046 and a full row's count C(2047, 2), both below 2^24,
+    # while the odd total of these rows is above 2^24, where float32 has no
+    # odd integers
+    f = cl._DENSE_LIMIT - 1
+    inner = np.triu(np.ones((f, f), dtype=np.float32), 1)
+    z = np.ones((9, f), dtype=bool)
+    z[8, ::2] = False
+    want = 8 * math.comb(f, 2) + math.comb(f // 2, 2)
+    assert want > 2**24 and want % 2 == 1
+    assert cl._edges_in_rows(z, inner) == want
+
+
+def test_pivot_temporaries_are_chunk_bounded(monkeypatch):
+    # beyond U itself, the 5-clique kernel holds U[F][:, F] in float32 and
+    # B's edge list (under 4n^2 bytes together), boolean blocks of U (under
+    # 2n^2 bytes) and one chunk of Z; unchunked, Z alone would take
+    # |edges in B| x |F| floats, ~0.3 MB at a middle vertex here
+    g = gnp(120, 0.9, 3)
+    n = g.n
+    order = sorted(range(n), key=g.degree)
+    u = np.triu(g.to_bits(order)[:, order], 1)
+    entries = 1024
+    monkeypatch.setattr(cl, "_Z_ENTRIES", entries)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        total = cl._pivot_count(u, 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert total == count_cliques(g, 5)
+    assert peak <= 6 * n * n + 16 * (entries + n)
