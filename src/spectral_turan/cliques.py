@@ -18,7 +18,8 @@ columns in orientation order, which is strictly upper triangular:
   ``sum((Z @ U[F][:, F]) * Z)``, one per edge c -> d of F inside a row.
 - r = 3: Z is one row of ones, so every k's count is a row of
   ``sum((U @ U) * U)``, one per oriented path a -> b -> c closed by
-  a -> c, and one GEMM on the whole of U counts them all.
+  a -> c, summed over row blocks of U, ``graphs.ROW_BLOCK`` entries at a
+  time, so the n x n product is never held whole.
 - r = 4 and 5: Z = U[B][:, F] at r = 4, one row per vertex, and at r = 5 the
   row U[a, F] * U[b, F] for each edge a -> b inside B, one GEMM per k.  A k
   whose F spans no edge is skipped, so a bipartite graph runs none of them.
@@ -37,19 +38,20 @@ more vertices recurses into the forward sets inside it at need k - 1, and
 need 2 is the walk's one base case, where a set counts its edges, one
 popcount per vertex.
 
-A set that still needs 3 or 4 vertices can finish in numpy instead of one
-Python call per clique.  Both base cases run on U, the set's block of the
-oriented adjacency matrix in float64 (the whole graph's boolean matrix is
-built once, on first use):
+A set of at most 2048 vertices that still needs 3 or 4 vertices can finish
+in numpy instead of one Python call per clique, on U, its block of the
+oriented adjacency matrix in orientation order (the whole graph's boolean
+matrix is built once, on first use):
 
 - need 3: the set's triangles number ``sum((U @ U) * U)``, as above.
 - need 4: for each oriented edge j -> k of the set, the row
-  ``Y = U[j] * U[k]`` marks their common forward neighbours, and the set's
-  4-cliques number ``sum((Y @ U) * Y)``, one per edge c -> d inside a row.
-  With the set in orientation order U is strictly upper triangular, so a row
-  of Y vanishes left of its k.  Y is built ``_EDGE_CHUNK`` rows at a time in
-  increasing k, which bounds the temporaries, and each chunk's GEMM runs on
-  the columns after its first k only.
+  ``Z = U[j] & U[k]`` marks their common forward neighbours, and the set's
+  4-cliques number ``sum((Z @ U) * Z)``.  A row of Z vanishes left of its
+  k, so with the edges in increasing k each chunk's GEMM runs on the
+  columns after its first k only.  The dense path's r = 4 kernel pivots
+  instead: on a whole graph it skips every k whose F spans no edge, while
+  on the walk's small blocks its one GEMM per k costs more than these few
+  large ones.
 
 The GEMM has a fixed cost, and the 4-clique one grows with the edge count,
 so a set switches only when it has ``_BLAS_MIN_EDGES`` edges and, at need 4,
@@ -58,37 +60,35 @@ over it, so the graph's edge density times C(size, 2) must first promise
 that many.  Other sets stay in the bitset walk: need 2 is decided before the
 switch, so a sparse graph at r = 3 never leaves it.
 
-Exactness: every sum adds non-negative integers, Z and U are 0/1, and every
-product entry is at most n.  On the dense path the GEMMs run in float32: a
-product entry, and a row's count of at most C(n, 2), stay below 2^24 for
-n <= 2048.  A chunk whose sum could reach 2^24 sums its rows in float64,
-and r = 3 sums at most C(n, 3), one vertex k's sum at r = 4 and 5 at most
-C(k, r - 3) * C(n - k - 1, 2), both < 2^53.  A set's sums are at most
-C(d, 3) and C(d, 4) for d vertices, and C(d, 4) < 2^53 for
-d <= MAX_VERTICES = 10^4.  A partial sum of non-negative terms never exceeds
-the total, so every float value is an exact integer in any summation order.
-The counts are summed as Python ints and checked against the 128-bit
-``_COUNT_LIMIT``.
+Exactness: every GEMM runs in float32 on at most 2048 vertices, with 0/1
+entries in Z and U.  A product entry is then at most 2047 and a row's count
+at most C(2047, 2), both below 2^24, so float32 holds each exactly; a chunk
+whose sum could reach 2^24 sums its rows in float64, and no sum reaches
+2^53 (r = 3 sums at most C(n, 3), one k at r = 4 and 5 at most
+C(k, r - 3) * C(n - k - 1, 2), and a set C(2048, 4)).  Every sum adds
+non-negative integers, and a partial sum never exceeds the total, so every
+float value is an exact integer in any summation order.  The counts are
+summed as Python ints and checked against the 128-bit ``_COUNT_LIMIT``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, unpack_rows
+from .graphs import ROW_BLOCK, Graph, unpack_rows
 from .spectral import _DENSE_LIMIT
 
 COUNT_BITS = 128
 _COUNT_LIMIT = 1 << COUNT_BITS
 
 # a candidate set takes a BLAS base case from this many edges on (and, at
-# need 4, this many per vertex); below, the bitset walk is cheaper
+# need 4, this many per vertex); below, the bitset walk is cheaper: without
+# the per-vertex bound, G(3000, .03) at r = 5 ran 164-277 -> 242-303 ms
 _BLAS_MIN_EDGES = 64
 _BLAS_EDGES_PER_VERTEX = 4
-# rows of Y per GEMM in the 4-clique base case
-_EDGE_CHUNK = 256
-# entries of Z per GEMM in the 5-clique base case: 128 KiB of float32, so a
-# chunk and its product stay in cache
+# entries of Z per GEMM at need 4 and at r = 5: 128 KiB of float32, so a
+# chunk and its product stay in cache (the r = 3 row blocks take
+# ROW_BLOCK entries: blocks this small made T(2048, 2) 3x slower)
 _Z_ENTRIES = 1 << 15
 
 
@@ -96,22 +96,25 @@ class CliqueCountOverflowError(OverflowError):
     """Clique count exceeds the 128-bit counter contract."""
 
 
-def _blas_count(block: np.ndarray, need: int) -> int:
-    """Triangles (need 3) or 4-cliques (need 4) of a block of the oriented
-    adjacency matrix; at need 4 its vertices must be in orientation order,
-    so the block is strictly upper triangular."""
-    u = block.astype(np.float64)
+def _blas_count(u: np.ndarray, need: int) -> int:
+    """Triangles (need 3) or 4-cliques (need 4) of a strictly upper
+    triangular boolean oriented matrix on at most 2048 vertices (see the
+    module docstring)."""
+    n = len(u)
+    f = u.astype(np.float32)
     if need == 3:
-        return int(np.vdot(u @ u, u))
-    # edges j -> k in increasing k: a chunk's rows of Y vanish left of its
-    # first k, so its GEMM runs on the trailing columns only
-    k, j = np.divmod(np.flatnonzero(block.T), len(block))
+        step = max(1, ROW_BLOCK // n)
+        return sum(_edges_in_rows(f[lo:lo + step], f) for lo in range(0, n, step))
+    # edges j -> k in increasing k: a chunk's rows vanish left of its first
+    # k, so its GEMM runs on the trailing columns only; without this, G(1000,
+    # .3) at r = 5 ran 2.4-2.7 -> 6.4-8.8 s
+    k, j = np.divmod(np.flatnonzero(u.T), n)
+    step = max(1, _Z_ENTRIES // n)
     total = 0
-    for lo in range(0, len(k), _EDGE_CHUNK):
+    for lo in range(0, len(k), step):
         c = k[lo] + 1
-        tail = u[:, c:]
-        y = tail[j[lo:lo + _EDGE_CHUNK]] * tail[k[lo:lo + _EDGE_CHUNK]]
-        total += int(np.vdot(y @ tail[c:], y))
+        rows = u[j[lo:lo + step], c:] & u[k[lo:lo + step], c:]
+        total += _edges_in_rows(rows, f[c:, c:])
     return total
 
 
@@ -150,9 +153,9 @@ def _pivot_at(u: np.ndarray, k: int, r: int) -> int:
 def _edges_in_rows(z: np.ndarray, inner: np.ndarray) -> int:
     """``sum((Z @ inner) * Z)`` for 0/1 rows Z: each row's count of
     edges c -> d inside it.  A product entry is at most |F| and a row's count
-    at most C(|F|, 2), both below 2^24 for n <= 2048, so float32 holds every
-    one exactly, and the whole sum too while rows * C(|F|, 2) < 2^24; past
-    that, the rows are summed in float64."""
+    at most C(|F|, 2), both below 2^24 for |F| <= 2048, so float32 holds
+    every one exactly, and the whole sum too while rows * C(|F|, 2) < 2^24;
+    past that, the rows are summed in float64."""
     z = z.astype(np.float32, copy=False)
     product = z @ inner
     f = len(inner)
@@ -191,11 +194,8 @@ def _walk(g: Graph, r: int, order: list[int], m: int) -> int:
             pos = np.empty(n, dtype=np.intp)
             pos[order] = np.arange(n)
             oriented = unpack_rows(forward, n)
-        idx = np.flatnonzero(np.unpackbits(
-            np.frombuffer(cand.to_bytes((n + 7) // 8, "little"), dtype=np.uint8),
-            count=n, bitorder="little"))
-        if need == 4:
-            idx = idx[np.argsort(pos[idx])]
+        idx = np.flatnonzero(unpack_rows([cand], n)[0])
+        idx = idx[np.argsort(pos[idx])]
         return _blas_count(oriented.take(idx, 0).take(idx, 1), need)
 
     def extend(cand: int, need: int) -> int:
@@ -205,7 +205,7 @@ def _walk(g: Graph, r: int, order: list[int], m: int) -> int:
         size = cand.bit_count()
         if size < need:
             return 0
-        if need <= 4:
+        if need <= 4 and size <= _DENSE_LIMIT:
             target = _BLAS_MIN_EDGES
             if need == 4:
                 target = max(target, _BLAS_EDGES_PER_VERTEX * size)
@@ -242,12 +242,7 @@ def count_cliques(g: Graph, r: int) -> int:
     m = g.edge_count()
     if r <= 5 and n <= _DENSE_LIMIT and 4 * m >= n * (n - 1):
         u = np.triu(g.to_bits(order)[:, order], 1)
-        if r == 3:
-            # Z = U: one float32 copy serves as both factors
-            f = u.astype(np.float32)
-            total = _edges_in_rows(f, f)
-        else:
-            total = _pivot_count(u, r)
+        total = _blas_count(u, 3) if r == 3 else _pivot_count(u, r)
     else:
         total = _walk(g, r, order, m)
     if total >= _COUNT_LIMIT:

@@ -233,13 +233,14 @@ def test_sparse_sets_keep_the_bitset_walk(monkeypatch):
     assert blocks == []
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 256])
-def test_every_set_through_blas(chunk, monkeypatch):
+# Z entries per need-4 chunk: one row, a few rows, the default
+@pytest.mark.parametrize("entries", [1, 280, cl._Z_ENTRIES])
+def test_every_set_through_blas(entries, monkeypatch):
     # drive every candidate set that needs 3 or 4 vertices through the
-    # base cases, at several Y chunk sizes, empty and tiny blocks included
+    # base cases, at several chunk sizes, empty and tiny blocks included
     monkeypatch.setattr(cl, "_BLAS_MIN_EDGES", 0)
     monkeypatch.setattr(cl, "_BLAS_EDGES_PER_VERTEX", 0)
-    monkeypatch.setattr(cl, "_EDGE_CHUNK", chunk)
+    monkeypatch.setattr(cl, "_Z_ENTRIES", entries)
     blocks = _record_blocks(monkeypatch)
     for g in seeded_graph_sample(40, 4, 14, base_seed=9100):
         for r in (4, 5, 6):
@@ -248,6 +249,17 @@ def test_every_set_through_blas(chunk, monkeypatch):
         for r in (4, 5, 6):
             assert count_cliques(g, r) == oracle_count_cliques_bitset(g, r)
     assert {need for _, need in blocks} == {3, 4}
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_sets_above_the_dense_cap_walk(r, monkeypatch):
+    # K40 plus 40 isolated vertices walks at a cap of 30; its forward sets
+    # of 31 to 39 vertices would qualify for a base case, but every GEMM
+    # operand must stay within the cap, so they recurse instead
+    monkeypatch.setattr(cl, "_DENSE_LIMIT", 30)
+    blocks = _record_blocks(monkeypatch)
+    assert count_cliques(_padded(complete_graph(40), 40), r) == math.comb(40, r)
+    assert max(size for size, _ in blocks) == 30
 
 
 def _record_paths(monkeypatch):
@@ -271,7 +283,7 @@ def _record_paths(monkeypatch):
 
 
 def _dense_path(r):
-    return "_edges_in_rows" if r == 3 else "_pivot_count"
+    return "_blas_count" if r == 3 else "_pivot_count"
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -362,3 +374,24 @@ def test_pivot_temporaries_are_chunk_bounded(monkeypatch):
         tracemalloc.stop()
     assert total == count_cliques(g, 5)
     assert peak <= 6 * n * n + 16 * (entries + n)
+
+
+def test_triangle_temporaries_are_row_block_bounded(monkeypatch):
+    # beyond U itself, the r = 3 kernel holds one float32 copy of U (4n^2
+    # bytes) and one row block's product; the whole n x n product would add
+    # another 4n^2
+    g = gnp(300, 0.6, 3)
+    n = g.n
+    order = sorted(range(n), key=g.degree)
+    u = np.triu(g.to_bits(order)[:, order], 1)
+    block = 16 * n
+    monkeypatch.setattr(cl, "ROW_BLOCK", block)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        total = cl._blas_count(u, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert total == count_cliques(g, 3)
+    assert peak <= 4 * n * n + 16 * block
