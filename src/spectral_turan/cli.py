@@ -66,8 +66,8 @@ EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
 
 # reports carry graph6 only up to this order (graph6's one-byte size field):
-# the writer takes n <= 10^4, but at ~1-6 ms per graph for n = 500..1000 it
-# would add 20-40% to a campaign over such graphs, so they get a note instead
+# the writer takes ~0.4-2.5 ms per graph at n = 500..1000, but perfbench keeps
+# every repetition's output twice, so lifting the cap waits on ROADMAP item 1
 REPORT_GRAPH6_MAX_N = 62
 
 

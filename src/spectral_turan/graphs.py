@@ -7,10 +7,12 @@ operations regardless of n.  Graphs are immutable after construction.
 Bulk conversions go through one bit-matrix layer: ``Graph.from_bits`` packs
 an n x n boolean numpy matrix into the int rows and ``Graph.to_bits(rows)``
 unpacks them again, all of them or only the listed ones, through
-``unpack_rows``, which takes any list of row masks.  The G(n, p)
-generator, the graph6 codec and the spectral matvec are vectorised on top
-of it, so none of them walks pairs one at a time in Python.  The graph6
-reader and writer take n <= MAX_VERTICES.
+``unpack_rows``, which takes any list of row masks.  The spectral matvec,
+G(n, p) and the graph6 codec are vectorised on top of it.  The last two
+number the pairs u < v in two orders, each one triangle read row by row:
+``gnp`` the upper (lexicographic), graph6 the lower (x(0,1), x(0,2),
+x(1,2), x(0,3), ...).  ``_triangle_blocks`` walks either in blocks of whole
+rows.  The graph6 reader and writer take n <= MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 MAX_VERTICES = 10_000
 
 _MASK64 = (1 << 64) - 1
-# pairs per gnp chunk: bounds each uint64 temporary to 512 KiB at any n
+# entries per _triangle_blocks block: gnp's uint64 temporaries stay <= 512 KiB
 _GNP_CHUNK = 1 << 16
 # matrix entries (1 MiB of bools) per block wherever an n x n matrix is
 # scanned or built a block of rows at a time
@@ -285,35 +287,38 @@ def _splitmix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _triangle_blocks(n: int, upper: bool) -> Iterator[tuple[int, int, np.ndarray, int, int]]:
+    """Either strict triangle in blocks of whole rows (``_GNP_CHUNK`` entries, or one row):
+    ``mask`` marks it in rows lo..hi-1, whose entries, read by rows, are pairs start..stop-1."""
+    step = max(1, _GNP_CHUNK // max(n, 1))
+    cols = np.arange(n, dtype=np.int16)  # n <= MAX_VERTICES < 2^15; int64 built masks ~5x slower
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rows = cols[lo:hi, None]
+        if upper:
+            yield lo, hi, cols > rows, lo * (2 * n - lo - 1) // 2, hi * (2 * n - hi - 1) // 2
+        else:
+            yield lo, hi, cols < rows, lo * (lo - 1) // 2, hi * (hi - 1) // 2
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each unordered pair kept independently with probability p.
 
     Pair index counts pairs (u, v), u < v, in lexicographic order, and pair
     i is kept iff ``pair_uniform(seed, i) < p``.  Identical (n, p, seed)
     give an identical graph on every platform and thread count.  Pairs are
-    drawn in uint64 chunks of at most ``_GNP_CHUNK``, so the generator's
+    drawn a ``_triangle_blocks`` block at a time, so the generator's
     temporaries stay bounded; the boolean adjacency matrix, filled in both
     triangles, costs n^2 bytes.
     """
     _require_probability(p)
     _require_order(n)
     key = np.uint64(_splitmix64(seed & _MASK64))
-    total = n * (n - 1) // 2
     adj = np.zeros((n, n), dtype=np.bool_)
-    u, first = 0, 0  # current row, and the pair index of its first pair
-    for lo in range(0, total, _GNP_CHUNK):
-        hi = min(lo + _GNP_CHUNK, total)
-        z = _splitmix64_array(np.arange(lo, hi, dtype=np.uint64) ^ key)
+    for lo, hi, mask, start, stop in _triangle_blocks(n, upper=True):
+        z = _splitmix64_array(np.arange(start, stop, dtype=np.uint64) ^ key)
         keep = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)) < p
-        # scatter the chunk into the row slices it covers and their mirrors
-        while first < hi:
-            end = first + n - 1 - u
-            a, b = max(first, lo), min(end, hi)
-            adj[u, u + 1 + a - first:u + 1 + b - first] = keep[a - lo:b - lo]
-            adj[u + 1 + a - first:u + 1 + b - first, u] = keep[a - lo:b - lo]
-            if end > hi:
-                break
-            u, first = u + 1, end
+        adj[lo:hi][mask] = adj.T[lo:hi][mask] = keep
     return Graph.from_bits(adj)
 
 
@@ -377,12 +382,9 @@ def parse_graph6(text: str) -> Graph:
     bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].reshape(-1)
     if bits[nbits:].any():  # padding occupies only the last byte
         raise Graph6Error("nonzero padding bits", base + pos + nbytes - 1)
-    # column-major upper triangle x(0,1), x(0,2), x(1,2), x(0,3), ...:
-    # column v is the v bits from v(v-1)/2, written as row v and column v
     adj = np.zeros((n, n), dtype=np.bool_)
-    for v in range(1, n):
-        start = v * (v - 1) // 2
-        adj[v, :v] = adj[:v, v] = bits[start:start + v]
+    for lo, hi, mask, start, stop in _triangle_blocks(n, upper=False):
+        adj[lo:hi][mask] = adj.T[lo:hi][mask] = bits[start:stop]
     del bits  # not kept alive next to the matrix through from_bits
     return Graph.from_bits(adj)
 
@@ -390,12 +392,9 @@ def parse_graph6(text: str) -> Graph:
 def to_graph6(g: Graph) -> str:
     """Encode to graph6: one size byte for n <= 62, else ``~`` and three
     (n <= MAX_VERTICES < 2^18, so the 8-byte form is never needed)."""
-    adj = g.to_bits()
-    nbits = g.n * (g.n - 1) // 2
-    bits = np.zeros((nbits + 5) // 6 * 6, dtype=np.uint8)
-    for v in range(1, g.n):
-        start = v * (v - 1) // 2
-        bits[start:start + v] = adj[v, :v]
+    bits = np.zeros((g.n * (g.n - 1) // 2 + 5) // 6 * 6, dtype=np.uint8)
+    for lo, hi, mask, start, stop in _triangle_blocks(g.n, upper=False):
+        bits[start:stop] = g.to_bits(range(lo, hi))[mask]
     groups = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
     size = [g.n] if g.n <= 62 else [63, g.n >> 12, g.n >> 6 & 63, g.n & 63]
     return "".join(chr(63 + b) for b in size) + (groups + 63).tobytes().decode("ascii")

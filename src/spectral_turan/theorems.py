@@ -292,28 +292,25 @@ def chromatic_number(f: Graph) -> int:
     if f.n > 16:
         raise ValueError("chromatic_number limited to n <= 16")
     order = sorted(range(f.n), key=lambda v: (-f.degree(v), v))
-    return next(k for k in range(f.n + 1) if _colorable(f, order, k))
+    return next(k for k in range(f.n + 1) if _colorable(f, order, k, [-1] * f.n, 0, 0))
 
 
-def _colorable(f: Graph, order: list[int], k: int) -> bool:
-    colors = [-1] * f.n
-
-    def assign(idx: int, used: int) -> bool:
-        if idx == len(order):
+def _colorable(f: Graph, order: list[int], k: int, colors: list[int], idx: int, used: int) -> bool:
+    """Whether ``colors`` (-1 for none), which gives order[:idx] colors
+    0..used-1, extends to a proper k-coloring of f."""
+    if idx == len(order):
+        return True
+    v = order[idx]
+    forbidden = {colors[u] for u in iter_bits(f.row(v)) if colors[u] >= 0}
+    # new colors are introduced in order, killing color-permutation symmetry
+    for color in range(min(used + 1, k)):
+        if color in forbidden:
+            continue
+        colors[v] = color
+        if _colorable(f, order, k, colors, idx + 1, max(used, color + 1)):
             return True
-        v = order[idx]
-        forbidden = {colors[u] for u in iter_bits(f.row(v)) if colors[u] >= 0}
-        # new colors are introduced in order, killing color-permutation symmetry
-        for color in range(min(used + 1, k)):
-            if color in forbidden:
-                continue
-            colors[v] = color
-            if assign(idx + 1, max(used, color + 1)):
-                return True
-            colors[v] = -1
-        return False
-
-    return assign(0, 0)
+        colors[v] = -1
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +470,7 @@ def spex_scan(
         decide(i + 1, edges, blocked, open_)
 
     decide(0, 0, sum(m for m in copies if m & (m - 1) == 0), 0)
+    del decide  # decide refers to itself: break the cycle that holds the tables
     est, witness = best
     if top > est.upper:  # another leaf's interval reaches above the witness's
         est = SpectralEstimate(est.lower, top, est.iterations, est.converged)

@@ -253,12 +253,20 @@ def test_gnp_matches_scalar_oracle():
                 assert gnp(n, p, seed) == oracle_gnp(n, p, seed), (n, p, seed)
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 39, 780])
+@pytest.mark.parametrize("chunk", [1, 5, 6, 39, 780, 1560, 3906, 4096])
 def test_gnp_chunk_boundaries(monkeypatch, chunk):
-    # chunks ending mid-row and exactly at a row end, at n = 40 (780 pairs)
+    # blocks of max(1, chunk // n) rows, for gnp and both codec walks: one
+    # row (1 at any n), all rows but the last (1, 6, 1560 and 3906 at n = 2,
+    # 3, 40 and 63), all rows (5, 39, 3906 and 4096 there) and uneven
+    # splits (780)
     monkeypatch.setattr(graphs, "_GNP_CHUNK", chunk)
-    for n in (2, 3, 40):
-        assert gnp(n, 0.5, 11) == oracle_gnp(n, 0.5, 11)
+    for n in (2, 3, 40, 63):
+        g = gnp(n, 0.5, 11)
+        assert g == oracle_gnp(n, 0.5, 11)
+        text = to_graph6(g)
+        # graph6_large always writes the 4-byte size field
+        assert text[1 if n <= 62 else 4:] == graph6_large(g)[4:]
+        assert parse_graph6(text) == g == oracle_parse_graph6(text)
 
 
 def test_gnp_memory_peak_is_one_matrix():
@@ -272,6 +280,21 @@ def test_gnp_memory_peak_is_one_matrix():
         tracemalloc.stop()
     assert peak <= 1.5 * n * n
     assert g == oracle_gnp(n, 0.01, 1)
+
+
+def test_to_graph6_memory_peak():
+    # the bit vector and its sextets, plus one block of rows at a time: the
+    # writer never unpacks the whole n x n matrix
+    n = 3000
+    g = gnp(n, 0.01, 1)
+    tracemalloc.start()
+    try:
+        text = to_graph6(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * n * n
+    assert parse_graph6(text) == g
 
 
 def test_parse_graph6_memory_peak():

@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -535,6 +536,23 @@ def test_spex_scan_matches_decision_tree_oracle():
         # the whole estimate, iterations and converged included: the winner's
         # solve is never cut short by the ceiling
         assert got.mu == want.mu, (n, to_graph6(f))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spex_scan(6, complete_graph(3)),
+    lambda: chromatic_number(cycle_graph(5)),
+    lambda: theorem2_gap(6, parse_graph6("D|s")),  # W4
+], ids=["spex_scan-K3", "chromatic_number-C5", "theorem2_gap-W4"])
+def test_scans_leave_no_reference_cycles(call):
+    # as for count_cliques' walk: a recursive closure that refers to itself
+    # would hold the scan's tables until the collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _maximal_free_graphs(n: int, f: Graph) -> list[Graph]:
