@@ -4,8 +4,10 @@ Vertices are the integers 0..n-1.  Each adjacency row is stored as a Python
 int used as a bitset, so neighborhood intersections are single ``&``
 operations regardless of n.  Graphs are immutable after construction.
 
-Bulk conversions go through one bit-matrix layer: ``Graph.from_bits`` packs
-an n x n boolean numpy matrix into the int rows and ``Graph.to_bits(rows)``
+Bulk conversions go through one bit-matrix layer: ``Graph.from_bits`` checks
+an n x n boolean numpy matrix and packs it into the int rows (``gnp`` and the
+graph6 reader, whose matrices are symmetric by construction, pack theirs
+through the unchecked ``Graph._pack``), and ``Graph.to_bits(rows)``
 unpacks them again, all of them or only the listed ones, through
 ``unpack_rows``, which takes any list of row masks.  The spectral matvec,
 G(n, p) and the graph6 codec are vectorised on top of it.  The last two
@@ -138,6 +140,13 @@ class Graph:
             if bad.any():
                 v, u = np.argwhere(bad)[0]
                 raise ValueError(f"adjacency not symmetric at ({u}, {lo + v})")
+        return cls._pack(a)
+
+    @classmethod
+    def _pack(cls, a: np.ndarray) -> "Graph":
+        """``from_bits`` without its checks, for a boolean n x n matrix that is
+        symmetric with a zero diagonal by construction (``gnp``, ``parse_graph6``)."""
+        n = a.shape[0]
         nbytes = (n + 7) // 8
         buf = np.packbits(a, axis=1, bitorder="little").tobytes()
         rows = [
@@ -319,7 +328,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         z = _splitmix64_array(np.arange(start, stop, dtype=np.uint64) ^ key)
         keep = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)) < p
         adj[lo:hi][mask] = adj.T[lo:hi][mask] = keep
-    return Graph.from_bits(adj)
+    return Graph._pack(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +394,8 @@ def parse_graph6(text: str) -> Graph:
     adj = np.zeros((n, n), dtype=np.bool_)
     for lo, hi, mask, start, stop in _triangle_blocks(n, upper=False):
         adj[lo:hi][mask] = adj.T[lo:hi][mask] = bits[start:stop]
-    del bits  # not kept alive next to the matrix through from_bits
-    return Graph.from_bits(adj)
+    del bits  # not kept alive next to the matrix while it is packed
+    return Graph._pack(adj)
 
 
 def to_graph6(g: Graph) -> str:

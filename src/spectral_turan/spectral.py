@@ -8,15 +8,18 @@ certified upper end falls below it, since it can no longer raise a maximum
 that is known to reach the ceiling.  ``spectral_radius`` passes the largest
 lower end of the components solved so far, and ``theorems.spex_scan`` the
 best leaf's upper end, so a component or leaf that cannot win costs a few
-iterations, not a full 1e-10 bracket.
+iterations, not a full 1e-10 bracket.  ``theorems`` passes the exact value
+of mu at which a verdict turns, as a ``Fraction`` that is rounded down here.
 
-On a graph of at most _EXACT_MAX_N vertices with a finite, positive
-ceiling, ``spectral_radius`` first tries an exact stop, ``_exact_stop``: the
-Collatz–Wielandt bounds of the integer walk counts w = (A + I)^(k-1) 1 for
-k = 1, ..., _EXACT_STEPS, in Python ints, with no numpy call.  It answers
-only when every ratio (Aw)_v/w_v is below the ceiling by more than a
-settled bracket's width, _SETTLED_WIDTH n, so wherever it answers the float
-runs would also have ended below the ceiling; otherwise they run as before.
+Before any matrix is built, ``spectral_radius`` tries an exact stop,
+``_exact_stop``: the Collatz–Wielandt bounds of the integer walk counts
+w = (A + I)^(k-1) 1, in Python ints, with no numpy call.  It answers only
+when every ratio (Aw)_v/w_v is below the ceiling by more than a settled
+bracket's width, _SETTLED_WIDTH n, so wherever it answers the float runs
+would also have ended below the ceiling; otherwise they run as before.  At
+k = 1 the ratios are the degrees, and this degree certificate,
+[min degree, max degree], is tried at every n; k = 2, ..., _EXACT_STEPS
+only on at most _EXACT_MAX_N vertices under a finite, positive ceiling.
 
 Each component with an edge, or the whole graph when it is connected or
 edgeless, is one block whose matvec, ``_block_matvec``, is a dense float64
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -64,7 +68,8 @@ class SpectralEstimate:
     half-width of 1e-10 per vertex or stopped below the upper end of one
     that did, so the enclosure is no wider than a settled bracket.  It is
     False only if a run hit the iteration cap or the whole graph stayed
-    below the ceiling passed to ``spectral_radius``.
+    below the ceiling passed to ``spectral_radius``; the degree
+    certificate's [min degree, max degree] is one such answer.
     """
 
     lower: float
@@ -137,9 +142,14 @@ def _perron(scaled, m: int, ceiling: float = -math.inf) -> SpectralEstimate:
 
 
 def _outward(p: int, q: int, toward: float) -> float:
-    """p/q for ints p >= 0, q > 0, rounded to the float next to it on the
-    side of ``toward``."""
-    x = p / q  # int true division rounds correctly
+    """p/q for ints p and q > 0, rounded to the float next to it on the
+    side of ``toward``; past the float range, the largest float or an
+    infinity on that side."""
+    try:
+        x = p / q  # int true division rounds correctly
+    except OverflowError:
+        x = math.inf if p > 0 else -math.inf
+        return x if (x > 0) == (toward > 0) else math.nextafter(x, 0.0)
     xp, xq = x.as_integer_ratio()
     off = xp * q - p * xq  # the sign of x - p/q
     return math.nextafter(x, toward) if off and (off > 0) == (toward < x) else x
@@ -151,16 +161,27 @@ def _exact_stop(g: Graph, ceiling: float) -> SpectralEstimate | None:
     every ratio below ceiling - _SETTLED_WIDTH n, with ``iterations = k``;
     None if no k has.
 
-    w is positive and integral, so the Collatz–Wielandt bounds are exact
-    rationals, decided by cross-multiplying with the ceiling's
-    ``as_integer_ratio()``.  The margin is the widest settled bracket: a
-    float run that settles within it could reach the ceiling, so the exact
-    stop leaves it to that run.
+    At k = 1, w = 1 and the ratios are the degrees: this degree certificate
+    is tried at every n.  The walks for k >= 2 run only on at most
+    _EXACT_MAX_N vertices under a finite, positive ceiling.  w is positive
+    and integral, so the Collatz–Wielandt bounds are exact rationals,
+    decided by cross-multiplying with the margin's ``as_integer_ratio()``.
+    The margin is the widest settled bracket: a float run that settles
+    within it could reach the ceiling, so the exact stop leaves it to that
+    run.
     """
-    a, b = (ceiling - _SETTLED_WIDTH * g.n).as_integer_ratio()
+    below = ceiling - _SETTLED_WIDTH * g.n
+    aw = [g.degree(v) for v in range(g.n)]
+    if max(aw) < below:
+        return SpectralEstimate(float(min(aw)), float(max(aw)), 1, False)
+    if g.n > _EXACT_MAX_N or not 0 < ceiling < math.inf:
+        return None
+    a, b = below.as_integer_ratio()
     rows = [_NEIGHBORS[g.row(v)] for v in range(g.n)]
-    w, aw = [1] * g.n, [len(row) for row in rows]
-    for k in range(1, _EXACT_STEPS + 1):
+    w = [1] * g.n
+    for k in range(2, _EXACT_STEPS + 1):
+        w = [p + q for p, q in zip(aw, w)]
+        aw = [sum(map(w.__getitem__, row)) for row in rows]
         for p, q in zip(aw, w):
             if p * b >= a * q:
                 break
@@ -172,8 +193,6 @@ def _exact_stop(g: Graph, ceiling: float) -> SpectralEstimate | None:
                 if p * hi[1] > hi[0] * q:
                     hi = (p, q)
             return SpectralEstimate(_outward(*lo, -math.inf), _outward(*hi, math.inf), k, False)
-        w = [p + q for p, q in zip(aw, w)]
-        aw = [sum(map(w.__getitem__, row)) for row in rows]
     return None
 
 
@@ -221,7 +240,7 @@ def _components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def spectral_radius(g: Graph, ceiling: float = -math.inf) -> SpectralEstimate:
+def spectral_radius(g: Graph, ceiling: float | Fraction = -math.inf) -> SpectralEstimate:
     """Certified enclosure of mu(G): [max lower end, max upper end] over the
     components with an edge, or over the whole graph as one block if it is
     connected or edgeless.
@@ -234,18 +253,22 @@ def spectral_radius(g: Graph, ceiling: float = -math.inf) -> SpectralEstimate:
     settled or stopped below the upper end of one that did; so it is
     unconverged only if a run hit the iteration cap or if mu(G) < ceiling.
 
-    A graph of at most _EXACT_MAX_N vertices under a finite, positive
-    ceiling first tries ``_exact_stop``.  Its answer is unconverged, with
-    upper end below the ceiling, and its ``iterations`` counts the exact
-    products Aw, as a float run counts matrix-vector products; it answers
-    only where the float run would also have stopped below the ceiling.
+    ``_exact_stop`` comes first: the degree certificate at every n, and on
+    at most _EXACT_MAX_N vertices under a finite, positive ceiling the
+    integer walks.  Its answer is unconverged, with upper end below the
+    ceiling, and its ``iterations`` counts the exact products Aw, as a float
+    run counts matrix-vector products; it answers only where the float run
+    would also have stopped below the ceiling.  A ``Fraction`` ceiling is
+    first rounded down to a float, so a stop below that float is a stop
+    below the exact value.
     """
     if g.n < 1:
         raise ValueError("spectral_radius requires n >= 1")
-    if 0 < ceiling < math.inf and g.n <= _EXACT_MAX_N:
-        est = _exact_stop(g, ceiling)
-        if est is not None:
-            return est
+    if isinstance(ceiling, Fraction):
+        ceiling = _outward(ceiling.numerator, ceiling.denominator, -math.inf)
+    est = _exact_stop(g, ceiling)
+    if est is not None:
+        return est
     blocks = sorted(_components(g), key=lambda c: -sum(map(g.degree, c)) / len(c)) or [range(g.n)]
     runs, lower = [], -math.inf
     for c in blocks:

@@ -3,8 +3,14 @@
 Every checker consumes certified eigenvalue intervals and exact integer
 clique counts, and emits a structured report.  Verdicts compare integers
 with exact ``Fraction`` values taken at certified interval ends; floats are
-only reported.  A VIOLATION verdict needs the inequality to fail at every
-point of every certified interval; search budget shortfalls are ``indeterminate``.
+only reported.  A confirmed fact1 verdict holds at every point of its
+certified interval, and a VIOLATION verdict needs the inequality to fail at
+every point of every certified interval; search budget shortfalls are
+``indeterminate``.  fact1, theorem1 and the chain ask ``spectral_radius``
+only for the bracket their verdict needs: they pass the exact value of mu
+at which the verdict turns as a ceiling, so a graph whose mu lies below it
+is often decided by its degree sequence, and the reported mu is just tight
+enough for the verdict; the ``mu`` subcommand settles mu.
 """
 
 from __future__ import annotations
@@ -60,12 +66,15 @@ def _spectral_hypothesis(g: Graph, r: int, c: float) -> TheoremReport:
     Returns a vacuous report for r >= 3 with mu and quantities["threshold"].
     The hypothesis holds when the certified lower interval end, converged or
     not, reaches the threshold, compared as exact rationals (the reported
-    threshold is its float).  The notes open with one on c outside
-    (0, 1/(r-1)), then say when the threshold is not reached.
+    threshold is its float).  The exact threshold is the eigen-solve's
+    ceiling, so a mu below it is solved only until that is certain.  The
+    notes open with one on c outside (0, 1/(r-1)), then say when the
+    threshold is not reached.
     """
     threshold = (1.0 - 1.0 / (r - 1) + c) * g.n
-    mu = spectral_radius(g)
-    hyp = Fraction(mu.lower) >= (1 - Fraction(1, r - 1) + Fraction(c)) * g.n
+    exact = (1 - Fraction(1, r - 1) + Fraction(c)) * g.n
+    mu = spectral_radius(g, exact)
+    hyp = Fraction(mu.lower) >= exact
     rep = TheoremReport(
         {"n": g.n, "r": r, "c": c}, hyp, Verdict.VACUOUS,
         mu=mu, quantities={"threshold": threshold},
@@ -119,23 +128,31 @@ def _scaled_power(coef: float, base: float, r: int) -> float:
 def fact1_check(g: Graph, r: int) -> TheoremReport:
     """Check k_r >= clique lower bound at the spectral radius.
 
-    The bound rises with mu, so it is decided in exact rationals at the
-    certified lower end (rhs_low and rhs_high are floats): confirmed means it
-    holds somewhere in the interval, VIOLATION that it fails everywhere.
+    The bound rises with mu and meets k_r at mu_t = n (k_r/K + 1 - 1/r),
+    K = r(r-1)/(r+1) (n/r)^r, so k_r is counted first and mu_t is the
+    eigen-solve's ceiling: a graph whose maximum degree is below mu_t is
+    decided by its degree sequence.  Decided in exact
+    rationals (rhs_low and rhs_high are floats): confirmed means the bound
+    holds at every point of the certified interval (upper end <= mu_t),
+    VIOLATION that it fails at every point (lower end > mu_t), and an
+    interval that straddles mu_t is indeterminate.
     """
     _require_domain("fact1", g, r, 2)
-    mu = spectral_radius(g)
     kr = count_cliques(g, r)
-    rhs_lo = fact1_rhs(g.n, r, mu.lower)
-    rhs_hi = fact1_rhs(g.n, r, mu.upper)
-    a = Fraction(mu.lower) / g.n - 1 + Fraction(1, r)
-    # a > 0 forces r < n, as mu.lower <= mu <= n - 1, so the power stays small
-    ok = a <= 0 or kr >= a * Fraction(r * (r - 1), r + 1) * Fraction(g.n, r) ** r
-    verdict = Verdict.CONFIRMED if ok else Verdict.VIOLATION
-    return TheoremReport(
-        {"n": g.n, "r": r}, True, verdict,
-        mu=mu, kr=kr, quantities={"rhs_low": rhs_lo, "rhs_high": rhs_hi},
+    mu_t = g.n * (1 - Fraction(1, r))
+    if kr:  # kr > 0 forces r <= n, so the power stays small
+        mu_t += g.n * kr / (Fraction(r * (r - 1), r + 1) * Fraction(g.n, r) ** r)
+    mu = spectral_radius(g, mu_t)
+    rep = TheoremReport(
+        {"n": g.n, "r": r}, True, Verdict.CONFIRMED, mu=mu, kr=kr,
+        quantities={"rhs_low": fact1_rhs(g.n, r, mu.lower), "rhs_high": fact1_rhs(g.n, r, mu.upper)},
     )
+    if Fraction(mu.lower) > mu_t:
+        rep.verdict = Verdict.VIOLATION
+    elif Fraction(mu.upper) > mu_t:
+        rep.verdict = Verdict.INDETERMINATE
+        rep.note(f"mu interval straddles {float(mu_t):.17g}, where the bound meets k_r")
+    return rep
 
 
 # ---------------------------------------------------------------------------

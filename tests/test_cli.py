@@ -769,9 +769,9 @@ GOLDEN = {
     "biclique-scan-alarm": ("biclique-scan --n 30 --p 1 --seeds 1", 0,
         "89d4bb862bd8ab402b11f4d86e265fd86265476dbda7e01b7512b257658212bd"),
     "fact1": ("verify fact1 --gnp 20,0.5 --count 4 --seed 3 --r 2,3", 0,
-        "8dc661c1838acee6f7c46a1af498f9b92bc50f5fd2e0416729f45221a065aa22"),
+        "6834c53f575ef99e36b36a29f43e92ac6e4c185001b3c3d52e0d40cbe2ec446e"),
     "fact1-g70": ("verify fact1 --in g70.g6 --r 3", 0,
-        "abb65aca31c60b395817e9d9cca403af62cdd83a8a62e38adfc83617f9c30e53"),
+        "3c6436e7207c9cadc920abd8d6628b796a7eb8915f834f9f2c5ab4a042a5ea84"),
     "fact2-confirmed": ("verify fact2 --turan 100,100 --r 2 --c 0.49", 0,
         "dc22129db8e11c5915cd3116bdfa53685bed1d5a134835dededf8ed97a01e808"),
     "fact2-budget": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --budget 1", 0,
@@ -783,9 +783,9 @@ GOLDEN = {
     "fact3": ("verify fact3 --n-max 12 --r-max 4", 0,
         "36133d32c7691767783d8fdb89d3203fd8532b02f19338f278ee822eee64df0a"),
     "theorem1": ("verify theorem1 --gnp 20,0.6 --count 2 --r 3 --c 0.3,2", 0,
-        "8952b1716c352706b695935d2b725b81c6445e751fb8461ae5e32abf6797781c"),
+        "bcb5897856854c210ead02c54b1d311ba0bdcd2da99f552a177d1dc5eae0fbd0"),
     "chain": ("verify chain --multipartite 1,1,1,1,1,1,1,1,1 --gnp 10,0.3 --r 3,4 --c 0.05,0.1", 0,
-        "c0ce2324e818a429dfa80b9b86db27e727755cfe0ba4f89de3066bc055c3d9b5"),
+        "1fb5c9eff455b0e553ba47f77c7238dffe30945ac83fdc4229b9f4b96e2f9e2e"),
     "csv-mu": ("mu --turan 6,2 --format csv", 0,
         "653f3e5016057a4508a1979917ea48e85b11d52628cab7064038f94f47afa86d"),
     "csv-cliques": ("cliques --r 3 --multipartite 2,2,3 --format csv", 0,
@@ -799,13 +799,13 @@ GOLDEN = {
     "csv-biclique-scan": ("biclique-scan --n 18 --p 0.5 --seeds 1 --format csv", 0,
         "f5f2e9b32dceafeec157e22dcad09afabe56fa332c5288c80c4813a219cd574b"),
     "csv-fact1": ("verify fact1 --turan 10,3 --r 2,3 --format csv", 0,
-        "72f8c4cbe5b16ca49dd09d771ada917dc4c1097e1d2f03e62dbaf3fd8e03bc98"),
+        "465a0d513d7b7e41dd03ca1d0b4ad534ff08266fb93cf0d37c87aba57c6c4880"),
     "csv-fact2": ("verify fact2 --turan 100,100 --r 2 --c 0.49 --format csv", 0,
         "c47faf7c4bd109207824e80ddeed9ca6ee6cea7ae4cd22a1f1b3918b2d784493"),
     "csv-fact3": ("verify fact3 --n-max 3 --r-max 2 --format csv", 0,
         "ba7b671c3d8324bbe6a8cbfaee459be63c4c4937c70ba45c5b85f7d5a790eec6"),
     "csv-theorem1": ("verify theorem1 --turan 9,3 --r 3 --c 0.3 --format csv", 0,
-        "f4e21550a1806f7945c031691e91a9137b5ae73d82d9a43d658ffd7165fcb445"),
+        "7f8193bd9e7082da5ae811cc14a9dbd4f61a88bf3a970e09db7cd0bed477f6eb"),
     "csv-chain": ("verify chain --turan 9,3 --r 3 --c 0.05 --format csv", 0,
         "e1549c9bfac2d219a8df85dfb0a1a9faf7ec9b63268547d4e1d0b27e6ff635e5"),
 }

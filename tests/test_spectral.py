@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import tracemalloc
 import warnings
@@ -371,6 +372,30 @@ def test_a_dominated_component_settles_under_the_iteration_cap(monkeypatch):
     assert est.converged
     assert est.iterations == 2
     assert est.lower <= 3.0 <= est.upper
+
+
+@pytest.mark.parametrize("g", [gnp(200, 0.05, 1), gnp(1000, 0.002, 1), _lollipop(6, 10)])
+def test_the_degree_certificate_answers_at_every_n(g):
+    # [min degree, max degree] is the Collatz–Wielandt bracket of x = 1; it
+    # answers below a ceiling past the margin, float or exact
+    degrees = [g.degree(v) for v in range(g.n)]
+    lo, hi = min(degrees), max(degrees)
+    for est in (spectral_radius(g, hi + 1e-6), spectral_radius(g, Fraction(hi) + Fraction(1, 10**6))):
+        assert (est.lower, est.upper, est.iterations, est.converged) == (lo, hi, 1, False)
+    # within the margin of a settled bracket the float run decides
+    assert spectral._exact_stop(g, hi + 1e-12 * g.n) is None
+
+
+def test_an_exact_ceiling_is_rounded_down_whatever_its_size_or_sign():
+    # the float 43/6 lies above 43/6, so -43/6 rounds to the float below it
+    assert spectral._outward(43, 6, -math.inf) == math.nextafter(43 / 6, 0) < Fraction(43, 6)
+    assert spectral._outward(-43, 6, -math.inf) == -43 / 6 < Fraction(-43, 6)
+    assert spectral._outward(3, 4, -math.inf) == 0.75
+    # past the float range: the largest float below, or -inf
+    assert spectral._outward(10**400, 1, -math.inf) == sys.float_info.max
+    assert spectral._outward(-(10**400), 1, -math.inf) == -math.inf
+    assert spectral._outward(10**400, 1, math.inf) == math.inf
+    assert spectral._outward(-(10**400), 1, math.inf) == -sys.float_info.max
 
 
 def test_edgeless_graph_runs_once_on_its_zero_matrix():

@@ -83,19 +83,23 @@ def test_fact1_bound_saturates_past_the_float_range():
 
 
 def test_capped_iteration_still_decides_at_the_interval_ends(monkeypatch):
-    # one iteration brackets mu by the min and max degree; that interval is
+    # one iteration brackets mu by about the min and max degree; that interval is
     # wide but certified, so the checkers decide at its ends
     monkeypatch.setattr(spectral, "_MAX_ITER", 1)
+    # the star K_{1,8} has mu = sqrt 8 and k_3 = 0, so Fact 1 turns at
+    # mu_t = 9 (1 - 1/3) = 6; its maximum degree 8 does not decide that, and
+    # the capped run's ends, just outside [1, 8], straddle 6
+    rep = fact1_check(complete_multipartite((8, 1)), 3)
+    assert not rep.mu.converged and rep.mu.lower < 1.0 < 8.0 < rep.mu.upper
+    assert rep.verdict is Verdict.INDETERMINATE and "straddles 6," in rep.notes
     g = Graph.from_edges(9, [e for e in complete_graph(9).edges() if e != (0, 1)])
-    rep = fact1_check(g, 3)
-    assert not rep.mu.converged and rep.mu.lower < 7.0 < 8.0 < rep.mu.upper
-    assert rep.verdict is Verdict.CONFIRMED
     # threshold 6.3 is below the min degree 7: the hypothesis holds at the lower end
     rep = theorem1_check(g, 3, 0.2)
     assert rep.hypothesis_satisfied and rep.verdict is Verdict.VACUOUS
     assert "precondition" in rep.notes
     # threshold 7.2 lies inside the capped interval, so it is not established
     rep = proof_chain_check(g, 3, 0.3)
+    assert not rep.mu.converged and rep.mu.lower < 7.0 < 8.0 < rep.mu.upper
     assert rep.verdict is Verdict.VACUOUS and "not established" in rep.notes
 
 
@@ -109,13 +113,64 @@ def test_fact1_is_decided_in_exact_rationals(monkeypatch):
     # float 43/6 lies above it, so its exact rhs exceeds k_3 by 2.6e-16 while
     # the float rhs rounds to 3.999999999999999; one ulp lower it falls below 4
     def stub(mu):
-        monkeypatch.setattr(theorems, "spectral_radius", lambda g: SpectralEstimate(mu, mu, 1, True))
+        monkeypatch.setattr(theorems, "spectral_radius",
+                            lambda g, ceiling: SpectralEstimate(mu, mu, 1, True))
         return fact1_check(complete_graph(4), 3)
 
     rep = stub(43 / 6)
     assert rep.quantities["rhs_low"] < rep.kr == 4
     assert rep.verdict is Verdict.VIOLATION
     assert stub(math.nextafter(43 / 6, 1)).verdict is Verdict.CONFIRMED
+
+
+def test_fact1_is_confirmed_only_where_the_whole_interval_is(monkeypatch):
+    # K4 at r = 3 meets its bound at mu_t = 43/6; an interval that reaches
+    # past it proves the bound at neither end, whichever end lies below
+    ceilings = []
+
+    def stub(g, ceiling):
+        ceilings.append(ceiling)
+        return SpectralEstimate(7.0, 7.5, 5, True)
+
+    monkeypatch.setattr(theorems, "spectral_radius", stub)
+    rep = fact1_check(complete_graph(4), 3)
+    assert rep.verdict is Verdict.INDETERMINATE and rep.kr == 4
+    assert rep.quantities["rhs_low"] < 4 < rep.quantities["rhs_high"]
+    assert rep.notes == "mu interval straddles 7.166666666666667, where the bound meets k_r"
+    # the ceiling is mu_t itself, exact
+    assert ceilings == [Fraction(43, 6)]
+
+
+def test_fact1_on_a_disconnected_graph_builds_no_matrix(monkeypatch):
+    # G(1000, .002) has many components and maximum degree far below
+    # mu_t >= 1000 (1 - 1/3): its degree sequence decides Fact 1
+    g = gnp(1000, 0.002, 1)
+
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(spectral, "_components", refuse)
+    monkeypatch.setattr(spectral, "_block_matvec", refuse)
+    rep = fact1_check(g, 3)
+    degrees = [g.degree(v) for v in range(g.n)]
+    assert rep.verdict is Verdict.CONFIRMED
+    assert (rep.mu.lower, rep.mu.upper, rep.mu.iterations) == (min(degrees), max(degrees), 1)
+
+
+def test_a_hypothesis_below_its_threshold_builds_no_matrix(monkeypatch):
+    # G(200, .05) has maximum degree far below the threshold (1/2 + c) 200
+    # at c = 0.3: its degree sequence decides the hypothesis
+    g = gnp(200, 0.05, 1)
+    monkeypatch.setattr(spectral, "_perron", None)
+    degrees = [g.degree(v) for v in range(g.n)]
+    for check in (theorem1_check, proof_chain_check):
+        rep = check(g, 3, 0.3)
+        assert not rep.hypothesis_satisfied and "not established" in rep.notes
+        assert (rep.mu.lower, rep.mu.upper, rep.mu.iterations) == (min(degrees), max(degrees), 1)
+    # a threshold the graph reaches is settled as before
+    monkeypatch.undo()
+    rep = theorem1_check(complete_graph(10), 3, 0.3)
+    assert rep.hypothesis_satisfied and rep.mu.converged
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf])
@@ -193,6 +248,15 @@ def test_theorem1_huge_r_is_vacuous():
     rep = theorem1_check(turan_graph(10, 2), 2000, 2.0)
     assert rep.verdict is Verdict.VACUOUS
     assert (rep.quantities["s_target"], rep.quantities["t_target"]) == (0, 0.0)
+
+
+def test_a_threshold_past_the_float_range_is_decided_by_degrees():
+    # (1/2 + 1e308) 10 exceeds every float: the eigen-solve's ceiling is the
+    # largest float, which the maximum degree is below
+    for check in (theorem1_check, proof_chain_check):
+        rep = check(complete_graph(10), 3, 1e308)
+        assert not rep.hypothesis_satisfied and rep.verdict is Verdict.VACUOUS
+        assert (rep.mu.lower, rep.mu.upper, rep.mu.iterations) == (9.0, 9.0, 1)
 
 
 def test_theorem1_check_vacuous_paths():
