@@ -2,16 +2,17 @@
 
 Each command parses only the flags it reads; ``gen`` writes the graphs of
 the corpus flags the campaigns read.  Output is JSON lines (one report
-object per line) or a CSV summary.  ``--threads`` sets the number of worker
-processes (fork; serial for one chunk or without fork).  Each task renders
-its own report to its finished line; each worker sends those lines in fixed
-chunks of tasks down its own pipe, which blocks it while full, and this
-process only writes them, in instance order.  So ``--threads`` never
-changes output bytes, memory does not grow with the number of reports
-written (the input corpus is built whole before the first one), and the
-reports before an error stay.  Exit codes: 0 all confirmed/vacuous, 1 any
-VIOLATION, 2 usage or input error, 3 indeterminate results under --strict,
-4 internal error (an uncaught exception, whose traceback goes to stderr).
+object per line) or a CSV summary.  The corpus is a list of checked recipes;
+each task builds its own graph and renders its report to its finished line.
+``--threads`` sets the number of worker processes (fork; serial for one
+chunk or without fork); each holds one graph at a time and sends its lines
+in fixed chunks of tasks down its own pipe, which blocks it while full, and
+this process only writes them, in instance order.  So ``--threads`` never
+changes output bytes, memory grows with neither the corpus's graphs nor the
+reports written, and the reports before an error stay.  Exit codes: 0 all
+confirmed/vacuous, 1 any VIOLATION, 2 usage or input error, 3 indeterminate
+results under --strict, 4 internal error (an uncaught exception, whose
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -22,14 +23,17 @@ import json
 import math
 import os
 import sys
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 from . import __version__
 from .cliques import CliqueCountOverflowError, count_cliques
 from .graphs import (
     Graph,
+    _graph6_body,
+    _multipartite_sizes,
     _require_order,
     _require_probability,
+    _turan_sizes,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -127,33 +131,48 @@ def named_graph(spec: str) -> Graph:
     return _built(parse_graph6, s, usage)
 
 
-def _gather_instances(args) -> list[tuple[str, Graph]]:
-    """Instance corpus in deterministic order: --in, --turan, --multipartite, --gnp."""
-    instances: list[tuple[str, Graph]] = []
+def _gnp_recipe(n: int, p: float, name, n_source: str, p_source: str):
+    """seed -> the recipe of ``gnp(n, p, seed)``, with id ``name(seed)``;
+    gnp's bounds are checked first, in its order, naming their sources."""
+    _built(_require_probability, p, p_source)
+    _built(_require_order, n, n_source)
+    make = partial(gnp, n, p)
+    return lambda seed: (name(seed), make, seed, p_source)
+
+
+def _recipes(args) -> list[tuple]:
+    """The corpus, in order --in, --turan, --multipartite, --gnp, as recipes
+    (id, make, arg, source) of graphs ``_built(make, arg, source)``.  Every
+    check a build makes runs here, building nothing, except the parse of an
+    edge-list file, whose graph is the first."""
+    recipes = []
     if args.infile:
         path = args.infile
         with open(path, encoding="utf-8") as fh:
             text = _built(fh.read, -1, f"--in {path}")  # a decode error names the file
         name = os.path.basename(path)
         if args.in_format == "edgelist":
-            instances.append((f"{name}#0", _built(parse_edge_list, text, f"--in {path}")))
+            recipes.append((f"{name}#0", parse_edge_list, text, f"--in {path}"))
         else:
             lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
             for i, (k, line) in enumerate(lines):
-                g = _built(parse_graph6, line, f"--in {path} line {k}")
-                instances.append((f"{name}#{i}", g))
+                source = f"--in {path} line {k}"
+                _built(_graph6_body, line, source)
+                recipes.append((f"{name}#{i}", parse_graph6, line, source))
     if args.turan:
         usage = "--turan expects 'n,r'"
         values = _parse_list(args.turan, usage)
         if len(values) != 2:
             raise UsageError(usage)
         n, r = values
-        instances.append((f"turan-n{n}-r{r}", _built(partial(turan_graph, n), r, usage)))
+        _built(partial(_turan_sizes, n), r, usage)
+        recipes.append((f"turan-n{n}-r{r}", partial(turan_graph, n), r, usage))
     if args.multipartite:
         usage = "--multipartite expects part sizes 'S1,S2,...'"
-        sizes = _parse_list(args.multipartite, usage)
+        sizes = tuple(_parse_list(args.multipartite, usage))
+        _built(_multipartite_sizes, sizes, usage)
         label = "x".join(str(s) for s in sizes)
-        instances.append((f"kpartite-{label}", _built(complete_multipartite, sizes, usage)))
+        recipes.append((f"kpartite-{label}", complete_multipartite, sizes, usage))
     if args.gnp:
         usage = "--gnp expects 'n,p'"
         parts = args.gnp.split(",")
@@ -161,12 +180,11 @@ def _gather_instances(args) -> list[tuple[str, Graph]]:
             raise UsageError(usage)
         n, p = _number(parts[0], usage), _number(parts[1], usage, float)
         seed = args.seed
-        for i in range(args.count):
-            g = _built(partial(gnp, n, p), seed + i, usage)
-            instances.append((f"gnp-n{n}-p{p}-seed{seed}-i{i:04d}", g))
-    if not instances:
+        recipe = _gnp_recipe(n, p, lambda s: f"gnp-n{n}-p{p}-seed{seed}-i{s - seed:04d}", usage, usage)
+        recipes += map(recipe, range(seed, seed + args.count))
+    if not recipes:
         raise UsageError("no input graphs: use --in, --turan, --multipartite or --gnp")
-    return instances
+    return recipes
 
 
 def _config_echo(args) -> dict:
@@ -340,14 +358,13 @@ def _exit_code(verdicts: set[str], strict: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    graphs = [g for _, g in _gather_instances(args)]
-    if args.format == "edgelist" and len(graphs) > 1:
+    recipes = _recipes(args)
+    if args.format == "edgelist" and len(recipes) > 1:
         raise UsageError("edgelist output supports a single graph")
+    text = to_edge_list if args.format == "edgelist" else lambda g: to_graph6(g) + "\n"
     with _output(args.out) as out:
-        if args.format == "edgelist":
-            out.write(to_edge_list(graphs[0]))
-        else:
-            out.writelines(to_graph6(g) + "\n" for g in graphs)
+        for _, make, arg, source in recipes:
+            out.write(text(_built(make, arg, source)))
     return EXIT_OK
 
 
@@ -368,47 +385,54 @@ def run_campaign(items, task, args) -> int:
     return _exit_code(_write_reports(results, args), getattr(args, "strict", False))
 
 
-def _cmd_mu(args) -> int:
+def _on_graph(check):
+    """The task over items (id, make, arg, source, *params): it builds the
+    graph, once for consecutive items of one recipe, and reports ``check(graph, *params)``."""
+    build = lru_cache(maxsize=1)(_built)
+
     def task(item):
-        iid, g = item
+        iid, make, arg, source, *params = item
+        g = build(make, arg, source)
+        return iid, check(g, *params), g
+
+    return task
+
+
+def _cmd_mu(args) -> int:
+    def check(g):
         est = spectral_radius(g)
-        tr = TheoremReport(
+        return TheoremReport(
             {"n": g.n}, True,
             Verdict.CONFIRMED if est.converged else Verdict.INDETERMINATE, mu=est,
             quantities={"iterations": est.iterations, "converged": est.converged},
             notes="" if est.converged else "eigenvalue iteration did not converge",
         )
-        return iid, tr, g
 
-    return run_campaign(_gather_instances(args), task, args)
+    return run_campaign(_recipes(args), _on_graph(check), args)
 
 
 def _cmd_cliques(args) -> int:
-    def task(item):
-        iid, g = item
-        kr = count_cliques(g, args.r)
-        tr = TheoremReport({"n": g.n, "r": args.r}, True, Verdict.CONFIRMED, kr=kr)
-        return iid, tr, g
+    def check(g):
+        return TheoremReport({"n": g.n, "r": args.r}, True, Verdict.CONFIRMED, kr=count_cliques(g, args.r))
 
-    return run_campaign(_gather_instances(args), task, args)
+    return run_campaign(_recipes(args), _on_graph(check), args)
 
 
 def _cmd_find_kpartite(args) -> int:
     sizes = _parse_list(args.sizes, "--sizes expects part sizes 'S1,S2,...'")
 
-    def task(item):
-        iid, g = item
+    def check(g):
         tr = TheoremReport({"n": g.n}, True, Verdict.CONFIRMED)
         try:
             tr.witness = find_complete_multipartite(g, sizes, budget=args.budget)
         except SearchBudgetExceeded:
             tr.verdict, tr.notes = Verdict.INDETERMINATE, "search budget exhausted"
-            return iid, tr, g
+            return tr
         if tr.witness is None:
             tr.verdict, tr.notes = Verdict.VACUOUS, "exhaustive search: no witness exists"
-        return iid, tr, g
+        return tr
 
-    return run_campaign(_gather_instances(args), task, args)
+    return run_campaign(_recipes(args), _on_graph(check), args)
 
 
 def _cmd_fact3(args) -> int:
@@ -431,18 +455,19 @@ def _cmd_verify(args) -> int:
     if not r_values or not c_values:
         raise UsageError(c_usage if r_values else r_usage)
 
-    def task(item):
-        (iid, g), r, c = item
-        iid += f"-r{r}" + (f"-c{c}" if c is not None else "")
+    def check(g, r, c):
         if args.check == "fact1":
-            return iid, fact1_check(g, r), g
+            return fact1_check(g, r)
         if args.check == "chain":
-            return iid, proof_chain_check(g, r, c), g
-        check = fact2_check if args.check == "fact2" else theorem1_check
-        return iid, check(g, r, c, budget=args.budget), g
+            return proof_chain_check(g, r, c)
+        search = fact2_check if args.check == "fact2" else theorem1_check
+        return search(g, r, c, budget=args.budget)
 
-    items = [(inst, r, c) for inst in _gather_instances(args) for r in r_values for c in c_values]
-    return run_campaign(items, task, args)
+    items = [
+        (iid + f"-r{r}" + (f"-c{c}" if c is not None else ""), *recipe, r, c)
+        for iid, *recipe in _recipes(args) for r in r_values for c in c_values
+    ]
+    return run_campaign(items, _on_graph(check), args)
 
 
 def _cmd_spex(args) -> int:
@@ -463,12 +488,9 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_biclique_scan(args) -> int:
-    # gnp's bounds, checked once here so that their errors name the flag
-    _built(_require_order, args.n, "--n")
-    _built(_require_probability, args.p, "--p")
+    recipe = _gnp_recipe(args.n, args.p, lambda s: f"biclique-n{args.n}-p{args.p}-seed{s}", "--n", "--p")
 
-    def task(seed):
-        g = gnp(args.n, args.p, seed)
+    def check(g):
         res = max_balanced_biclique(g, budget=args.budget)
         alarm = 4.0 * math.log(g.n)  # g.n >= 2 once the search ran
         tr = TheoremReport(
@@ -479,9 +501,10 @@ def _cmd_biclique_scan(args) -> int:
             tr.verdict, tr.notes = Verdict.INDETERMINATE, "budget exhausted: side is a lower bound"
         elif res.side > alarm:
             tr.notes = f"alarm: side {res.side} exceeds 4 ln n = {alarm:.3f}"
-        return f"biclique-n{args.n}-p{args.p}-seed{seed}", tr, g
+        return tr
 
-    return run_campaign(_parse_seeds(args.seeds), task, args)
+    task = _on_graph(check)  # a range of seeds stays a range: tasks make their recipes
+    return run_campaign(_parse_seeds(args.seeds), lambda seed: task(recipe(seed)), args)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +523,8 @@ def _add_common(p: argparse.ArgumentParser, search: bool = False, strict: bool =
         "--threads",
         type=_count,
         default=1,
-        help="worker processes (fork; serial for one chunk of 16 tasks or without fork); "
-        "output bytes do not depend on it",
+        help="worker processes (fork; serial for one chunk of 16 tasks or without fork), "
+        "each holding at most one input graph at a time; output bytes do not depend on it",
     )
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

@@ -33,10 +33,10 @@ generated exactly once, at its earliest vertex.  The top level loops over
 vertices, so every candidate set is a forward neighbourhood.  The k forward
 neighbours of v each have degree >= deg v >= k and all degrees sum to 2m, so
 a set holds at most min(deg v, sqrt(2m)) vertices (Chiba & Nishizeki, SIAM
-J. Comput. 1985).  One recursion serves every r: a set that needs k >= 3
-more vertices recurses into the forward sets inside it at need k - 1, and
-need 2 is the walk's one base case, where a set counts its edges, one
-popcount per vertex.
+J. Comput. 1985).  One walk serves every r: a set that needs k >= 3 more
+vertices pushes the forward sets inside it at need k - 1 on an explicit
+stack (no recursion, so no limit on r), and need 2 is the walk's one base
+case, where a set counts its edges, one popcount per vertex.
 
 A set of at most 2048 vertices that still needs 3 or 4 vertices can finish
 in numpy instead of one Python call per clique, on U, its block of the
@@ -198,31 +198,31 @@ def _walk(g: Graph, r: int, order: list[int], m: int) -> int:
         idx = idx[np.argsort(pos[idx])]
         return _blas_count(oriented.take(idx, 0).take(idx, 1), need)
 
-    def extend(cand: int, need: int) -> int:
-        """Number of need-cliques inside cand, for need >= 2."""
-        if need == 2:
-            return edges(cand)
+    if r == 3:
+        return sum(edges(cand) for cand in forward)
+    total = 0
+    # sets to extend, each with the k >= 3 vertices it needs and at least k
+    # vertices, on an explicit stack: no recursion, so no limit on r
+    stack = [(cand, r - 1) for cand in forward if cand.bit_count() >= r - 1]
+    while stack:
+        cand, need = stack.pop()
         size = cand.bit_count()
-        if size < need:
-            return 0
         if need <= 4 and size <= _DENSE_LIMIT:
             target = _BLAS_MIN_EDGES
             if need == 4:
                 target = max(target, _BLAS_EDGES_PER_VERTEX * size)
             if density * size * (size - 1) >= 2 * target and edges(cand) >= target:
-                return blas(cand, need)
-        total = 0
+                total += blas(cand, need)
+                continue
         m = cand
         while m:
             b = m & -m
             m ^= b
-            total += extend(forward[b.bit_length() - 1] & cand, need - 1)
-        return total
-
-    total = sum(extend(cand, r - 1) for cand in forward)
-    # extend refers to itself: break the cycle, or forward (and the matrix
-    # blas built) would stay allocated until the next garbage collection
-    del extend
+            sub = forward[b.bit_length() - 1] & cand
+            if need == 3:
+                total += edges(sub)
+            elif sub.bit_count() >= need - 1:
+                stack.append((sub, need - 1))
     return total
 
 

@@ -224,9 +224,8 @@ def complete_multipartite(sizes: Iterable[int]) -> Graph:
 
     u ~ v iff u and v lie in different parts.
     """
-    szs = part_sizes(sizes)
+    szs = _multipartite_sizes(sizes)
     n = sum(szs)
-    _require_order(n)
     full = (1 << n) - 1
     rows = []
     start = 0
@@ -236,6 +235,13 @@ def complete_multipartite(sizes: Iterable[int]) -> Graph:
         rows.extend([other] * s)
         start += s
     return Graph(n, rows, validate=False)
+
+
+def _multipartite_sizes(sizes: Iterable[int]) -> tuple[int, ...]:
+    """``complete_multipartite``'s part sizes, after every check it makes."""
+    szs = part_sizes(sizes)
+    _require_order(sum(szs))
+    return szs
 
 
 def turan_part_sizes(n: int, r: int) -> tuple[int, ...]:
@@ -248,13 +254,18 @@ def turan_part_sizes(n: int, r: int) -> tuple[int, ...]:
     return (q + 1,) * rem + (q,) * (r - rem)
 
 
+def _turan_sizes(n: int, r: int) -> tuple[int, ...]:
+    """``turan_graph``'s nonempty part sizes, after every check it makes."""
+    if r >= 1 and n >= 0:  # else turan_part_sizes names the bound, building nothing
+        _require_order(n)
+    # parts past the n-th are empty, so r > n lists only n of them
+    return tuple(s for s in turan_part_sizes(n, min(r, max(n, 1))) if s > 0)
+
+
 def turan_graph(n: int, r: int) -> Graph:
     """r-partite Turan graph: parts as equal as possible, ceil parts first."""
-    # parts past the n-th are empty, so r > n lists only n of them
-    sizes = tuple(s for s in turan_part_sizes(n, min(r, max(n, 1))) if s > 0)
-    if len(sizes) <= 1:
-        return Graph.empty(n)
-    return complete_multipartite(sizes)
+    sizes = _turan_sizes(n, r)
+    return complete_multipartite(sizes) if len(sizes) > 1 else Graph.empty(n)
 
 
 def complete_graph(n: int) -> Graph:
@@ -361,8 +372,9 @@ def _g6_decode_size(data: bytes, pos: int) -> tuple[int, int]:
     return n, start + count
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string (optional ``>>graph6<<`` header)."""
+def _graph6_body(text: str) -> tuple[int, np.ndarray]:
+    """The vertex count and body bytes of one graph6 string (optional
+    ``>>graph6<<`` header), after every check ``parse_graph6`` makes."""
     s = text.strip()
     base = 0
     if s.startswith(_G6_HEADER):
@@ -387,14 +399,22 @@ def parse_graph6(text: str) -> Graph:
     if bad.size:
         i = int(bad[0])
         raise Graph6Error(f"byte {body[i]} outside [63, 126]", base + pos + i)
-    # six data bits per byte, most significant first
-    bits = np.unpackbits((body - 63)[:, None], axis=1)[:, 2:].reshape(-1)
-    if bits[nbits:].any():  # padding occupies only the last byte
+    # padding occupies only the low bits of the last byte
+    if body.size and (int(body[-1]) - 63) & ((1 << -nbits % 6) - 1):
         raise Graph6Error("nonzero padding bits", base + pos + nbytes - 1)
+    return n, body
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 string (optional ``>>graph6<<`` header)."""
+    n, body = _graph6_body(text)
     adj = np.zeros((n, n), dtype=np.bool_)
     for lo, hi, mask, start, stop in _triangle_blocks(n, upper=False):
-        adj[lo:hi][mask] = adj.T[lo:hi][mask] = bits[start:stop]
-    del bits  # not kept alive next to the matrix while it is packed
+        # six data bits per byte, most significant first: a block unpacks
+        # only the bytes of its pairs, so no byte per bit of the body is held
+        first = start // 6
+        bits = np.unpackbits((body[first:(stop + 5) // 6] - 63) << 2).reshape(-1, 8)[:, :6].reshape(-1)
+        adj[lo:hi][mask] = adj.T[lo:hi][mask] = bits[start - 6 * first:stop - 6 * first]
     return Graph._pack(adj)
 
 

@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 import spectral_turan.cli as cli
-from spectral_turan import complete_multipartite, parse_graph6, to_edge_list, to_graph6, turan_graph
+from spectral_turan import complete_multipartite, gnp, parse_graph6, to_edge_list, to_graph6, turan_graph
 from spectral_turan.cli import build_parser, cli_main
 from spectral_turan.cliques import CliqueCountOverflowError
 from spectral_turan.graphs import Graph6Error
@@ -323,6 +323,8 @@ def test_threads_and_budget_below_one_are_usage_errors(argv, flag, capsys):
     ("gen --turan 5,0", "error: --turan expects 'n,r': r must be >= 1\n"),
     ("gen --multipartite 5001,5000",
      "error: --multipartite expects part sizes 'S1,S2,...': vertex count 10001 outside [0, 10000]\n"),
+    # a bad later flag is refused before the graphs of the earlier ones run
+    ("verify fact1 --turan 6,2 --gnp 5,1.5 --r 3", "error: --gnp expects 'n,p': p must lie in [0, 1]\n"),
     # an empty sweep is refused, as an empty corpus is
     ("verify fact3 --n-max -1 --r-max 3", "error: --n-max must be >= 0 and --r-max >= 1\n"),
     ("verify fact3 --n-max 5 --r-max 0", "error: --n-max must be >= 0 and --r-max >= 1\n"),
@@ -725,6 +727,37 @@ def test_exit_code_mapping():
     assert _exit_code({"indeterminate"}, strict=True) == 3
     # violation outranks strict indeterminate
     assert _exit_code({"indeterminate", "VIOLATION"}, strict=True) == 1
+
+
+def test_listing_the_corpus_builds_no_graph(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph was built while the corpus was listed")
+
+    path = tmp_path / "corpus.g6"
+    path.write_text(to_graph6(turan_graph(6, 2)) + "\n\n" + to_graph6(turan_graph(7, 3)) + "\n")
+    for name in ("gnp", "parse_graph6", "turan_graph", "complete_multipartite"):
+        monkeypatch.setattr(cli, name, refuse)
+    args = build_parser().parse_args(["mu", "--in", str(path), "--turan", "5,2", "--multipartite", "2,3",
+                                      "--gnp", "10,0.5", "--count", "3", "--seed", "4"])
+    recipes = cli._recipes(args)
+    assert [iid for iid, *_ in recipes] == [
+        "corpus.g6#0", "corpus.g6#1", "turan-n5-r2", "kpartite-2x3",
+        "gnp-n10-p0.5-seed4-i0000", "gnp-n10-p0.5-seed4-i0001", "gnp-n10-p0.5-seed4-i0002"]
+    # the graph6 sources count physical lines, the blank one included
+    assert [source for *_, source in recipes[:2]] == [f"--in {path} line 1", f"--in {path} line 3"]
+
+
+def test_verify_builds_each_instance_once(monkeypatch, capsys):
+    seeds = []
+
+    def counted(n, p, seed):
+        seeds.append(seed)
+        return gnp(n, p, seed)
+
+    monkeypatch.setattr(cli, "gnp", counted)
+    code, out = run_cli("verify fact1 --gnp 20,0.5 --count 3 --r 3,4,5 --threads 1".split(), capsys)
+    assert code == 0 and len(load_jsonl(out)) == 9
+    assert seeds == [0, 1, 2]
 
 
 def test_in_file_graph6_lines(tmp_path, capsys):

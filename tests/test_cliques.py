@@ -124,6 +124,12 @@ def test_counting_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_walk_depth_is_not_bounded_by_recursion():
+    # the walk extends one clique vertex per level: above ~1,000 levels a
+    # recursive walk raised RecursionError instead of counting
+    assert count_cliques(complete_graph(1010), 1010) == 1
+
+
 def test_oracle_domain_limit():
     with pytest.raises(ValueError):
         oracle_count_cliques(Graph.empty(17), 2)
