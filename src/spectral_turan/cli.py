@@ -47,6 +47,7 @@ from .graphs import (
 from .multipartite import (
     DEFAULT_BUDGET,
     SearchBudgetExceeded,
+    checked_witness,
     find_complete_multipartite,
     max_balanced_biclique,
 )
@@ -424,7 +425,7 @@ def _cmd_find_kpartite(args) -> int:
     def check(g):
         tr = TheoremReport({"n": g.n}, True, Verdict.CONFIRMED)
         try:
-            tr.witness = find_complete_multipartite(g, sizes, budget=args.budget)
+            tr.witness = checked_witness(g, find_complete_multipartite(g, sizes, budget=args.budget))
         except SearchBudgetExceeded:
             tr.verdict, tr.notes = Verdict.INDETERMINATE, "search budget exhausted"
             return tr
@@ -494,7 +495,7 @@ def _cmd_biclique_scan(args) -> int:
         res = max_balanced_biclique(g, budget=args.budget)
         alarm = 4.0 * math.log(g.n)  # g.n >= 2 once the search ran
         tr = TheoremReport(
-            {"n": g.n}, True, Verdict.CONFIRMED, witness=res.witness,
+            {"n": g.n}, True, Verdict.CONFIRMED, witness=checked_witness(g, res.witness),
             quantities={"side": res.side, "exact": res.exact, "alarm_threshold": alarm},
         )
         if not res.exact:

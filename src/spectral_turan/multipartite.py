@@ -64,6 +64,15 @@ def verify_witness(g: Graph, witness: MultipartiteWitness) -> bool:
     return True
 
 
+def checked_witness(g: Graph, witness: MultipartiteWitness | None) -> MultipartiteWitness | None:
+    """``witness`` (or None) once it passes the edge-by-edge check of
+    ``verify_witness``; every witness in a report comes through here.
+    Raises RuntimeError for one that fails."""
+    if witness is not None and not verify_witness(g, witness):
+        raise RuntimeError(f"search returned an invalid witness {witness.to_lists()}")
+    return witness
+
+
 def find_complete_multipartite(
     g: Graph,
     sizes,
@@ -82,13 +91,15 @@ def find_complete_multipartite(
     part's first vertex v at once restricts an equal-size next part to the
     vertices above v, so the prune of the placing frame sees the cut.
 
-    A part-opening frame tests each candidate as it is tried.  Once a part
-    holds a vertex and still needs k more, one pass keeps only the
-    candidates after it that fit every later part under the narrowed masks,
-    giving up once fewer than k can remain; the frames that fill the part
-    pop from this filtered set without testing again.  A vertex that fails
-    at a frame fails at every frame below it, whose masks are narrower, so
-    the visit order is unchanged.
+    A part-opening frame tests each candidate as it is tried, by one rule:
+    every later part's mask, narrowed by the candidate's row and, for an
+    equal-size next part, cut to the vertices above it, must still hold
+    that part.  Once a part holds a vertex and still needs k more, one pass
+    keeps only the candidates after it that fit every later part under the
+    narrowed masks, giving up once fewer than k can remain; the frames that
+    fill the part pop from this filtered set without testing again.  A
+    vertex that fails at a frame fails at every frame below it, whose masks
+    are narrower, so the visit order is unchanged.
 
     One node expansion is one candidate vertex tried, i.e. popped from a
     frame.  The filter pass is not charged; its work per expansion is at
@@ -112,17 +123,18 @@ def find_complete_multipartite(
     # later masks never hold a used vertex.  Parts before pi are complete, and
     # the current part's own candidates are the frame's: placing a vertex only
     # narrows the masks of the parts after it.
-    tails = [szs[i + 1:] for i in range(r)]
-
+    #
     # depth-first on an explicit stack, one frame per placed vertex, so a
     # witness with a thousand parts does not exhaust Python's recursion;
-    # a frame is (part, slot, candidates not yet tried, later masks), and a
-    # frame past slot 0 holds only candidates that fit every later part
-    stack = [(0, 0, full, [full] * (r - 1))]
+    # a frame is (part, candidates not yet tried, later masks), it fills
+    # slot len(parts[part]), and a frame past slot 0 holds only candidates
+    # that fit every later part
+    stack = [(0, full, [full] * (r - 1))]
     while stack:
-        pi, slot, m, later = stack[-1]
+        pi, m, later = stack[-1]
+        slot = len(parts[pi])
         need = szs[pi] - slot  # >= 1: a frame has a slot to fill
-        rest = tails[pi]
+        rest = szs[pi + 1:]
         while m.bit_count() >= need:
             b = m & -m
             m ^= b
@@ -131,24 +143,15 @@ def find_complete_multipartite(
             if expansions > budget:
                 raise SearchBudgetExceeded(budget)
             row_v = rows[v]
-            if slot:
-                nlater = [c & row_v for c in later]
-            else:
-                # a part-opening frame tests each candidate as it is tried
-                nlater = []
-                for c, s in zip(later, rest):
-                    c &= row_v
-                    if c.bit_count() < s:
-                        break
-                    nlater.append(c)
-                if len(nlater) < len(rest):
-                    continue
+            nlater = [c & row_v for c in later]
+            if not slot:
                 if rest and rest[0] == need:
                     # equal-size parts ascend by first element (pure symmetry
                     # cut): the next part lies above this part's first vertex
                     nlater[0] &= -(b << 1)
-                    if nlater[0].bit_count() < rest[0]:
-                        continue
+                # the one test of a part-opening vertex
+                if any(c.bit_count() < s for c, s in zip(nlater, rest)):
+                    continue
             keep = m
             if need > 1 and rest:
                 # one pass keeps the rest of this part's candidates that fit
@@ -176,15 +179,14 @@ def find_complete_multipartite(
             if stack:
                 parts[stack[-1][0]].pop()
             continue
-        stack[-1] = (pi, slot, m, later)
+        stack[-1] = (pi, m, later)
         parts[pi].append(v)
-        if slot + 1 < szs[pi]:
-            stack.append((pi, slot + 1, keep, nlater))
-            continue
-        ni = pi + 1
-        if ni == r:
+        if need > 1:
+            stack.append((pi, keep, nlater))
+        elif rest:
+            stack.append((pi + 1, nlater[0], nlater[1:]))
+        else:
             return MultipartiteWitness(tuple(tuple(p) for p in parts))
-        stack.append((ni, 0, nlater[0], nlater[1:]))
     return None
 
 
@@ -206,17 +208,15 @@ def max_balanced_biclique(g: Graph, budget: int = DEFAULT_BUDGET) -> BicliqueRes
     """
     if g.n < 2:
         raise ValueError("max_balanced_biclique requires n >= 2")
-    best = 0
-    best_witness: MultipartiteWitness | None = None
+    witness: MultipartiteWitness | None = None
     s = 1
     while 2 * s <= g.n:
         try:
             found = find_complete_multipartite(g, (s, s), budget=budget)
         except SearchBudgetExceeded:
-            return BicliqueResult(best, False, best_witness)
+            return BicliqueResult(s - 1, False, witness)
         if found is None:
-            return BicliqueResult(best, True, best_witness)
-        best = s
-        best_witness = found
+            break
+        witness = found
         s += 1
-    return BicliqueResult(best, True, best_witness)
+    return BicliqueResult(s - 1, True, witness)

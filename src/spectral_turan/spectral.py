@@ -168,7 +168,13 @@ def _exact_stop(g: Graph, ceiling: float) -> SpectralEstimate | None:
     decided by cross-multiplying with the margin's ``as_integer_ratio()``.
     The margin is the widest settled bracket: a float run that settles
     within it could reach the ceiling, so the exact stop leaves it to that
-    run.
+    run.  It must stay until the exact cells of ROADMAP item 2 land:
+    ``spex_scan`` must equal ``oracle_spex_scan``, which solves every leaf
+    without a ceiling, and a leaf that ties the best within a settled
+    bracket widens the reported upper end.  Without the margin a tied leaf
+    stops here and no longer widens it: at n = 4 and F = K_{1,3} the
+    witness K3 + K1 would report upper 2.0000000000000018 against the
+    oracle's 2.000000000000002 (C4 ties it).
     """
     below = ceiling - _SETTLED_WIDTH * g.n
     aw = [g.degree(v) for v in range(g.n)]

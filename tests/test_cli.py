@@ -18,7 +18,7 @@ from spectral_turan import complete_multipartite, gnp, parse_graph6, to_edge_lis
 from spectral_turan.cli import build_parser, cli_main
 from spectral_turan.cliques import CliqueCountOverflowError
 from spectral_turan.graphs import Graph6Error
-from spectral_turan.multipartite import SearchBudgetExceeded
+from spectral_turan.multipartite import BicliqueResult, MultipartiteWitness, SearchBudgetExceeded
 from spectral_turan.theorems import TheoremReport, Verdict
 
 from oracles import graph6_large
@@ -570,6 +570,30 @@ def test_main_exit_codes(threads, monkeypatch, capsys):
         else:
             assert [r["verdict"] for r in load_jsonl(captured.out)] == ["VIOLATION"] * 3
             assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, name, result", [
+    # K_{2,3} and the edgeless G(4, 0) both miss the cross edge 01
+    (["find-kpartite", "--sizes", "1,1", "--multipartite", "2,3"], "find_complete_multipartite",
+     lambda w: w),
+    (["biclique-scan", "--n", "4", "--p", "0", "--seeds", "1"], "max_balanced_biclique",
+     lambda w: BicliqueResult(1, True, w)),
+], ids=["find-kpartite", "biclique-scan"])
+def test_reported_witness_passes_the_edge_check(argv, name, result, monkeypatch, capsys):
+    # a witness reaches a report only through the edge-by-edge check; a bad
+    # one is an internal error (exit 4), never a confirmed report
+    broken = MultipartiteWitness(((0,), (1,)))
+    monkeypatch.setattr(cli, name, lambda *a, **k: result(broken))
+    with pytest.raises(RuntimeError, match="invalid witness"):
+        cli_main(argv)
+    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(sys, "argv", ["spectral-turan", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    captured = capsys.readouterr()
+    assert exc.value.code == 4
+    assert captured.out == ""
+    assert "RuntimeError: search returned an invalid witness [[0], [1]]" in captured.err
 
 
 @pytest.mark.parametrize(

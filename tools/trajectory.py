@@ -15,9 +15,13 @@ and call checks.  Per side and workload the output holds ``reports_per_s``
 ``ok_share`` (median and every run), ``output_digest_ok``, the output
 digests, ``correct`` with and without the traced call checks, and the first
 run's traced spans.  With two sides, each workload also holds how many
-pairs the second side won on ``reports_per_s``.  Without ``--pairs`` each
-workload that every side's ``perfbench/workloads.py`` names in its
-``WORKLOADS`` runs once per side.
+pairs the second side won on ``reports_per_s``, and one ``verdicts`` entry
+per ``end_to_end`` metric of the first side's ``BENCHMARK.json``, from
+``verdict``: both medians, the relative change signed so that positive is
+better, the metric's bound, the first side's spread and whether the
+second side is ``worse``, ``unresolved``, ``within`` or ``better``.
+Without ``--pairs`` each workload that every side's
+``perfbench/workloads.py`` names in its ``WORKLOADS`` runs once per side.
 
 This driver lives outside ``perfbench/`` on purpose: a change that claims
 a gain may not edit the benchmark it is measured with.
@@ -28,11 +32,11 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import statistics
 import subprocess
 import sys
 from pathlib import Path
-
 
 
 def workload_names(root: Path) -> list[str]:
@@ -60,6 +64,42 @@ def _spread(values: list[float]) -> dict:
     """Median, quartiles and every value."""
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def _relative(delta: float, base: float) -> float:
+    """delta / |base|, where a zero base counts any move as infinite."""
+    if base:
+        return delta / abs(base)
+    return math.copysign(math.inf, delta) if delta else 0.0
+
+
+def verdict(base: list[float], runs: list[float], better: str, bound: float) -> dict:
+    """How ``runs`` compare with ``base`` on one metric, run i of each
+    being pair i, where ``better`` is "higher" or "lower".
+
+    ``gain`` is the change of the median relative to the base median,
+    positive when better, and ``base_spread`` the base runs' IQR over their
+    median.  The verdict is ``worse`` when the gain is below -bound;
+    ``unresolved`` when the base spread exceeds the bound and not every run
+    beats every base run; ``better`` when the runs win at least nine tenths
+    of the pairs and the medians differ by more than the base IQR; and
+    ``within`` otherwise.
+    """
+    sign = 1 if better == "higher" else -1
+    b, c = _spread(base), _spread(runs)
+    gain = _relative(sign * (c["median"] - b["median"]), b["median"])
+    spread = _relative(b["iqr"], b["median"])
+    if gain < -bound:
+        word = "worse"
+    elif spread > bound and not min(sign * x for x in runs) > max(sign * x for x in base):
+        word = "unresolved"
+    elif (10 * sum(sign * (x - y) > 0 for x, y in zip(runs, base)) >= 9 * len(base)
+          and sign * (c["median"] - b["median"]) > b["iqr"]):
+        word = "better"
+    else:
+        word = "within"
+    return {"medians": [b["median"], c["median"]], "gain": gain, "bound": bound,
+            "base_spread": spread, "verdict": word}
 
 
 def _side_summary(runs: list[tuple[dict, dict]]) -> dict:
@@ -107,6 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     if not set(pairs) <= set(shared) or min(pairs.values()) < 1:
         ap.error(f"--pairs takes WORKLOAD=COUNT with COUNT >= 1 and WORKLOAD in {shared}")
 
+    metrics = json.loads((Path(sides[names[0]]) / "BENCHMARK.json").read_text())["end_to_end"]
     out = {"seed": args.seed, "seconds": args.seconds, "sides": names, "workloads": {}}
     for workload, count in pairs.items():
         runs: dict[str, list] = {name: [] for name in names}
@@ -117,9 +158,13 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload} pair {i + 1}/{count} {name}: {rate:.1f} reports/s", file=sys.stderr)
         entry = {"pairs": count, "sides": {name: _side_summary(runs[name]) for name in names}}
         if len(names) == 2:
-            rates = [[record["end_to_end"]["reports_per_s"]["value"] for record, _ in runs[name]]
-                     for name in names]
-            entry[f"{names[1]}_wins"] = sum(b > a for a, b in zip(*rates))
+            def values(metric: str) -> list[list[float]]:
+                return [[record["end_to_end"][metric]["value"] for record, _ in runs[name]]
+                        for name in names]
+
+            entry[f"{names[1]}_wins"] = sum(b > a for a, b in zip(*values("reports_per_s")))
+            entry["verdicts"] = {m["name"]: verdict(*values(m["name"]), m["better"], m["bound"])
+                                 for m in metrics}
         out["workloads"][workload] = entry
     out["env"] = {k: v for k, v in runs[names[0]][0][0]["env"].items()
                   if k in ("python", "numpy", "nproc", "platform")}
