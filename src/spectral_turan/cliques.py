@@ -1,5 +1,6 @@
 """Exact r-clique counting: whole-graph GEMMs on dense graphs, ordered
-bitset extension with BLAS base cases elsewhere.
+bitset extension with BLAS base cases elsewhere, and packed popcounts for
+its triangles.
 
 Both paths orient every edge forward along the vertices sorted by degree
 (ties by label), so each clique has one earliest vertex and one vertex order.
@@ -36,7 +37,22 @@ a set holds at most min(deg v, sqrt(2m)) vertices (Chiba & Nishizeki, SIAM
 J. Comput. 1985).  One walk serves every r: a set that needs k >= 3 more
 vertices pushes the forward sets inside it at need k - 1 on an explicit
 stack (no recursion, so no limit on r), and need 2 is the walk's one base
-case, where a set counts its edges, one popcount per vertex.
+case, where a set counts its edges, one popcount per vertex.  A set with
+exactly the k vertices it needs holds one clique if all its pairs are edges
+and none otherwise, so it counts its edges and pushes nothing (pushing its
+subsets would take O(n^3) popcounts on K_n at r = n - 1).
+
+At r = 3 the walk's whole count, each triangle once at its earliest vertex,
+is the sum over oriented edges t -> h of ``popcount(forward[t] &
+forward[h])``, and ``_forward_triangles`` takes it in numpy instead of one
+Python ``&`` per edge.  It packs the forward rows once into an
+(n, ceil(n / 64)) uint64 array, ~n^2 / 8 bytes.  Then, one block of rows of
+``graphs.ROW_BLOCK`` bits at a time (at most ROW_BLOCK bytes unpacked), it
+lists the block's edges and sums ``np.bitwise_count`` (numpy >= 2.0) of the
+AND of their tail and head rows, gathered as many rows per operand.  So
+beyond the packed rows it holds O(ROW_BLOCK) bytes.  A graph at least half
+full keeps the r = 3 GEMM above: on G(80, .8) that takes 0.06 ms against
+0.10 ms for the packed kernel.
 
 A set of at most 2048 vertices that still needs 3 or 4 vertices can finish
 in numpy instead of one Python call per clique, on U, its block of the
@@ -57,8 +73,9 @@ The GEMM has a fixed cost, and the 4-clique one grows with the edge count,
 so a set switches only when it has ``_BLAS_MIN_EDGES`` edges and, at need 4,
 ``_BLAS_EDGES_PER_VERTEX`` per vertex.  Counting a set's edges costs a pass
 over it, so the graph's edge density times C(size, 2) must first promise
-that many.  Other sets stay in the bitset walk: need 2 is decided before the
-switch, so a sparse graph at r = 3 never leaves it.
+that many.  Other sets stay in the bitset walk.  A set of exactly the size
+it needs never qualifies, so it is decided before the switch, and r = 3
+never reaches it.
 
 Exactness: every GEMM runs in float32 on at most 2048 vertices, with 0/1
 entries in Z and U.  A product entry is then at most 2047 and a row's count
@@ -72,6 +89,8 @@ summed as Python ints and checked against the 128-bit ``_COUNT_LIMIT``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -164,6 +183,32 @@ def _edges_in_rows(z: np.ndarray, inner: np.ndarray) -> int:
     return int(np.einsum("ij,ij->i", product, z).sum(dtype=np.float64))
 
 
+def _forward_triangles(forward: Sequence[int], n: int) -> int:
+    """Triangles of a graph oriented by ``forward`` (bit h of forward[t] is
+    the edge t -> h), each once at its earliest vertex: the sum over edges
+    t -> h of ``popcount(forward[t] & forward[h])`` (see the module
+    docstring)."""
+    words = (n + 63) // 64 or 1
+    # rows per block: ROW_BLOCK bits, and under ROW_BLOCK bytes unpacked
+    step = max(1, ROW_BLOCK // (64 * words))
+    # little-endian words, so byte i of a row holds its bits 8i..8i+7
+    packed = np.empty((n, words), dtype="<u8")
+    for lo in range(0, n, step):
+        rows = b"".join(mask.to_bytes(8 * words, "little") for mask in forward[lo:lo + step])
+        packed[lo:lo + step] = np.frombuffer(rows, dtype="<u8").reshape(-1, words)
+    total = 0
+    for lo in range(0, n, step):
+        bits = np.unpackbits(packed[lo:lo + step].view(np.uint8), axis=1, count=n,
+                             bitorder="little").view(np.bool_)
+        tail, head = np.divmod(np.flatnonzero(bits), n)
+        tail += lo
+        # one gather of ``step`` rows per operand: ROW_BLOCK bits each
+        for e in range(0, len(tail), step):
+            common = packed[tail[e:e + step]] & packed[head[e:e + step]]
+            total += int(np.bitwise_count(common).sum())
+    return total
+
+
 def _walk(g: Graph, r: int, order: list[int], m: int) -> int:
     """r-cliques by bitset extension along ``order`` (see the module
     docstring), for 3 <= r <= n."""
@@ -174,6 +219,8 @@ def _walk(g: Graph, r: int, order: list[int], m: int) -> int:
     for v in reversed(order):
         forward[v] = g.row(v) & later
         later |= 1 << v
+    if r == 3:
+        return _forward_triangles(forward, n)
     density = 2 * m / (n * (n - 1))
     # orientation positions and the forward adjacency as a boolean matrix,
     # built on first use
@@ -198,8 +245,6 @@ def _walk(g: Graph, r: int, order: list[int], m: int) -> int:
         idx = idx[np.argsort(pos[idx])]
         return _blas_count(oriented.take(idx, 0).take(idx, 1), need)
 
-    if r == 3:
-        return sum(edges(cand) for cand in forward)
     total = 0
     # sets to extend, each with the k >= 3 vertices it needs and at least k
     # vertices, on an explicit stack: no recursion, so no limit on r
@@ -207,6 +252,10 @@ def _walk(g: Graph, r: int, order: list[int], m: int) -> int:
     while stack:
         cand, need = stack.pop()
         size = cand.bit_count()
+        if size == need:
+            # the whole set or nothing: one clique if all its pairs are edges
+            total += edges(cand) == size * (size - 1) // 2
+            continue
         if need <= 4 and size <= _DENSE_LIMIT:
             target = _BLAS_MIN_EDGES
             if need == 4:

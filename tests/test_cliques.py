@@ -130,6 +130,19 @@ def test_walk_depth_is_not_bounded_by_recursion():
     assert count_cliques(complete_graph(1010), 1010) == 1
 
 
+@pytest.mark.parametrize("n", [8, 30])
+def test_sets_of_exactly_the_needed_size(n):
+    # at r = n - 1 and n - 2 most sets on the stack hold exactly the vertices
+    # they need: such a set is one clique if all its pairs are edges and
+    # none otherwise, with and without missing edges among them
+    for k in (0, 1, 2, n // 2):
+        g = Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                 if not (v == u + 1 and u % 2 == 0 and u < 2 * k)])
+        assert g.edge_count() == math.comb(n, 2) - k
+        for r in (n - 1, n - 2):
+            assert count_cliques(g, r) == oracle_count_cliques_bitset(g, r), (k, r)
+
+
 def test_oracle_domain_limit():
     with pytest.raises(ValueError):
         oracle_count_cliques(Graph.empty(17), 2)
@@ -231,8 +244,8 @@ def test_sparse_sets_keep_the_bitset_walk(monkeypatch):
     assert count_cliques(g, 4) == 0
     assert blocks == []
     # below half full, every forward set of K40 would qualify for a block at
-    # need 3, but r = 3 needs 2 below the top level, and need 2 is the walk's
-    # own base case
+    # need 3, but r = 3 never reaches the switch: the walk counts it whole in
+    # its packed popcount kernel, _forward_triangles
     g = _padded(complete_graph(40), 20)
     assert 4 * g.edge_count() < g.n * (g.n - 1)
     assert count_cliques(g, 3) == math.comb(40, 3)
@@ -401,3 +414,86 @@ def test_triangle_temporaries_are_row_block_bounded(monkeypatch):
         tracemalloc.stop()
     assert total == count_cliques(g, 3)
     assert peak <= 4 * n * n + 16 * block
+
+
+def _forward_rows(g):
+    """The walk's forward rows: bit h of row t marks an edge t -> h along the
+    vertices sorted by degree."""
+    forward = [0] * g.n
+    later = 0
+    for v in reversed(sorted(range(g.n), key=g.degree)):
+        forward[v] = g.row(v) & later
+        later |= 1 << v
+    return forward
+
+
+def test_forward_triangles_match_the_brute_force_oracle():
+    for g in seeded_graph_sample(60, 0, 16, base_seed=9300):
+        assert cl._forward_triangles(_forward_rows(g), g.n) == oracle_count_cliques(g, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 129, 700])
+def test_sparse_triangles_match_the_bitset_oracle(n, monkeypatch):
+    # a quarter of the vertices isolated, so their forward rows are empty,
+    # as is the last row of every orientation; 63 to 129 put the rows on
+    # either side of a word boundary
+    g = _padded(gnp(n - (n + 3) // 4, 0.5, n), (n + 3) // 4)
+    assert 4 * g.edge_count() < max(1, g.n * (g.n - 1))
+    want = oracle_count_cliques_bitset(g, 3)
+    assert cl._forward_triangles(_forward_rows(g), g.n) == want
+    calls = _record_paths(monkeypatch)
+    assert count_cliques(g, 3) == want
+    assert calls == (["_walk"] if n >= 3 else [])
+
+
+def _gather_cuts(forward, step):
+    """Whether some gather of ``step`` edges ends inside a row's edges, and
+    whether some other ends at a row's last edge (a block's last gather
+    aside).  Blocks hold whole rows, so only the gathers can split a row."""
+    mid = end = False
+    for lo in range(0, len(forward), step):
+        tails = [t for t in range(lo, min(lo + step, len(forward)))
+                 for _ in range(forward[t].bit_count())]
+        for e in range(step, len(tails), step):
+            mid |= tails[e - 1] == tails[e]
+            end |= tails[e - 1] != tails[e]
+    return mid, end
+
+
+# ROW_BLOCK bits per block and per gather: one row, two and three rows of
+# two words each, and three rows and a few bits
+@pytest.mark.parametrize("bits", [1, 128, 256, 389])
+def test_forward_triangles_in_short_blocks(bits, monkeypatch):
+    g = _planted_clique(_padded(gnp(80, 0.3, 7), 21), range(0, 101, 9))
+    forward = _forward_rows(g)
+    step = max(1, bits // 128)
+    if step > 1:
+        assert g.n % step and _gather_cuts(forward, step) == (True, True)
+    monkeypatch.setattr(cl, "ROW_BLOCK", bits)
+    assert cl._forward_triangles(forward, g.n) == oracle_count_cliques_bitset(g, 3)
+
+
+def test_forward_triangle_temporaries_are_row_block_bounded(monkeypatch):
+    # the kernel holds its packed rows, 8n * ceil(n / 64) bytes (~n^2 / 8),
+    # and one block's temporaries.  A block of ``step`` rows holds at most
+    # ROW_BLOCK bits: their bytes and the join of them while packing
+    # (ROW_BLOCK / 4 bytes), ROW_BLOCK bools unpacked, and at most ROW_BLOCK
+    # edges as an int64 index and its int64 tails and heads (24 ROW_BLOCK);
+    # a gather of ``step`` edges adds two operands and their AND (3 ROW_BLOCK
+    # / 8) and one byte per word (ROW_BLOCK / 64).  That is under 26
+    # ROW_BLOCK, 1.25 MB here, beside ~1.13 MB of packed rows; unpacking the
+    # n x n matrix whole would add another n^2 = 9 MB
+    g = gnp(3000, 0.05, 3)
+    n = g.n
+    forward = _forward_rows(g)
+    block = 16 * n
+    monkeypatch.setattr(cl, "ROW_BLOCK", block)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        total = cl._forward_triangles(forward, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert total == oracle_count_cliques_bitset(g, 3)
+    assert peak <= 8 * n * -(-n // 64) + 26 * block
