@@ -22,11 +22,30 @@ columns in orientation order, which is strictly upper triangular:
   a -> c, summed over row blocks of U, ``graphs.ROW_BLOCK`` entries at a
   time, so the n x n product is never held whole.
 - r = 4 and 5: Z = U[B][:, F] at r = 4, one row per vertex, and at r = 5 the
-  row U[a, F] * U[b, F] for each edge a -> b inside B, one GEMM per k.  A k
-  whose F spans no edge is skipped, so a bipartite graph runs none of them.
-  At r = 5 the rows go ``_Z_ENTRIES`` entries at a time: besides U the
-  kernel holds U[F][:, F] in float32 and the edge list of B (together under
-  4n^2 bytes), boolean blocks of U, and O(_Z_ENTRIES + n) for one chunk.
+  row U[a, F] * U[b, F] for each edge a -> b inside B.  A k whose F spans no
+  edge is skipped, so a bipartite graph runs no GEMM.  At r = 5 each k takes
+  one GEMM, its rows ``_Z_ENTRIES`` entries at a time: besides U the kernel
+  holds U[F][:, F] in float32 and the edge list of B (together under 4n^2
+  bytes), boolean blocks of U, and O(_Z_ENTRIES + n) for one chunk.
+- r = 4: runs of consecutive vertices k0 <= k < k1 share one GEMM, since
+  one k's GEMM is mostly too small to cost more than its numpy calls (on
+  G(80, .8) 3 runs take 0.3-0.4 times as long as 77 single vertices).  A
+  run's F is the union of its vertices' forward sets, and its Z has one
+  row per edge a -> k into the run, U[a, F] & U[k, F], the vertices after k
+  joined to both; such a row vanishes outside k's own F, so the union
+  changes no count.  A vertex with no edge in adds no row and no column,
+  and a run whose F spans no edge is skipped, so T(n, 2) and T(n, 3) run no
+  GEMM either.  A run grows while its rows times n - k0 - 1 stay within
+  ``_Z_ENTRIES``, and only where (n - k0 - 1)^2 does too, so its Z and its
+  U[F][:, F] hold at most _Z_ENTRIES entries each.  A run of one or two
+  vertices goes one vertex at a time, by the GEMM above: two would save one
+  GEMM's calls but widen both vertices' rows to the union F, which made
+  G(300, .8) 2-3% slower.  So on more than ~180 vertices the first vertices
+  go one at a time too: merged there, the union's U[F][:, F] of ~n^2
+  entries, over a few rows, made G(600, .5) 9-10% slower.  Beyond U a
+  run holds U[:, F] and blocks of its vertices' rows and columns of U (each
+  under n * sqrt(_Z_ENTRIES) bytes), Z, U[F][:, F] and their product in
+  bool and float32, and index arrays of Z's rows.
 
 Other graphs, and every r >= 6, extend partial cliques through candidate
 sets, the bit-intersections of forward neighbourhoods, so each clique is
@@ -64,10 +83,10 @@ matrix is built once, on first use):
   ``Z = U[j] & U[k]`` marks their common forward neighbours, and the set's
   4-cliques number ``sum((Z @ U) * Z)``.  A row of Z vanishes left of its
   k, so with the edges in increasing k each chunk's GEMM runs on the
-  columns after its first k only.  The dense path's r = 4 kernel pivots
-  instead: on a whole graph it skips every k whose F spans no edge, while
-  on the walk's small blocks its one GEMM per k costs more than these few
-  large ones.
+  columns after its first k only.  The dense path's r = 4 kernel keeps its
+  runs: on a whole graph it skips every run whose F spans no edge (T(128,
+  3): 0.24 ms against 1.1 ms for these chunks), while on the walk's blocks
+  these chunks cost less (G(150, .6): 1.35 ms against 1.6 ms).
 
 The GEMM has a fixed cost, and the 4-clique one grows with the edge count,
 so a set switches only when it has ``_BLAS_MIN_EDGES`` edges and, at need 4,
@@ -82,7 +101,7 @@ entries in Z and U.  A product entry is then at most 2047 and a row's count
 at most C(2047, 2), both below 2^24, so float32 holds each exactly; a chunk
 whose sum could reach 2^24 sums its rows in float64, and no sum reaches
 2^53 (r = 3 sums at most C(n, 3), one k at r = 4 and 5 at most
-C(k, r - 3) * C(n - k - 1, 2), and a set C(2048, 4)).  Every sum adds
+C(k, r - 3) * C(n - k - 1, 2), and a run or a set C(2048, 4)).  Every sum adds
 non-negative integers, and a partial sum never exceeds the total, so every
 float value is an exact integer in any summation order.  The counts are
 summed as Python ints and checked against the 128-bit ``_COUNT_LIMIT``.
@@ -105,9 +124,10 @@ _COUNT_LIMIT = 1 << COUNT_BITS
 # the per-vertex bound, G(3000, .03) at r = 5 ran 164-277 -> 242-303 ms
 _BLAS_MIN_EDGES = 64
 _BLAS_EDGES_PER_VERTEX = 4
-# entries of Z per GEMM at need 4 and at r = 5: 128 KiB of float32, so a
-# chunk and its product stay in cache (the r = 3 row blocks take
-# ROW_BLOCK entries: blocks this small made T(2048, 2) 3x slower)
+# entries of Z per GEMM at need 4, at r = 5 and in an r = 4 run (whose
+# U[F][:, F] stays within it too): 128 KiB of float32, so a chunk and its
+# product stay in cache (the r = 3 row blocks take ROW_BLOCK entries: blocks
+# this small made T(2048, 2) 3x slower)
 _Z_ENTRIES = 1 << 15
 
 
@@ -141,7 +161,49 @@ def _pivot_count(u: np.ndarray, r: int) -> int:
     """4-cliques (r = 4) or 5-cliques (r = 5) of a strictly upper triangular
     boolean oriented matrix, each counted at its vertex k with two clique
     vertices after it (see the module docstring)."""
-    return sum(_pivot_at(u, k, r) for k in range(r - 3, len(u) - 2))
+    n = len(u)
+    if r == 5:
+        return sum(_pivot_at(u, k, 5) for k in range(2, n - 2))
+    # ends[k] = the edges a -> j with j < k: a run [k0, k1) has
+    # ends[k1] - ends[k0] rows, on at most n - k0 - 1 columns
+    indeg = u.sum(0, dtype=np.uint16)
+    ends = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(indeg, out=ends[1:])
+    # reach[k0] = the end of the longest run from k0 whose Z and U[F][:, F]
+    # hold at most _Z_ENTRIES entries each, or k0 + 1 for a run of one or
+    # two vertices: two would save one GEMM's calls, but widen both
+    # vertices' rows to the union F
+    k = np.arange(n - 2)
+    width = n - 1 - k
+    room = np.where(width * width <= _Z_ENTRIES, _Z_ENTRIES // width, 0)
+    reach = np.minimum(np.searchsorted(ends, ends[k] + room, "right") - 1, n - 2)
+    reach = np.where(reach > k + 2, reach, k + 1).tolist()
+    total = 0
+    k0 = 1
+    while k0 < n - 2:
+        k1 = reach[k0]
+        if k1 == k0 + 1:
+            total += _pivot_at(u, k0, 4)
+        else:
+            # a vertex with no edge in counts nothing, and adds no column
+            total += _run_at(u, k0, np.flatnonzero(indeg[k0:k1]) + k0)
+        k0 = k1
+    return total
+
+
+def _run_at(u: np.ndarray, k0: int, heads: np.ndarray) -> int:
+    """The 4-cliques counted at ``heads``, vertices k >= k0 in increasing
+    order, in one GEMM; its temporaries go when it returns."""
+    # F: the union of the heads' forward sets
+    c = k0 + 1
+    fwd = np.flatnonzero(u.take(heads, 0)[:, c:].any(0)) + c
+    inner = u.take(fwd, 0).take(fwd, 1)
+    if not inner.any():
+        return 0
+    # one row per edge a -> k: the common forward neighbours of a and k
+    k, a = np.nonzero(u[:heads[-1] + 1].take(heads, 1).T)
+    cols = u.take(fwd, 1)
+    return _edges_in_rows(cols.take(a, 0) & cols.take(heads[k], 0), inner.astype(np.float32))
 
 
 def _pivot_at(u: np.ndarray, k: int, r: int) -> int:

@@ -374,34 +374,30 @@ def _g6_decode_size(data: bytes, pos: int) -> tuple[int, int]:
 
 def _graph6_body(text: str) -> tuple[int, np.ndarray]:
     """The vertex count and body bytes of one graph6 string (optional
-    ``>>graph6<<`` header), after every check ``parse_graph6`` makes."""
+    ``>>graph6<<`` header), after every check ``parse_graph6`` makes.
+    Error offsets count the header's bytes too."""
     s = text.strip()
-    base = 0
-    if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER):]
-        base = len(_G6_HEADER)
     try:
         data = s.encode("latin-1")
     except UnicodeEncodeError:
         # characters above U+00FF map to byte 255 so the range checks flag them
         data = bytes(min(ord(c), 255) for c in s)
-    n, pos = _g6_decode_size(data, 0)
+    start = len(_G6_HEADER) if s.startswith(_G6_HEADER) else 0
+    n, pos = _g6_decode_size(data, start)
     if n > MAX_VERTICES:
-        raise Graph6Error(f"vertex count {n} exceeds {MAX_VERTICES}", base)
+        raise Graph6Error(f"vertex count {n} exceeds {MAX_VERTICES}", start)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos != nbytes:
-        raise Graph6Error(
-            f"body length {len(data) - pos} != expected {nbytes}", base + pos
-        )
+        raise Graph6Error(f"body length {len(data) - pos} != expected {nbytes}", pos)
     body = np.frombuffer(data, dtype=np.uint8, offset=pos)
     bad = np.flatnonzero((body < 63) | (body > 126))
     if bad.size:
         i = int(bad[0])
-        raise Graph6Error(f"byte {body[i]} outside [63, 126]", base + pos + i)
+        raise Graph6Error(f"byte {body[i]} outside [63, 126]", pos + i)
     # padding occupies only the low bits of the last byte
     if body.size and (int(body[-1]) - 63) & ((1 << -nbits % 6) - 1):
-        raise Graph6Error("nonzero padding bits", base + pos + nbytes - 1)
+        raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
     return n, body
 
 

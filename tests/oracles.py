@@ -515,7 +515,11 @@ def oracle_parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):]
         base = len(_G6_HEADER)
     data = bytes(min(ord(c), 255) for c in s)
-    n, pos = _g6_decode_size(data, 0)
+    try:
+        n, pos = _g6_decode_size(data, 0)
+    except Graph6Error as exc:
+        # size-field offsets count the header, as every other offset does
+        raise Graph6Error(exc.args[0], base + exc.offset) from None
     if n > MAX_VERTICES:
         raise Graph6Error(f"vertex count {n} exceeds {MAX_VERTICES}", base)
     nbits = n * (n - 1) // 2

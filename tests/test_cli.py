@@ -348,11 +348,16 @@ def test_input_errors_name_the_flag_or_the_bound(argv, message, capsys):
     # the line number counts physical lines, the blank one included
     ("corpus.g6", "D??\n\nAx\n", "graph6", "line 3", "nonzero padding bits (byte offset 1)"),
     ("corpus.g6", "D??\nG\n", "graph6", "line 2", "body length 0 != expected 5 (byte offset 1)"),
+    # offsets count a line's header, in its size field as in its body
+    ("corpus.g6", "D??\n>>graph6<<\n", "graph6", "line 2", "missing size byte (byte offset 10)"),
+    ("corpus.g6", ">>graph6<<~\n", "graph6", "line 1", "truncated multi-byte size (byte offset 11)"),
+    ("corpus.g6", ">>graph6<<Ax\n", "graph6", "line 1", "nonzero padding bits (byte offset 11)"),
     ("edges.txt", "5 2\n0 1\n3 1\n", "edgelist", None, "edge (3, 1) violates 0 <= u < v < n"),
     ("edges.txt", "10001 0\n", "edgelist", None, "vertex count 10001 outside [0, 10000]"),
     ("bad.g6", b"\xff\xfe", "graph6", None,
      "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-], ids=["graph6-after-blank", "graph6-line-2", "edgelist-edge", "edgelist-order", "not-utf-8"])
+], ids=["graph6-after-blank", "graph6-line-2", "graph6-header-size", "graph6-header-truncated",
+        "graph6-header-body", "edgelist-edge", "edgelist-order", "not-utf-8"])
 def test_input_file_errors_name_the_file_and_line(name, text, in_format, source, defect, tmp_path, capsys):
     path = tmp_path / name
     if isinstance(text, bytes):

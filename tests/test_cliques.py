@@ -348,6 +348,128 @@ def test_dense_path_matches_the_bitset_oracle(entries, monkeypatch):
     assert count_cliques(turan_graph(60, 4), 5) == 0  # T(60, 4) is K5-free
 
 
+def _oriented(g):
+    """The dense path's U: g's adjacency in degree order, upper triangle."""
+    order = sorted(range(g.n), key=g.degree)
+    return np.triu(g.to_bits(order)[:, order], 1)
+
+
+def _record_runs(monkeypatch):
+    """Spy on the r = 4 kernel's one-vertex pivots and merged runs: one
+    (first vertex, vertices) pair per call."""
+    runs = []
+    real_pivot, real_run = cl._pivot_at, cl._run_at
+
+    def pivot(u, k, r):
+        runs.append((k, 1))
+        return real_pivot(u, k, r)
+
+    def run(u, k0, heads):
+        runs.append((k0, len(heads)))
+        return real_run(u, k0, heads)
+
+    monkeypatch.setattr(cl, "_pivot_at", pivot)
+    monkeypatch.setattr(cl, "_run_at", run)
+    return runs
+
+
+def _record_gemms(monkeypatch):
+    """Spy on ``_edges_in_rows``: one (rows, columns) pair per GEMM."""
+    gemms = []
+    real = cl._edges_in_rows
+
+    def spy(z, inner):
+        gemms.append((len(z), len(inner)))
+        return real(z, inner)
+
+    monkeypatch.setattr(cl, "_edges_in_rows", spy)
+    return gemms
+
+
+@pytest.mark.parametrize("n", [5, 40, 80, 150, 300])
+@pytest.mark.parametrize("p", [0.5, 0.8, 1.0])
+def test_merged_pivots_match_the_bitset_oracle(n, p, monkeypatch):
+    # at n <= 181 every run may span several vertices; at n = 300 the first
+    # vertices, whose U[F][:, F] alone exceeds _Z_ENTRIES, pivot one at a
+    # time and the later ones merge
+    g = gnp(n, p, n)
+    runs = _record_runs(monkeypatch)
+    want = math.comb(n, 4) if p == 1 else oracle_count_cliques_bitset(g, 4)
+    assert cl._pivot_count(_oriented(g), 4) == want
+    assert sum(size for _, size in runs) <= max(0, n - 3)
+    if n >= 40:
+        assert max(size for _, size in runs) > 1
+    if n == 300:
+        # a run merges once its U[F][:, F], at most (n - k0 - 1)^2 entries,
+        # fits _Z_ENTRIES: from n - 1 - 181 on
+        assert min(k0 for k0, size in runs if size > 1) >= n - 1 - math.isqrt(cl._Z_ENTRIES)
+        # and a run of two vertices, all with an edge in here, goes as two
+        assert all(size >= 3 for _, size in runs if size > 1)
+
+
+def test_merged_runs_sum_in_float64_past_2_24(monkeypatch):
+    # runs of 2^20 entries on K150: a run's rows times C(|F|, 2) passes 2^24,
+    # so its sum takes the float64 row sums, and still counts exactly
+    monkeypatch.setattr(cl, "_Z_ENTRIES", 1 << 20)
+    gemms = _record_gemms(monkeypatch)
+    runs = _record_runs(monkeypatch)
+    for g in (complete_graph(150), gnp(150, 0.8, 3)):
+        want = math.comb(150, 4) if g.edge_count() == math.comb(150, 2) else oracle_count_cliques_bitset(g, 4)
+        assert cl._pivot_count(_oriented(g), 4) == want
+    assert any(size > 1 for _, size in runs)
+    assert any(rows * f * (f - 1) >= 1 << 25 for rows, f in gemms)
+
+
+@pytest.mark.parametrize("n", [40, 128, 301, 600])
+def test_k4_free_turan_graphs_run_no_gemm(n, monkeypatch):
+    # every F of T(n, 2) and T(n, 3), and every merged run's union of them,
+    # lies inside one part or is empty
+    gemms = _record_gemms(monkeypatch)
+    runs = _record_runs(monkeypatch)
+    for parts in (2, 3):
+        assert cl._pivot_count(_oriented(turan_graph(n, parts)), 4) == 0
+    assert gemms == []
+    assert any(size > 1 for _, size in runs)
+    # T(n, 5) has K4s: one per choice of four parts and a vertex in each
+    sizes = [len(range(i, n, 5)) for i in range(5)]
+    want = sum(math.prod(four) for four in itertools.combinations(sizes, 4))
+    assert cl._pivot_count(_oriented(turan_graph(n, 5)), 4) == want
+
+
+def test_run_temporaries_are_bounded(monkeypatch):
+    # beyond U a merged run holds U[:, F] and blocks of its heads' rows and
+    # columns (under n * width bytes each, with width = n - k0 - 1 at most
+    # sqrt(_Z_ENTRIES)), Z, U[F][:, F] and Z's product (_Z_ENTRIES entries
+    # each, bool and float32) and three index arrays of Z's rows: no block
+    # of U's n^2 bytes
+    monkeypatch.setattr(cl, "_pivot_at", lambda u, k, r: 0)  # runs only
+    real = cl._run_at
+    peaks = []
+
+    def run(u, k0, heads):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        total = real(u, k0, heads)
+        peaks.append((tracemalloc.get_traced_memory()[1] - base, len(u) - k0 - 1, int(u[:, heads].sum())))
+        return total
+
+    monkeypatch.setattr(cl, "_run_at", run)
+    u = _oriented(gnp(2000, 0.05, 1))
+    n, entries = len(u), cl._Z_ENTRIES
+    tracemalloc.start()
+    try:
+        cl._pivot_count(u, 4)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 10
+    for peak, width, rows in peaks:
+        # a run of vertices with no edge in, the isolated ones first, holds
+        # no row and may be wider
+        assert rows == 0 or width * width <= entries and rows * width <= entries
+        assert peak <= 3 * n * min(width, math.isqrt(entries)) + 16 * entries + 24 * rows, (peak, width, rows)
+    assert max(peak for peak, _, _ in peaks) < n * n // 2
+
+
 def test_above_the_dense_cap_the_walk_counts(monkeypatch):
     g = gnp(80, 0.8, 1)
     calls = _record_paths(monkeypatch)

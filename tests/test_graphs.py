@@ -159,6 +159,25 @@ def test_graph6_decoder_matches_scalar_oracle_on_fuzzed_input():
     assert kinds >= {"ok", "byte", "body", "nonzero", "missing", "truncated"}
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "missing size byte (byte offset 0)"),
+    ("~", "truncated multi-byte size (byte offset 1)"),
+    # size-field offsets count the header, as body offsets do
+    (">>graph6<<", "missing size byte (byte offset 10)"),
+    (">>graph6<<~", "truncated multi-byte size (byte offset 11)"),
+    (">>graph6<<~~??", "truncated multi-byte size (byte offset 14)"),
+    (">>graph6<<" + chr(20), "byte 20 outside [63, 126] (byte offset 10)"),
+    (">>graph6<<~?" + chr(20) + "?", "byte 20 outside [63, 126] (byte offset 12)"),
+    (">>graph6<<~B??", "vertex count 12288 exceeds 10000 (byte offset 10)"),
+    (">>graph6<<A", "body length 0 != expected 1 (byte offset 11)"),
+])
+def test_graph6_offsets_count_the_header(text, message):
+    for decode in (parse_graph6, oracle_parse_graph6):
+        with pytest.raises(Graph6Error) as exc:
+            decode(text)
+        assert str(exc.value) == message, decode
+
+
 def test_graph6_malformed_length():
     with pytest.raises(Graph6Error) as exc:
         parse_graph6("A")  # n = 2 needs one body byte

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from trajectory import verdict  # noqa: E402
+import trajectory  # noqa: E402
+from trajectory import pair_order, second_side_wins, verdict  # noqa: E402
 
 STEADY = [100.0, 101.0, 99.0, 100.5, 99.5]  # IQR 1, spread 0.01
 NOISY = [60.0, 100.0, 140.0, 80.0, 120.0]  # IQR 40, spread 0.4
@@ -46,3 +48,60 @@ def test_verdict_fields():
     assert verdict([0.0] * 3, [1.0] * 3, "lower", 0.25)["gain"] == float("-inf")
     assert verdict([0.0] * 3, [0.0] * 3, "lower", 0.25)["gain"] == 0.0
 
+
+
+def test_pairs_alternate_the_run_order():
+    names = ["parent", "change"]
+    assert [pair_order(names, i) for i in range(3)] == [
+        ["parent", "change"], ["change", "parent"], ["parent", "change"]]
+
+
+@pytest.mark.parametrize("change, wins", [
+    # change runs second in pairs 0 and 2 and first in pairs 1 and 3
+    ([2, 2, 2, 2], (4, 2, 2)),
+    ([2, 0, 2, 0], (2, 0, 2)),
+    ([0, 2, 0, 0], (1, 1, 0)),
+    # a tie is no win
+    ([1, 1, 1, 1], (0, 0, 0)),
+])
+def test_second_side_wins_split_by_run_order(change, wins):
+    rates = {"parent": [1.0] * 4, "change": [float(x) for x in change]}
+    assert second_side_wins(["parent", "change"], rates) == dict(zip(
+        ("change_wins", "change_wins_run_first", "change_wins_run_second"), wins))
+
+
+def _fake_checkout(root: Path):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "workloads.py").write_text('WORKLOADS = {"w": None}\n')
+    metrics = [{"name": "reports_per_s", "better": "higher", "bound": 0.25}]
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+
+
+def test_the_record_holds_the_orders_and_the_split_wins(tmp_path, monkeypatch):
+    # a host whose second run of a pair is always faster: the side that
+    # ran second wins every pair, whichever side it is
+    for side in ("parent", "change"):
+        _fake_checkout(tmp_path / side)
+    ran = []
+
+    def fake_run(root, workload, seed, seconds):
+        ran.append(root.name)
+        rate = 110.0 if len(ran) % 2 == 0 else 100.0
+        record = {"end_to_end": {"reports_per_s": {"value": rate}, "setup_s": {"value": 0.1},
+                                 "peak_rss_mb": {"value": 30.0}, "ok_share": {"value": 1.0},
+                                 "output_digest_ok": {"value": 1.0}},
+                  "env": {"src_sha256": root.name, "python": "3"}, "output_sha256": "x",
+                  "samples": {"count": 2}, "trace": {"spans": {}, "call_mismatches": []}}
+        return record, {"correct": True}
+
+    monkeypatch.setattr(trajectory, "_run", fake_run)
+    out = tmp_path / "bench.json"
+    assert trajectory.main(["--side", f"parent={tmp_path / 'parent'}",
+                            "--side", f"change={tmp_path / 'change'}",
+                            "--pairs", "w=5", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert entry["orders"] == [["parent", "change"], ["change", "parent"]] * 2 + [["parent", "change"]]
+    assert ran == [name for order in entry["orders"] for name in order]
+    # change ran second in pairs 0, 2 and 4, and first in pairs 1 and 3
+    assert (entry["change_wins"], entry["change_wins_run_first"],
+            entry["change_wins_run_second"]) == (3, 0, 3)

@@ -14,8 +14,11 @@ and call checks.  Per side and workload the output holds ``reports_per_s``
 (median, quartiles and every run), ``setup_s``, ``peak_rss_mb`` and
 ``ok_share`` (median and every run), ``output_digest_ok``, the output
 digests, ``correct`` with and without the traced call checks, and the first
-run's traced spans.  With two sides, each workload also holds how many
-pairs the second side won on ``reports_per_s``, and one ``verdicts`` entry
+run's traced spans.  Each workload holds every pair's run order.  With two
+sides, it also holds how many pairs the second side won on
+``reports_per_s``: in all, when it ran first and when it ran second, since a
+side that wins mostly in one position shows the host's drift within a pair
+more than a change's effect.  And it holds one ``verdicts`` entry
 per ``end_to_end`` metric of the first side's ``BENCHMARK.json``, from
 ``verdict``: both medians, the relative change signed so that positive is
 better, the metric's bound, the first side's spread and whether the
@@ -102,6 +105,23 @@ def verdict(base: list[float], runs: list[float], better: str, bound: float) -> 
             "base_spread": spread, "verdict": word}
 
 
+def pair_order(names: list[str], i: int) -> list[str]:
+    """The sides in the order pair i runs them: as given when i is even,
+    reversed when it is odd."""
+    return names if i % 2 == 0 else names[::-1]
+
+
+def second_side_wins(names: list[str], rates: dict[str, list[float]]) -> dict[str, int]:
+    """How many pairs the second side won on ``rates`` (run i of each side
+    being pair i): in all, when it ran first and when it ran second."""
+    first, second = names
+    won = [b > a for a, b in zip(rates[first], rates[second])]
+    ran_first = [pair_order(names, i)[0] == second for i in range(len(won))]
+    return {f"{second}_wins": sum(won),
+            f"{second}_wins_run_first": sum(w and f for w, f in zip(won, ran_first)),
+            f"{second}_wins_run_second": sum(w and not f for w, f in zip(won, ran_first))}
+
+
 def _side_summary(runs: list[tuple[dict, dict]]) -> dict:
     e2e = [record["end_to_end"] for record, _ in runs]
     first = runs[0][0]
@@ -151,19 +171,21 @@ def main(argv: list[str] | None = None) -> int:
     out = {"seed": args.seed, "seconds": args.seconds, "sides": names, "workloads": {}}
     for workload, count in pairs.items():
         runs: dict[str, list] = {name: [] for name in names}
-        for i in range(count):
-            for name in (names if i % 2 == 0 else names[::-1]):
+        orders = [pair_order(names, i) for i in range(count)]
+        for i, order in enumerate(orders):
+            for name in order:
                 runs[name].append(_run(Path(sides[name]), workload, args.seed, args.seconds))
                 rate = runs[name][-1][0]["end_to_end"]["reports_per_s"]["value"]
                 print(f"{workload} pair {i + 1}/{count} {name}: {rate:.1f} reports/s", file=sys.stderr)
-        entry = {"pairs": count, "sides": {name: _side_summary(runs[name]) for name in names}}
+        entry = {"pairs": count, "orders": orders,
+                 "sides": {name: _side_summary(runs[name]) for name in names}}
         if len(names) == 2:
-            def values(metric: str) -> list[list[float]]:
-                return [[record["end_to_end"][metric]["value"] for record, _ in runs[name]]
-                        for name in names]
+            def values(metric: str) -> dict[str, list[float]]:
+                return {name: [record["end_to_end"][metric]["value"] for record, _ in runs[name]]
+                        for name in names}
 
-            entry[f"{names[1]}_wins"] = sum(b > a for a, b in zip(*values("reports_per_s")))
-            entry["verdicts"] = {m["name"]: verdict(*values(m["name"]), m["better"], m["bound"])
+            entry.update(second_side_wins(names, values("reports_per_s")))
+            entry["verdicts"] = {m["name"]: verdict(*values(m["name"]).values(), m["better"], m["bound"])
                                  for m in metrics}
         out["workloads"][workload] = entry
     out["env"] = {k: v for k, v in runs[names[0]][0][0]["env"].items()
