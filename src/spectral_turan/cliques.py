@@ -23,27 +23,30 @@ columns in orientation order, which is strictly upper triangular:
   time, so the n x n product is never held whole.
 - r = 4 and 5: Z = U[B][:, F] at r = 4, one row per vertex, and at r = 5 the
   row U[a, F] * U[b, F] for each edge a -> b inside B.  A k whose F spans no
-  edge is skipped, so a bipartite graph runs no GEMM.  At r = 5 each k takes
-  one GEMM, its rows ``_Z_ENTRIES`` entries at a time: besides U the kernel
-  holds U[F][:, F] in float32 and the edge list of B (together under 4n^2
-  bytes), boolean blocks of U, and O(_Z_ENTRIES + n) for one chunk.
-- r = 4: runs of consecutive vertices k0 <= k < k1 share one GEMM, since
-  one k's GEMM is mostly too small to cost more than its numpy calls (on
-  G(80, .8) 3 runs take 0.3-0.4 times as long as 77 single vertices).  A
-  run's F is the union of its vertices' forward sets, and its Z has one
-  row per edge a -> k into the run, U[a, F] & U[k, F], the vertices after k
-  joined to both; such a row vanishes outside k's own F, so the union
-  changes no count.  A vertex with no edge in adds no row and no column,
-  and a run whose F spans no edge is skipped, so T(n, 2) and T(n, 3) run no
-  GEMM either.  A run grows while its rows times n - k0 - 1 stay within
-  ``_Z_ENTRIES``, and only where (n - k0 - 1)^2 does too, so its Z and its
-  U[F][:, F] hold at most _Z_ENTRIES entries each.  A run of one or two
-  vertices goes one vertex at a time, by the GEMM above: two would save one
-  GEMM's calls but widen both vertices' rows to the union F, which made
-  G(300, .8) 2-3% slower.  So on more than ~180 vertices the first vertices
-  go one at a time too: merged there, the union's U[F][:, F] of ~n^2
-  entries, over a few rows, made G(600, .5) 9-10% slower.  Beyond U a
-  run holds U[:, F] and blocks of its vertices' rows and columns of U (each
+  edge is skipped, so a bipartite graph runs no GEMM.  One pass over the k
+  reads their edges in from U's column sums, and calls no kernel at a k
+  with none (r = 4) or fewer than two (r = 5), where none can count.  At
+  r = 5 each k takes one GEMM, its rows ``_Z_ENTRIES`` entries at a time:
+  besides U the kernel holds U[F][:, F] in float32 and the edge list of B
+  (together under 4n^2 bytes), boolean blocks of U, and O(_Z_ENTRIES + n)
+  for one chunk.
+- r = 4: the pass merges runs of consecutive vertices k0 <= k < k1 into
+  one GEMM, as one k's GEMM is mostly too small to cost more than its
+  numpy calls (on G(80, .8) 3 runs take 0.3-0.4 times as long as 77 single
+  vertices).  A run's F is the union of its vertices' forward sets, and its
+  Z has one row per edge a -> k into the run, U[a, F] & U[k, F], the
+  vertices after k joined to both; such a row vanishes outside k's own F,
+  so the union changes no count.  A vertex with no edge in adds no row and
+  no column, and a run with no row or whose F spans no edge is skipped, so
+  T(n, 2) and T(n, 3) run no GEMM either.  Three rules size a run: it
+  grows while its rows times n - k0 - 1 stay within ``_Z_ENTRIES``, with
+  room for no row where (n - k0 - 1)^2 does not, so its Z and its
+  U[F][:, F] fit; and a run of one or two vertices goes one vertex at a
+  time: two would save one GEMM's calls but widen both rows to the union F
+  (G(300, .8) 2-3% slower).  So on more than ~180 vertices the first
+  vertices go alone too: merged there, the union's U[F][:, F] of ~n^2
+  entries, over a few rows, made G(600, .5) 9-10% slower.  Beyond U a run
+  holds U[:, F] and blocks of its vertices' rows and columns of U (each
   under n * sqrt(_Z_ENTRIES) bytes), Z, U[F][:, F] and their product in
   bool and float32, and index arrays of Z's rows.
 
@@ -162,31 +165,26 @@ def _pivot_count(u: np.ndarray, r: int) -> int:
     boolean oriented matrix, each counted at its vertex k with two clique
     vertices after it (see the module docstring)."""
     n = len(u)
-    if r == 5:
-        return sum(_pivot_at(u, k, 5) for k in range(2, n - 2))
-    # ends[k] = the edges a -> j with j < k: a run [k0, k1) has
-    # ends[k1] - ends[k0] rows, on at most n - k0 - 1 columns
-    indeg = u.sum(0, dtype=np.uint16)
-    ends = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(indeg, out=ends[1:])
-    # reach[k0] = the end of the longest run from k0 whose Z and U[F][:, F]
-    # hold at most _Z_ENTRIES entries each, or k0 + 1 for a run of one or
-    # two vertices: two would save one GEMM's calls, but widen both
-    # vertices' rows to the union F
-    k = np.arange(n - 2)
-    width = n - 1 - k
-    room = np.where(width * width <= _Z_ENTRIES, _Z_ENTRIES // width, 0)
-    reach = np.minimum(np.searchsorted(ends, ends[k] + room, "right") - 1, n - 2)
-    reach = np.where(reach > k + 2, reach, k + 1).tolist()
+    # the edges a -> k into each k: Z's rows at r = 4, B's vertices at r = 5
+    rows = u.sum(0, dtype=np.uint16).tolist()
     total = 0
-    k0 = 1
+    k0 = r - 3
     while k0 < n - 2:
-        k1 = reach[k0]
-        if k1 == k0 + 1:
-            total += _pivot_at(u, k0, 4)
-        else:
+        # the longest run [k0, k1) whose Z and U[F][:, F], on n - k0 - 1
+        # columns, fit _Z_ENTRIES each; at r = 5 no row fits
+        width = n - 1 - k0
+        room = _Z_ENTRIES // width if r == 4 and width * width <= _Z_ENTRIES else 0
+        k1, held = k0, 0
+        while k1 < n - 2 and held + rows[k1] <= room:
+            held += rows[k1]
+            k1 += 1
+        if k1 < k0 + 3:  # one or two vertices go one at a time
+            if rows[k0] >= r - 3:
+                total += _pivot_at(u, k0, r)
+            k1 = k0 + 1
+        elif held:
             # a vertex with no edge in counts nothing, and adds no column
-            total += _run_at(u, k0, np.flatnonzero(indeg[k0:k1]) + k0)
+            total += _run_at(u, k0, np.flatnonzero(rows[k0:k1]) + k0)
         k0 = k1
     return total
 

@@ -470,6 +470,93 @@ def test_run_temporaries_are_bounded(monkeypatch):
     assert max(peak for peak, _, _ in peaks) < n * n // 2
 
 
+def _sizing_runs(u):
+    """The pivots and runs of ``_pivot_count(u, 4)`` that hold a row, as
+    (first vertex, vertices with an edge in) pairs, by its sizing rules: a
+    run [k0, k1) holds the edges into it as rows on n - k0 - 1 columns, and
+    its Z and U[F][:, F] fit _Z_ENTRIES each unless it holds no row; it
+    grows as far as they fit, and with fewer than three vertices its first
+    vertex goes alone"""
+    n, entries = len(u), cl._Z_ENTRIES
+    indeg = u.sum(0).tolist()
+    ends = [0, *itertools.accumulate(indeg)]
+    runs = []
+    k0 = 1
+    while k0 < n - 2:
+        width = n - 1 - k0
+        fits = [k1 for k1 in range(k0 + 3, n - 1)
+                if ends[k1] == ends[k0]
+                or width * width <= entries and (ends[k1] - ends[k0]) * width <= entries]
+        k1 = fits[-1] if fits else k0 + 1
+        heads = sum(1 for rows in indeg[k0:k1] if rows)
+        if heads:
+            runs.append((k0, heads))
+        k0 = k1
+    return runs
+
+
+def test_pivot_runs_follow_the_sizing_rules(monkeypatch):
+    runs = _record_runs(monkeypatch)
+    held = []
+    record_pivot, record_run = cl._pivot_at, cl._run_at
+
+    def pivot(u, k, r):
+        held.append(u[:, k].any())
+        return record_pivot(u, k, r)
+
+    def run(u, k0, heads):
+        held.append(len(heads) > 0)
+        return record_run(u, k0, heads)
+
+    monkeypatch.setattr(cl, "_pivot_at", pivot)
+    monkeypatch.setattr(cl, "_run_at", run)
+    # on G(300, .8) and K400 the first vertices' U[F][:, F] does not fit
+    graphs = [gnp(80, 0.8, seed) for seed in (1, 2, 3)]
+    graphs += [gnp(300, 0.8, 300), complete_graph(60), turan_graph(128, 3),
+               _padded(gnp(40, 0.9, 2), 10), complete_graph(400)]
+    for g in graphs:
+        u = _oriented(g)
+        runs.clear()
+        held.clear()
+        cl._pivot_count(u, 4)
+        assert [run for run, rows in zip(runs, held) if rows] == _sizing_runs(u), g.n
+        assert any(size > 1 for _, size in runs)
+
+
+def _low_first():
+    """20 isolated vertices, a matching on 120 and G(160, .5): in degree
+    order the first 140 vertices have 0 or 1 edge in, and the first 118 of
+    them more than sqrt(_Z_ENTRIES) columns after them, where a run has
+    room for no row"""
+    edges = [(a, a + 1) for a in range(20, 140, 2)]
+    edges += [(a + 140, b + 140) for a, b in gnp(160, 0.5, 3).edges()]
+    return Graph.from_edges(300, edges)
+
+
+def test_pivots_without_rows_call_no_kernel(monkeypatch):
+    # a pivot counts nothing with no edge in at r = 4, or fewer than the two
+    # an edge inside B needs at r = 5, so neither kernel is called there
+    calls = []
+    real_pivot, real_run = cl._pivot_at, cl._run_at
+
+    def pivot(u, k, r):
+        calls.append((r, int(u[:, k].sum())))
+        return real_pivot(u, k, r)
+
+    def run(u, k0, heads):
+        calls.append((4, int(u[:, heads].sum())))
+        return real_run(u, k0, heads)
+
+    monkeypatch.setattr(cl, "_pivot_at", pivot)
+    monkeypatch.setattr(cl, "_run_at", run)
+    for g in (turan_graph(60, 2), _low_first()):
+        u = _oriented(g)
+        for r in (4, 5):
+            assert cl._pivot_count(u, r) == oracle_count_cliques_bitset(g, r), (g.n, r)
+    assert calls
+    assert all(rows >= r - 3 for r, rows in calls), calls
+
+
 def test_above_the_dense_cap_the_walk_counts(monkeypatch):
     g = gnp(80, 0.8, 1)
     calls = _record_paths(monkeypatch)
